@@ -19,73 +19,31 @@ from .errors import (
     InconsistentSystemError,
     ReservedParameterError,
 )
-from .linsolve import rational_rank
+from .linsolve import RationalSpan, rational_rank
 from .membership import (
     CoefficientMode,
     IdealDecomposition,
     NotFound,
     decompose,
 )
-from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key, poisson
+from .phase import PhasePolynomial, PhaseSpace, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
 
 
-class RationalSpan:
-    """Row-reduced basis of the rational span of a set of polynomials.
-
-    Rows are fully reduced against each other (pivot coefficients one, tails
-    pivot-free), so residuals are canonical coset representatives independent
-    of insertion order.
-    """
-
-    def __init__(self):
-        self._rows: list[tuple[Exponents, dict[Exponents, Fraction]]] = []
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def reduce(self, terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        terms = dict(terms)
-        for pivot, row in self._rows:
-            coeff = terms.get(pivot)
-            if coeff:
-                for monomial, value in row.items():
-                    new = terms.get(monomial, Fraction(0)) - coeff * value
-                    if new:
-                        terms[monomial] = new
-                    else:
-                        terms.pop(monomial, None)
-        return terms
-
-    def add(self, terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction] | None:
-        """Insert; returns the normalized residual, or None if dependent."""
-        residual = self.reduce(terms)
-        if not residual:
-            return None
-        pivot = max(residual, key=_grlex_key)
-        scale = residual[pivot]
-        residual = {m: c / scale for m, c in residual.items()}
-        for _, row in self._rows:
-            coeff = row.get(pivot)
-            if coeff:
-                for monomial, value in residual.items():
-                    new = row.get(monomial, Fraction(0)) - coeff * value
-                    if new:
-                        row[monomial] = new
-                    else:
-                        row.pop(monomial, None)
-        self._rows.append((pivot, residual))
-        return dict(residual)
-
-
-def _independent(polys: Sequence[PhasePolynomial]) -> bool:
-    return rational_rank(p.terms for p in polys) == len(polys)
-
-
-def _parameter_only(poly: PhasePolynomial) -> bool:
-    n_vars = 2 * poly.space.n_dof
-    return all(idx >= n_vars for idx in poly.used_indices())
+def _consistent_residual(space: PhaseSpace, residual, source: str) -> PhasePolynomial:
+    """The residual of {source, H_d} as a polynomial; a nonzero residual with
+    no phase-variable support means the system has no solutions."""
+    candidate = PhasePolynomial(space, residual)
+    n_vars = 2 * space.n_dof
+    if all(idx >= n_vars for idx in candidate.used_indices()):
+        raise InconsistentSystemError(
+            f"bracket of {source} with H_d leaves the nonzero constant "
+            f"residual {candidate}: the system has no solutions",
+            residual=candidate,
+            source=source,
+        )
+    return candidate
 
 
 @dataclass(frozen=True)
@@ -113,7 +71,7 @@ class ConstrainedSystem:
                 raise ValueError("primary constraints must share the phase space")
             if poly.is_zero():
                 raise DependentPrimariesError("zero polynomial among primaries")
-        if not _independent(self.primaries):
+        if rational_rank(p.terms for p in self.primaries) != len(self.primaries):
             raise DependentPrimariesError(
                 "primary constraints are linearly dependent over the rationals"
             )
@@ -332,42 +290,25 @@ def generate_chain(
                 "primary constraints are linearly dependent over the rationals"
             )
 
-    def next_level(sources, source_names, level: str):
+    def next_level(sources, source_names):
         found = []
         for poly, name in zip(sources, source_names):
             residual = span.add(poisson(poly, system.h_d).terms)
-            if residual is None:
-                continue
-            candidate = PhasePolynomial(system.space, residual)
-            if _parameter_only(candidate):
-                raise InconsistentSystemError(
-                    f"bracket of {name} with H_d leaves the nonzero constant "
-                    f"residual {candidate}: the system has no solutions",
-                    residual=candidate,
-                    source=name,
-                )
-            found.append(candidate)
+            if residual is not None:
+                found.append(_consistent_residual(system.space, residual, name))
         return found
 
-    secondaries = next_level(system.primaries, system.primary_names, "secondary")
+    secondaries = next_level(system.primaries, system.primary_names)
     secondary_names = tuple(f"S{i}" for i in range(1, len(secondaries) + 1))
-    tertiaries = next_level(secondaries, secondary_names, "tertiary")
+    tertiaries = next_level(secondaries, secondary_names)
     tertiary_names = tuple(f"T{i}" for i in range(1, len(tertiaries) + 1))
 
     # Anything past the third level is outside the supported theory; detect it
     # on the raw span before the (more permissive) weak-closure test runs.
     for name, poly in zip(tertiary_names, tertiaries):
-        bracket = poisson(poly, system.h_d)
-        residual = span.reduce(bracket.terms)
+        residual = span.reduce(poisson(poly, system.h_d).terms)
         if residual:
-            candidate = PhasePolynomial(system.space, residual)
-            if _parameter_only(candidate):
-                raise InconsistentSystemError(
-                    f"bracket of {name} with H_d leaves the nonzero constant "
-                    f"residual {candidate}: the system has no solutions",
-                    residual=candidate,
-                    source=name,
-                )
+            _consistent_residual(system.space, residual, name)
     return _build_chain(
         system, secondaries, tertiaries, secondary_names, tertiary_names, degree_bound
     )
@@ -391,24 +332,15 @@ def recombine_level(
     new_polys = tuple(
         sum((Fraction(c) * phi for c, phi in zip(row, old)), zero) for row in matrix
     )
+    system = chain.system
     if level == "primary":
         system = ConstrainedSystem(
-            chain.space, chain.system.h_d, new_polys, chain.primary_names
+            chain.space, system.h_d, new_polys, chain.primary_names
         )
-        return _build_chain(
-            system,
-            chain.secondaries,
-            chain.tertiaries,
-            chain.secondary_names,
-            chain.tertiary_names,
-            chain.degree_bound,
-        )
-    secondaries = new_polys if level == "secondary" else chain.secondaries
-    tertiaries = new_polys if level == "tertiary" else chain.tertiaries
     return _build_chain(
-        chain.system,
-        secondaries,
-        tertiaries,
+        system,
+        new_polys if level == "secondary" else chain.secondaries,
+        new_polys if level == "tertiary" else chain.tertiaries,
         chain.secondary_names,
         chain.tertiary_names,
         chain.degree_bound,

@@ -24,7 +24,6 @@ import sys
 from . import report as rpt
 from .chain import (
     ConstraintChain,
-    RationalSpan,
     assemble_total_hamiltonian,
     first_class_check,
     generate_chain,
@@ -38,6 +37,7 @@ from .errors import (
     ParseError,
     ReservedParameterError,
 )
+from .linsolve import RationalSpan, rational_rank
 from .membership import CoefficientMode
 from .modelfile import ModelFile, load_model_file
 from .symmetry import classify, closure_and_structure_constants
@@ -63,15 +63,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "chain": "generate the primary/secondary/tertiary constraint hierarchy",
-        "total-hamiltonian": "assemble H_tot with multiplier parameters",
-        "first-class": "test every constraint pair against the on-shell module",
-        "check-symmetry": "classify a generator set against the symmetry rules",
-        "structure-constants": "extract Lie structure constants of a generator set",
-    }
-    for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument("file", help="model file to analyse")
         cmd.add_argument("--set", dest="set_name", help="generator set name")
         cmd.add_argument(
@@ -135,11 +128,10 @@ def _compare_declared_levels(chain: ConstraintChain, model: ModelFile) -> dict |
     for level, declared in declared_by_level.items():
         if declared is None:
             continue
-        level_ok = True
         generated = chain.level_polys(level)
+        problems = []
         if len(declared) != len(generated):
-            level_ok = False
-            details.append(
+            problems.append(
                 f"{level}: declared {len(declared)} constraints, "
                 f"generated {len(generated)}"
             )
@@ -147,22 +139,15 @@ def _compare_declared_levels(chain: ConstraintChain, model: ModelFile) -> dict |
             span = RationalSpan()
             for poly in generated:
                 span.add(poly.terms)
-            for name, poly in declared:
-                if span.reduce(poly.terms):
-                    level_ok = False
-                    details.append(
-                        f"{level}: declared {name} is outside the generated span"
-                    )
-            declared_span = RationalSpan()
-            for _, poly in declared:
-                declared_span.add(poly.terms)
-            if len(declared_span) != len(generated):
-                level_ok = False
-                details.append(f"{level}: declared constraints are dependent")
-        if level_ok:
-            details.append(f"{level}: spans agree ({len(generated)} constraints)")
-        else:
-            match = False
+            problems += [
+                f"{level}: declared {name} is outside the generated span"
+                for name, poly in declared
+                if span.reduce(poly.terms)
+            ]
+            if rational_rank(poly.terms for _, poly in declared) != len(generated):
+                problems.append(f"{level}: declared constraints are dependent")
+        details += problems or [f"{level}: spans agree ({len(generated)} constraints)"]
+        match = match and not problems
     return {"match": match, "details": details}
 
 
@@ -177,63 +162,71 @@ def _require_set(model: ModelFile, set_name: str | None):
     return model.generator_sets[set_name]
 
 
+# Each command returns (report, text view, exit code); it looks the report
+# functions up on ``rpt`` when it runs.
+def _chain(args, model: ModelFile, degree_bound, include_energy, mode):
+    """generate the primary/secondary/tertiary constraint hierarchy"""
+    chain = generate_chain(model.system, degree_bound)
+    declared = _compare_declared_levels(chain, model)
+    report = rpt.chain_report(chain, args.file, declared)
+    code = EXIT_FINDING if declared is not None and not declared["match"] else EXIT_OK
+    return report, rpt.chain_text(chain, report), code
+
+
+def _total_hamiltonian(args, model: ModelFile, degree_bound, include_energy, mode):
+    """assemble H_tot with multiplier parameters"""
+    chain = generate_chain(model.system, degree_bound)
+    total = assemble_total_hamiltonian(model.system, chain)
+    report = rpt.total_hamiltonian_report(chain, total, args.file)
+    return report, rpt.total_hamiltonian_text(chain, total, report), EXIT_OK
+
+
+def _first_class(args, model: ModelFile, degree_bound, include_energy, mode):
+    """test every constraint pair against the on-shell module"""
+    chain = generate_chain(model.system, degree_bound)
+    result = first_class_check(chain, degree_bound, include_energy)
+    report = rpt.first_class_report(chain, result, args.file)
+    code = EXIT_OK if result.all_first_class else EXIT_FINDING
+    return report, rpt.first_class_text(chain, result, report), code
+
+
+def _check_symmetry(args, model: ModelFile, degree_bound, include_energy, mode):
+    """classify a generator set against the symmetry rules"""
+    gen_set = _require_set(model, args.set_name)
+    chain = generate_chain(model.system, degree_bound)
+    verdict = classify(
+        gen_set, model.system, chain, degree_bound, include_energy, mode
+    )
+    report = rpt.symmetry_report(chain, verdict, args.set_name, args.file)
+    passed = report["overall"] in ("StrictSymmetry", "DynamicalSymmetry")
+    code = EXIT_OK if passed else EXIT_FINDING
+    return report, rpt.symmetry_text(chain, verdict, report), code
+
+
+def _structure_constants(args, model: ModelFile, degree_bound, include_energy, mode):
+    """extract Lie structure constants of a generator set"""
+    gen_set = _require_set(model, args.set_name)
+    closure = closure_and_structure_constants(gen_set, degree_bound)
+    report = rpt.structure_constants_report(closure, args.set_name, args.file)
+    code = EXIT_OK if report["closure"]["closed"] else EXIT_FINDING
+    return report, rpt.structure_constants_text(report), code
+
+
+COMMANDS = {
+    "chain": _chain,
+    "total-hamiltonian": _total_hamiltonian,
+    "first-class": _first_class,
+    "check-symmetry": _check_symmetry,
+    "structure-constants": _structure_constants,
+}
+
+
 def _run(args) -> int:
     model = load_model_file(args.file)
-    degree_bound, include_energy, mode = _resolve_options(args, model)
-
-    if args.command == "chain":
-        chain = generate_chain(model.system, degree_bound)
-        declared = _compare_declared_levels(chain, model)
-        report = rpt.chain_report(chain, args.file, declared)
-        sys.stdout.write(
-            rpt.render(report, rpt.chain_text(chain, report), args.format)
-        )
-        if declared is not None and not declared["match"]:
-            return EXIT_FINDING
-        return EXIT_OK
-
-    if args.command == "total-hamiltonian":
-        chain = generate_chain(model.system, degree_bound)
-        total = assemble_total_hamiltonian(model.system, chain)
-        report = rpt.total_hamiltonian_report(chain, total, args.file)
-        sys.stdout.write(
-            rpt.render(report, rpt.total_hamiltonian_text(chain, total, report), args.format)
-        )
-        return EXIT_OK
-
-    if args.command == "first-class":
-        chain = generate_chain(model.system, degree_bound)
-        result = first_class_check(chain, degree_bound, include_energy)
-        report = rpt.first_class_report(chain, result, args.file)
-        sys.stdout.write(
-            rpt.render(report, rpt.first_class_text(chain, result, report), args.format)
-        )
-        return EXIT_OK if result.all_first_class else EXIT_FINDING
-
-    if args.command == "check-symmetry":
-        gen_set = _require_set(model, args.set_name)
-        chain = generate_chain(model.system, degree_bound)
-        verdict = classify(
-            gen_set, model.system, chain, degree_bound, include_energy, mode
-        )
-        report = rpt.symmetry_report(chain, verdict, args.set_name, args.file)
-        sys.stdout.write(
-            rpt.render(report, rpt.symmetry_text(chain, verdict, report), args.format)
-        )
-        if report["overall"] in ("StrictSymmetry", "DynamicalSymmetry"):
-            return EXIT_OK
-        return EXIT_FINDING
-
-    if args.command == "structure-constants":
-        gen_set = _require_set(model, args.set_name)
-        closure = closure_and_structure_constants(gen_set, degree_bound)
-        report = rpt.structure_constants_report(closure, args.set_name, args.file)
-        sys.stdout.write(
-            rpt.render(report, rpt.structure_constants_text(report), args.format)
-        )
-        return EXIT_OK if report["closure"]["closed"] else EXIT_FINDING
-
-    raise RuntimeError(f"unhandled command {args.command!r}")  # pragma: no cover
+    options = _resolve_options(args, model)
+    report, text, code = COMMANDS[args.command](args, model, *options)
+    sys.stdout.write(rpt.render(report, text, args.format))
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

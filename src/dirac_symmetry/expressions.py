@@ -22,6 +22,10 @@ from fractions import Fraction
 from .errors import ParseError, UndeclaredIdentifierError
 from .phase import PhasePolynomial, PhaseSpace
 
+# Deepest parenthesis nesting accepted: each level costs four frames of
+# recursive descent, so this stays far below the interpreter's limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<number>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
 )
@@ -55,6 +59,7 @@ class _Parser:
         self.space = space
         self.tokens = _tokenize(text)
         self.cursor = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.cursor]
@@ -122,8 +127,14 @@ class _Parser:
     def atom(self) -> PhasePolynomial:
         token = self.peek()
         if token.kind == "op" and token.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", token.position
+                )
             self.advance()
+            self.depth += 1
             poly = self.expression()
+            self.depth -= 1
             self.expect_op(")")
             return poly
         if token.kind == "op" and token.text == "-":

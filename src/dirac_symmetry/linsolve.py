@@ -1,21 +1,27 @@
-"""Sparse exact linear solving by fraction-free row elimination.
+"""Exact linear algebra over Q on one sparse, fraction-free echelon.
 
-Rows are held as integer dictionaries; elimination uses cross-multiplied
-updates followed by a gcd reduction, so no rational arithmetic happens until
-back-substitution.  Pivoting is deterministic: rows are consumed in input
-order and each row pivots on its leftmost nonzero column.
+Rows are integer dictionaries with an integer right-hand side; an
+elimination step cross-multiplies a row with a pivot row and divides out the
+gcd.  The caller picks the pivot order: column order (``min``) for
+``solve_sparse`` and ``rational_rank``, the graded-lex-leading monomial for
+``RationalSpan``.  Results depend only on that order, never on how
+elimination proceeds: the solution with free unknowns pinned to zero, the
+rank and the pivot-free residual are invariants of the row space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
-Row = dict[int, int]
+from .phase import Exponents, _grlex_key
+
+Row = dict[Hashable, int]
 
 
-def _integerize(equation: Mapping[int, Fraction], rhs: Fraction) -> tuple[Row, int]:
+def _integerize(equation: Mapping, rhs: Fraction = 0) -> tuple[Row, int]:
     scale = lcm(rhs.denominator, *(c.denominator for c in equation.values()))
     row = {col: int(c * scale) for col, c in equation.items() if c}
     return _reduce_gcd(row, int(rhs * scale))
@@ -33,24 +39,29 @@ def _reduce_gcd(row: Row, rhs: int) -> tuple[Row, int]:
     return row, rhs
 
 
-def solve_sparse(
-    equations: Iterable[tuple[Mapping[int, Fraction], Fraction]],
-) -> dict[int, Fraction] | None:
-    """One exact solution of the sparse system, or None if inconsistent.
+class Echelon:
+    """Sparse integer rows in echelon form, one per pivot column.
 
-    Free (non-pivot) unknowns are pinned to zero; the returned mapping only
-    lists nonzero components.
+    ``lead`` picks a row's pivot among its columns; every other column of a
+    pivot row comes after the pivot in that order.
     """
-    pivots: dict[int, tuple[Row, int]] = {}
-    for equation, rhs in equations:
-        row, r = _integerize(equation, rhs)
+
+    def __init__(self, lead: Callable[[Iterable], Hashable] = min):
+        self.lead = lead
+        self.pivots: dict[Hashable, tuple[Row, int]] = {}
+
+    def reduce(self, row: Row, rhs: int = 0, full: bool = False):
+        """Cancel pivot columns of (row, rhs), cross-multiplying with their
+        pivot rows, until its lead is no pivot column (with ``full``: until
+        none of its columns is).  Returns the row, its rhs and its lead."""
+        pivots, lead = self.pivots, self.lead
+        col = None
         while row:
-            col = min(row)
-            existing = pivots.get(col)
-            if existing is None:
-                pivots[col] = (row, r)
+            col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
+            pivot = pivots.get(col)
+            if pivot is None:
                 break
-            prow, pr = existing
+            prow, prhs = pivot
             a = row[col]
             b = prow[col]
             updated: Row = {c: b * v for c, v in row.items()}
@@ -60,13 +71,33 @@ def solve_sparse(
                     updated[c] = nv
                 else:
                     updated.pop(c, None)
-            row, r = _reduce_gcd(updated, b * r - a * pr)
-        else:
-            if r != 0:
-                return None
+            row, rhs = _reduce_gcd(updated, b * rhs - a * prhs)
+        return row, rhs, col
+
+    def add(self, row: Row, rhs: int = 0, full: bool = False):
+        """Reduce (row, rhs) and keep it as a pivot row unless it vanished."""
+        row, rhs, col = self.reduce(row, rhs, full)
+        if row:
+            self.pivots[col] = (row, rhs)
+        return row, rhs, col
+
+
+def solve_sparse(
+    equations: Iterable[tuple[Mapping[int, Fraction], Fraction]],
+) -> dict[int, Fraction] | None:
+    """One exact solution of the sparse system, or None if inconsistent.
+
+    Free (non-pivot) unknowns are pinned to zero; the returned mapping only
+    lists nonzero components.
+    """
+    echelon = Echelon()
+    for equation, rhs in equations:
+        row, r, _ = echelon.add(*_integerize(equation, rhs))
+        if not row and r:
+            return None
     solution: dict[int, Fraction] = {}
-    for col in sorted(pivots, reverse=True):
-        row, rhs = pivots[col]
+    for col in sorted(echelon.pivots, reverse=True):
+        row, rhs = echelon.pivots[col]
         total = Fraction(rhs)
         for c, v in row.items():
             if c != col:
@@ -79,22 +110,39 @@ def solve_sparse(
     return solution
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q of sparse rows (mappings from orderable keys to Fractions)."""
-    pivots: dict = {}
-    for source in rows:
-        row = {k: Fraction(v) for k, v in source.items() if v}
-        while row:
-            key = min(row)
-            pivot = pivots.get(key)
-            if pivot is None:
-                pivots[key] = row
-                break
-            factor = row[key] / pivot[key]
-            for k, v in pivot.items():
-                nv = row.get(k, Fraction(0)) - factor * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    return len(pivots)
+def rational_rank(rows: Iterable[Mapping]) -> int:
+    """Rank over Q of sparse rows (mappings from orderable keys to rationals)."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(*_integerize(row))
+    return len(echelon.pivots)
+
+
+_grlex_lead = partial(max, key=_grlex_key)
+
+
+class RationalSpan:
+    """Rational span of a set of polynomials, pivoting on graded-lex leads.
+
+    Residuals are reduced on every pivot, so each is the canonical
+    (pivot-free) representative of its coset, independent of insertion
+    order.
+    """
+
+    def __init__(self):
+        self._echelon = Echelon(_grlex_lead)
+
+    def __len__(self) -> int:
+        return len(self._echelon.pivots)
+
+    def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+        # The right-hand side starts at 1 and carries the scale of the row.
+        row, scale, _ = self._echelon.reduce(*_integerize(terms, Fraction(1)), full=True)
+        return {m: Fraction(v, scale) for m, v in row.items()}
+
+    def add(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction] | None:
+        """Insert; returns the residual with leading coefficient 1, or None if dependent."""
+        row, _, lead = self._echelon.add(*_integerize(terms), full=True)
+        if not row:
+            return None
+        return {m: Fraction(v, row[lead]) for m, v in row.items()}

@@ -372,8 +372,8 @@ def _closure_dict(closure: StructureConstants | NotClosed) -> dict:
     return {
         "closed": True,
         "generators": list(closure.names),
-        "antisymmetry_ok": closure.antisymmetry_ok(),
-        "jacobi_ok": closure.jacobi_ok(),
+        "antisymmetry_ok": closure.antisymmetric,
+        "jacobi_ok": closure.jacobi,
         "abelian": closure.is_abelian(),
         "nonzero_entries": [
             {

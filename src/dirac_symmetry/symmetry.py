@@ -10,7 +10,7 @@ negative answer is qualified by the degree bound of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -216,15 +216,14 @@ def check_counts(
     preserved = True
     for level in LEVELS:
         rows = level_report.matrices[level]
-        vectors = []
-        for row in rows:
-            flat: dict[tuple[int, tuple], Fraction] = {}
-            if row is not None:
-                for target_idx, coeff in enumerate(row):
-                    for monomial, value in coeff.terms.items():
-                        flat[(target_idx, monomial)] = value
-            vectors.append(flat)
-        rank = rational_rank(vectors)
+        rank = rational_rank(
+            {
+                (target_idx, monomial): value
+                for target_idx, coeff in enumerate(row or ())
+                for monomial, value in coeff.terms.items()
+            }
+            for row in rows
+        )
         ranks[level] = rank
         if rank > len(rows):  # pragma: no cover - impossible, rank <= row count
             preserved = False
@@ -236,10 +235,20 @@ def check_counts(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StructureConstants:
-    """Constant tensor C[k][i][j] with {A_i, A_j} = sum_k C[k][i][j] A_k."""
+    """Constant tensor C[k][i][j] with {A_i, A_j} = sum_k C[k][i][j] A_k.
+
+    The Lie-law guards run once, on construction, into ``antisymmetric``
+    and ``jacobi``.
+    """
 
     names: tuple[str, ...]
     tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    antisymmetric: bool = field(init=False, compare=False)
+    jacobi: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "antisymmetric", self.antisymmetry_ok())
+        object.__setattr__(self, "jacobi", self.jacobi_ok())
 
     def antisymmetry_ok(self) -> bool:
         n = len(self.names)
@@ -318,7 +327,7 @@ def closure_and_structure_constants(
         gen_set.names,
         tuple(tuple(tuple(row) for row in plane) for plane in tensor),
     )
-    if not constants.antisymmetry_ok() or not constants.jacobi_ok():
+    if not (constants.antisymmetric and constants.jacobi):
         # Unique decompositions over an independent set inherit both laws.
         raise RuntimeError("internal error: structure constants violate Lie laws")
     return constants

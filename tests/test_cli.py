@@ -162,6 +162,17 @@ class TestErrorExitCodes:
         code, _, err = run(capsys, "chain", str(path))
         assert code == 3
 
+    def test_deep_nesting_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "nested.model"
+        path.write_text(
+            "[system]\nn_dof = 1\nhamiltonian = " + "(" * 3000 + "q1" + ")" * 3000
+            + "\n[primaries]\nP1 = p1\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert "nested deeper than" in err
+
     def test_dependent_primaries(self, capsys, tmp_path):
         path = tmp_path / "dep.model"
         path.write_text(
@@ -232,6 +243,19 @@ class TestDeclaredLevelVerification:
         assert code == 2
         assert "declared levels match generated chain: NO" in out
         assert "outside the generated span" in out
+
+    def test_dependent_declaration_is_finding(self, capsys, tmp_path):
+        path = tmp_path / "dependent.model"
+        path.write_text(
+            "[system]\nn_dof = 4\nhamiltonian = q1*p3 + q2*p4\n"
+            "[primaries]\nP1 = p1\nP2 = p2\n"
+            "[secondaries]\nS1 = p3\nS2 = 2*p3\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "chain", str(path))
+        assert code == 2
+        assert "secondary: declared constraints are dependent" in out
+        assert "outside the generated span" not in out
 
 
 class TestOptionsPlumbing:

@@ -1,9 +1,25 @@
 import random
 from fractions import Fraction
 
-from dirac_symmetry.linsolve import rational_rank, solve_sparse
+import sympy as sp
+
+from dirac_symmetry.linsolve import RationalSpan, rational_rank, solve_sparse
 
 F = Fraction
+
+
+def random_rows(rng, n_rows, n_cols, keys=None):
+    keys = keys or list(range(n_cols))
+    rows = []
+    for _ in range(n_rows):
+        support = rng.sample(keys, rng.randint(0, n_cols))
+        row = {k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in support}
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+def dense(rows, keys):
+    return sp.Matrix([[row.get(k, 0) for k in keys] for row in rows])
 
 
 def check(equations, solution):
@@ -70,6 +86,20 @@ class TestSolveSparse:
             assert solution is not None
             check(eqs, solution)
 
+    def test_consistency_matches_sympy(self):
+        rng = random.Random(3)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            rows = random_rows(rng, rng.randint(1, 6), n)
+            eqs = [(row, F(rng.randint(-2, 2))) for row in rows]
+            a = dense(rows, range(n))
+            augmented = a.row_join(sp.Matrix([rhs for _, rhs in eqs]))
+            solution = solve_sparse(eqs)
+            if a.rank() == augmented.rank():
+                check(eqs, solution)
+            else:
+                assert solution is None
+
     def test_deterministic(self):
         eqs = [
             ({0: F(1), 2: F(3)}, F(2)),
@@ -90,3 +120,57 @@ class TestRationalRank:
     def test_tuple_keys(self):
         rows = [{(0, 1): F(2)}, {(0, 1): F(4)}, {(1, 0): F(1)}]
         assert rational_rank(rows) == 2
+
+    def test_matches_sympy(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            rows = random_rows(rng, rng.randint(0, 7), n)
+            expected = dense(rows, range(n)).rank() if rows else 0
+            assert rational_rank(rows) == expected
+
+
+def grlex(monomial):
+    return (sum(monomial), monomial)
+
+
+MONOMIALS = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+
+
+class TestRationalSpan:
+    def test_add_normalizes_and_skips_dependent(self):
+        span = RationalSpan()
+        x, y = (1, 0), (0, 1)
+        # x = (1, 0) leads y = (0, 1) in graded-lex order
+        assert span.add({x: F(2), y: F(4)}) == {x: F(1), y: F(2)}
+        assert span.add({x: F(-1), y: F(-2)}) is None
+        assert span.add({x: F(3)}) == {y: F(1)}
+        assert len(span) == 2
+        assert span.reduce({x: F(5), y: F(7)}) == {}
+
+    def test_residual_is_canonical(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            basis = random_rows(rng, rng.randint(1, 5), 6, keys=MONOMIALS)
+            queries = random_rows(rng, 4, 6, keys=MONOMIALS)
+            spans = []
+            for order in (basis, basis[::-1]):
+                span = RationalSpan()
+                for row in order:
+                    residual = span.add(row)
+                    if residual is not None:
+                        assert residual[max(residual, key=grlex)] == 1
+                spans.append(span)
+            assert len(spans[0]) == len(spans[1]) == rational_rank(basis)
+            for query in queries:
+                residual = spans[0].reduce(query)
+                # independent of insertion order, and linear in the query
+                assert residual == spans[1].reduce(query)
+                scaled = spans[0].reduce({m: F(-3, 2) * c for m, c in query.items()})
+                assert scaled == {m: F(-3, 2) * c for m, c in residual.items()}
+                # query - residual lies in the span; the residual is reduced
+                difference = dict(query)
+                for m, c in residual.items():
+                    difference[m] = difference.get(m, 0) - c
+                assert rational_rank(basis + [difference]) == rational_rank(basis)
+                assert spans[0].reduce(residual) == residual

@@ -15,6 +15,8 @@ from dirac_symmetry import (
     poisson,
 )
 
+from dirac_symmetry.expressions import MAX_NESTING
+
 from conftest import poly, polynomial_strategy, random_polynomial
 from oracles import same_polynomial, sympy_bracket, sympy_space
 
@@ -92,6 +94,14 @@ class TestParsing:
 
     def test_zero_exponent(self):
         assert poly("q1^0", SPACE2) == PhasePolynomial.constant(SPACE2, 1)
+
+    def test_nesting_cap(self):
+        depth = MAX_NESTING
+        assert poly("(" * depth + "q1" + ")" * depth, SPACE2) == poly("q1", SPACE2)
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("-(" * (depth + 1) + "q1" + ")" * (depth + 1), SPACE2)
+        assert "nested deeper" in str(err.value)
+        assert err.value.position == 2 * depth + 1
 
 
 class TestPrinting:
