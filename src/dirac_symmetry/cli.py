@@ -50,8 +50,16 @@ EXIT_INTERNAL = 5
 EXIT_INCONSISTENT = 6
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as invalid input; argparse would exit 2, the
+    code for findings.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dirac-symmetry",
         description=(
             "Exact constraint-chain generation and dynamical-symmetry "
@@ -170,7 +178,7 @@ def _chain(args, model: ModelFile, degree_bound, include_energy, mode):
     declared = _compare_declared_levels(chain, model)
     report = rpt.chain_report(chain, args.file, declared)
     code = EXIT_FINDING if declared is not None and not declared["match"] else EXIT_OK
-    return report, rpt.chain_text(chain, report), code
+    return report, rpt.chain_text(report), code
 
 
 def _total_hamiltonian(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -178,7 +186,7 @@ def _total_hamiltonian(args, model: ModelFile, degree_bound, include_energy, mod
     chain = generate_chain(model.system, degree_bound)
     total = assemble_total_hamiltonian(model.system, chain)
     report = rpt.total_hamiltonian_report(chain, total, args.file)
-    return report, rpt.total_hamiltonian_text(chain, total, report), EXIT_OK
+    return report, rpt.total_hamiltonian_text(report), EXIT_OK
 
 
 def _first_class(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -186,8 +194,9 @@ def _first_class(args, model: ModelFile, degree_bound, include_energy, mode):
     chain = generate_chain(model.system, degree_bound)
     result = first_class_check(chain, degree_bound, include_energy)
     report = rpt.first_class_report(chain, result, args.file)
-    code = EXIT_OK if result.all_first_class else EXIT_FINDING
-    return report, rpt.first_class_text(chain, result, report), code
+    module_names, _ = chain.on_shell_generators(include_energy)
+    code = EXIT_OK if report["all_first_class"] else EXIT_FINDING
+    return report, rpt.first_class_text(report, module_names), code
 
 
 def _check_symmetry(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -198,9 +207,8 @@ def _check_symmetry(args, model: ModelFile, degree_bound, include_energy, mode):
         gen_set, model.system, chain, degree_bound, include_energy, mode
     )
     report = rpt.symmetry_report(chain, verdict, args.set_name, args.file)
-    passed = report["overall"] in ("StrictSymmetry", "DynamicalSymmetry")
-    code = EXIT_OK if passed else EXIT_FINDING
-    return report, rpt.symmetry_text(chain, verdict, report), code
+    code = EXIT_OK if report["overall"] in rpt.PASSING_VERDICTS else EXIT_FINDING
+    return report, rpt.symmetry_text(report), code
 
 
 def _structure_constants(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -230,11 +238,10 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
-    except (ModelFileError, ParseError, DependentPrimariesError, ReservedParameterError) as exc:
+        return _run(_build_arg_parser().parse_args(argv))
+    except (argparse.ArgumentError, ModelFileError, ParseError,
+            DependentPrimariesError, ReservedParameterError) as exc:
         sys.stderr.write(f"error: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     except InconsistentSystemError as exc:

@@ -2,7 +2,12 @@
 
 Every command produces one JSON-compatible dictionary (exact rationals and
 polynomials rendered as re-parsable strings) and a plain-text view derived
-from it.  Both renderings are byte-deterministic for identical inputs.
+from it.  The ``*_report`` builders are the only readers of the domain
+objects; each ``*_text`` view is a function of its report dictionary alone, so
+the two formats cannot disagree.  The one exception is ``first_class_text``:
+the first-class report does not carry the names of the on-shell module
+generators that the text prints, so they are passed in beside it.  Both
+renderings are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,10 +16,16 @@ import json
 import os
 from typing import Sequence
 
-from .chain import ConstraintChain, FirstClassReport, TotalHamiltonian
+from .chain import LEVELS, ConstraintChain, FirstClassReport, TotalHamiltonian
 from .membership import IdealDecomposition, NotFound
 from .phase import PhasePolynomial
-from .symmetry import NotClosed, StructureConstants, SymmetryVerdict
+from .symmetry import NotClosed, StructureConstants, SymmetryVerdict, VerdictClass
+
+# Overall classes for which ``check-symmetry`` passes.
+PASSING_VERDICTS = (
+    VerdictClass.STRICT_SYMMETRY.value,
+    VerdictClass.DYNAMICAL_SYMMETRY.value,
+)
 
 
 def color_enabled() -> bool:
@@ -68,17 +79,11 @@ def certificate_dict(
     }
 
 
-def certificate_text(
-    outcome: IdealDecomposition | NotFound, generator_names: Sequence[str]
-) -> str:
-    if isinstance(outcome, NotFound):
-        return outcome.message
-    parts = [
-        f"{name}: {coeff}"
-        for name, coeff in zip(generator_names, outcome.coefficients)
-        if not coeff.is_zero()
-    ]
-    return "zero certificate" if not parts else "; ".join(parts)
+def certificate_text(certificate: dict) -> str:
+    if not certificate["found"]:
+        return certificate["message"]
+    parts = [f"{name}: {coeff}" for name, coeff in certificate["coefficients"].items()]
+    return "; ".join(parts) or "zero certificate"
 
 
 def _space_dict(chain: ConstraintChain) -> dict:
@@ -94,7 +99,7 @@ def _levels_dict(chain: ConstraintChain) -> dict:
             {"name": name, "constraint": str(poly)}
             for name, poly in zip(chain.level_names(level), chain.level_polys(level))
         ]
-        for level in ("primary", "secondary", "tertiary")
+        for level in LEVELS
     }
 
 
@@ -154,97 +159,73 @@ def chain_report(
 
 def _table_lines(
     title: str,
-    rows: Sequence[Sequence[PhasePolynomial]],
+    rows: Sequence[Sequence[str]],
     row_names: Sequence[str],
     col_names: Sequence[str],
 ) -> list[str]:
-    lines = []
-    entries = []
-    for row, row_name in zip(rows, row_names):
-        for entry, col_name in zip(row, col_names):
-            if not entry.is_zero():
-                entries.append(f"  {{{row_name}, H_d}} on {col_name}: {entry}")
-    if entries:
-        lines.append(f"{title}:")
-        lines.extend(entries)
-    else:
-        lines.append(f"{title}: all zero")
-    return lines
+    entries = [
+        f"  {{{row_name}, H_d}} on {col_name}: {entry}"
+        for row, row_name in zip(rows, row_names)
+        for entry, col_name in zip(row, col_names)
+        if entry != "0"
+    ]
+    if not entries:
+        return [f"{title}: all zero"]
+    return [f"{title}:", *entries]
 
 
-def chain_text(chain: ConstraintChain, report: dict) -> str:
-    lines = [_bold(f"constraint chain for {report['file']}")]
-    lines.append(
-        f"phase space: n_dof={chain.space.n_dof}, "
-        f"parameters: {', '.join(chain.space.parameters)}"
-    )
-    lines.append(f"H_d: {chain.system.h_d}")
-    for level in ("primary", "secondary", "tertiary"):
-        names = chain.level_names(level)
-        polys = chain.level_polys(level)
-        lines.append(f"{level} constraints ({len(names)}):")
-        for name, poly in zip(names, polys):
-            lines.append(f"  {name} = {poly}")
-    n_p, n_s, n_t = chain.counts
-    lines.append(f"counts: N_p={n_p}, N_s={n_s}, N_t={n_t}")
-    lines.append(
-        "ordering N_p >= N_s >= N_t: " + _verdict_mark(chain.ordering_ok, bad="VIOLATED")
-    )
-    lines.append(
+# (title, table key, row level, column levels) of the chain's bracket tables;
+# the off-level ones are printed only when the strict level form fails.
+_TABLES = (
+    ("primary->secondary coefficients", "primary_to_secondary", "primary", ("secondary",)),
+    ("primary->tertiary coefficients", "primary_to_tertiary", "primary", ("tertiary",)),
+    ("secondary->tertiary coefficients", "secondary_to_tertiary", "secondary", ("tertiary",)),
+)
+_OFF_LEVEL_TABLES = (
+    ("off-level components of primary brackets", "primary_spill", "primary", ("primary",)),
+    (
+        "off-level components of secondary brackets",
+        "secondary_spill",
+        "secondary",
+        ("primary", "secondary"),
+    ),
+)
+
+
+def chain_text(report: dict) -> str:
+    space = report["space"]
+    levels = report["levels"]
+    counts = report["counts"]
+    names = {level: [c["name"] for c in levels[level]] for level in LEVELS}
+    lines = [
+        _bold(f"constraint chain for {report['file']}"),
+        f"phase space: n_dof={space['n_dof']}, "
+        f"parameters: {', '.join(space['parameters'])}",
+        f"H_d: {report['h_d']}",
+    ]
+    for level in LEVELS:
+        lines.append(f"{level} constraints ({len(levels[level])}):")
+        lines += [f"  {c['name']} = {c['constraint']}" for c in levels[level]]
+    lines += [
+        f"counts: N_p={counts['primary']}, N_s={counts['secondary']}, "
+        f"N_t={counts['tertiary']}",
+        "ordering N_p >= N_s >= N_t: "
+        + _verdict_mark(report["ordering_ok"], bad="VIOLATED"),
         "strict level form: "
-        + _verdict_mark(chain.strict_level_form, bad="has off-level components")
-    )
-    lines.append(f"reduction policy: {report['reduction_policy']}")
-    lines.extend(
-        _table_lines(
-            "primary->secondary coefficients",
-            chain.primary_to_secondary,
-            chain.primary_names,
-            chain.secondary_names,
-        )
-    )
-    lines.extend(
-        _table_lines(
-            "primary->tertiary coefficients",
-            chain.primary_to_tertiary,
-            chain.primary_names,
-            chain.tertiary_names,
-        )
-    )
-    lines.extend(
-        _table_lines(
-            "secondary->tertiary coefficients",
-            chain.secondary_to_tertiary,
-            chain.secondary_names,
-            chain.tertiary_names,
-        )
-    )
-    if not chain.strict_level_form:
-        lines.extend(
-            _table_lines(
-                "off-level components of primary brackets",
-                chain.primary_spill,
-                chain.primary_names,
-                chain.primary_names,
-            )
-        )
-        lines.extend(
-            _table_lines(
-                "off-level components of secondary brackets",
-                chain.secondary_spill,
-                chain.secondary_names,
-                chain.primary_names + chain.secondary_names,
-            )
-        )
-    ideal_names, _ = chain.on_shell_generators(include_energy=True)
-    if chain.tertiary_names:
+        + _verdict_mark(report["strict_level_form"], bad="has off-level components"),
+        f"reduction policy: {report['reduction_policy']}",
+    ]
+    tables = _TABLES if report["strict_level_form"] else _TABLES + _OFF_LEVEL_TABLES
+    for title, key, row_level, col_levels in tables:
+        col_names = [name for level in col_levels for name in names[level]]
+        lines += _table_lines(title, report["tables"][key], names[row_level], col_names)
+    if report["tertiary_closure"]:
         lines.append("tertiary closure:")
-        for name, bracket, cert in zip(
-            chain.tertiary_names, chain.tertiary_brackets, chain.tertiary_closure
-        ):
-            lines.append(
-                f"  {{{name}, H_d}} = {bracket} ; {certificate_text(cert, ideal_names)}"
-            )
+        lines += [
+            f"  {{{t['name']}, H_d}} = {t['bracket']} ; "
+            + certificate_text(t["certificate"])
+            for t in report["tertiary_closure"]
+        ]
     else:
         lines.append("tertiary closure: vacuous (no tertiary constraints)")
     declared = report.get("declared_levels")
@@ -286,26 +267,17 @@ def total_hamiltonian_report(
     }
 
 
-def total_hamiltonian_text(
-    chain: ConstraintChain, total: TotalHamiltonian, report: dict
-) -> str:
-    lines = [_bold(f"total Hamiltonian for {report['file']}")]
-    lines.append(f"H_d: {chain.system.h_d}")
-    lines.append(f"H_tot: {total.h_tot}")
-    v_names, u_names, w_names = total.multiplier_names
-    lines.append(
-        "multipliers: primary ["
-        + ", ".join(v_names)
-        + "], secondary ["
-        + ", ".join(u_names)
-        + "], tertiary ["
-        + ", ".join(w_names)
-        + "]"
-    )
-    lines.append(
+def total_hamiltonian_text(report: dict) -> str:
+    multipliers = report["multipliers"]
+    lines = [
+        _bold(f"total Hamiltonian for {report['file']}"),
+        f"H_d: {report['h_d']}",
+        f"H_tot: {report['h_tot']}",
+        "multipliers: "
+        + ", ".join(f"{level} [{', '.join(multipliers[level])}]" for level in LEVELS),
         "weak equality H_tot = H_d modulo constraints: "
-        + certificate_text(total.certificate, chain.all_names())
-    )
+        + certificate_text(report["weak_equality_certificate"]),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -335,25 +307,24 @@ def first_class_report(
     }
 
 
-def first_class_text(
-    chain: ConstraintChain, result: FirstClassReport, report: dict
-) -> str:
-    lines = [_bold(f"first-class check for {report['file']}")]
-    ideal_names, _ = chain.on_shell_generators(result.include_energy)
-    lines.append(
-        "on-shell module generators: " + (", ".join(ideal_names) or "(none)")
-    )
-    if not result.pairs:
+def first_class_text(report: dict, module_names: Sequence[str]) -> str:
+    """Text view; ``module_names`` are the on-shell module generators, which
+    the report does not carry."""
+    lines = [
+        _bold(f"first-class check for {report['file']}"),
+        "on-shell module generators: " + (", ".join(module_names) or "(none)"),
+    ]
+    if not report["pairs"]:
         lines.append("no constraint pairs: vacuous pass")
-    for pair in result.pairs:
-        mark = _verdict_mark(pair.first_class, good="pass", bad="SECOND-CLASS")
+    for pair in report["pairs"]:
+        mark = _verdict_mark(pair["first_class"], good="pass", bad="SECOND-CLASS")
         lines.append(
-            f"  {{{pair.name_a}, {pair.name_b}}} = {pair.bracket} ; {mark} ; "
-            + certificate_text(pair.certificate, ideal_names)
+            f"  {{{pair['a']}, {pair['b']}}} = {pair['bracket']} ; {mark} ; "
+            + certificate_text(pair["certificate"])
         )
     lines.append(
         "all pairs first class: "
-        + _verdict_mark(result.all_first_class, good="yes", bad="NO")
+        + _verdict_mark(report["all_first_class"], good="yes", bad="NO")
     )
     return "\n".join(lines) + "\n"
 
@@ -442,8 +413,7 @@ def symmetry_report(
                 "counts": {
                     "applicable": gv.counts_report.applicable,
                     "ranks": {
-                        level: gv.counts_report.ranks[level]
-                        for level in ("primary", "secondary", "tertiary")
+                        level: gv.counts_report.ranks[level] for level in LEVELS
                     },
                     "preserved": gv.counts_report.counts_preserved,
                 },
@@ -462,76 +432,83 @@ def symmetry_report(
     }
 
 
-def symmetry_text(
-    chain: ConstraintChain, verdict: SymmetryVerdict, report: dict
-) -> str:
-    lines = [
-        _bold(f"symmetry check for {report['file']} (set {report['set']})")
+def _closure_lines(closure: dict, headline: str) -> list[str]:
+    """The closure part of a symmetry or structure-constants view: the
+    headline (in the failure colour when the set does not close), then the
+    nonzero structure constants or the field-dependence note."""
+    if not closure["closed"]:
+        lines = [_bad(headline)]
+        if closure["field_dependent_close"]:
+            lines.append("  a field-dependent decomposition exists: constancy violated")
+        return lines
+    entries = [
+        f"  C[{e['k']}][{e['i']}][{e['j']}] = {e['value']}"
+        for e in closure["nonzero_entries"]
     ]
-    lines.append(
-        f"on-shell energy generator included: "
-        f"{'yes' if verdict.include_energy else 'no'}"
+    return [headline, *(entries or ["  all structure constants zero"])]
+
+
+def _lie_laws(closure: dict) -> str:
+    return (
+        "antisymmetry "
+        + _verdict_mark(closure["antisymmetry_ok"])
+        + ", Jacobi "
+        + _verdict_mark(closure["jacobi_ok"])
     )
-    ideal_names, _ = chain.on_shell_generators(verdict.include_energy)
-    for gv in verdict.generator_verdicts:
-        lines.append(f"generator {gv.name} = {gv.generator}")
-        lines.append(
-            f"  {{A, H_d}} = {gv.bracket_with_h_d} ; commutation: "
-            f"{gv.commutation_class.value} ; "
-            + certificate_text(gv.commutation_certificate, ideal_names)
-        )
-        if gv.level_report.level_preserving:
+
+
+def _failure(closure: dict) -> str:
+    a, b = closure["failing_pair"]
+    return f"({a}, {b}), bracket {closure['bracket']}"
+
+
+def symmetry_text(report: dict) -> str:
+    lines = [
+        _bold(f"symmetry check for {report['file']} (set {report['set']})"),
+        "on-shell energy generator included: "
+        + ("yes" if report["include_energy"] else "no"),
+    ]
+    for g in report["generators"]:
+        lines += [
+            f"generator {g['name']} = {g['generator']}",
+            f"  {{A, H_d}} = {g['bracket_with_h_d']} ; commutation: "
+            f"{g['commutation']} ; " + certificate_text(g["commutation_certificate"]),
+        ]
+        if g["level_preserving"]:
             lines.append("  level action: preserving")
-        for m in gv.level_report.mixing:
-            lines.append(
-                _bad(
-                    f"  mixing: {m.source_level} {m.source_name} -> "
-                    f"{m.target_level} {m.target_name} (coefficient {m.coefficient})"
-                )
+        lines += [
+            _bad(
+                f"  mixing: {m['source_level']} {m['source']} -> "
+                f"{m['target_level']} {m['target']} (coefficient {m['coefficient']})"
             )
-        for level, name in gv.level_report.escapes:
-            lines.append(
-                _bad(f"  escapes constraint module: {level} {name}")
-            )
-        counts = gv.counts_report
-        if counts.applicable:
+            for m in g["mixing"]
+        ]
+        lines += [
+            _bad(f"  escapes constraint module: {e['level']} {e['constraint']}")
+            for e in g["escapes_constraint_module"]
+        ]
+        counts = g["counts"]
+        if counts["applicable"]:
+            # level_action holds one entry per constraint of each level
             ranks = ", ".join(
-                f"{level} {counts.ranks[level]}/{len(chain.level_names(level))}"
-                for level in ("primary", "secondary", "tertiary")
+                f"{level} {counts['ranks'][level]}/"
+                f"{sum(e['level'] == level for e in g['level_action'])}"
+                for level in LEVELS
             )
             lines.append(f"  counts: preserved (ranks: {ranks})")
         else:
             lines.append("  counts: not applicable (level preservation failed)")
-        lines.append(f"  class: {gv.verdict.value}")
+        lines.append(f"  class: {g['class']}")
     closure = report["closure"]
     if closure["closed"]:
-        flavor = " (abelian)" if closure["abelian"] else ""
-        lines.append(
-            f"closure: closed{flavor}; antisymmetry "
-            + _verdict_mark(closure["antisymmetry_ok"])
-            + ", Jacobi "
-            + _verdict_mark(closure["jacobi_ok"])
-        )
-        for entry in closure["nonzero_entries"]:
-            lines.append(
-                f"  C[{entry['k']}][{entry['i']}][{entry['j']}] = {entry['value']}"
-            )
-        if not closure["nonzero_entries"]:
-            lines.append("  all structure constants zero")
+        abelian = " (abelian)" if closure["abelian"] else ""
+        headline = f"closure: closed{abelian}; {_lie_laws(closure)}"
     else:
-        lines.append(
-            _bad(
-                f"closure: NOT closed at pair ({closure['failing_pair'][0]}, "
-                f"{closure['failing_pair'][1]}), bracket {closure['bracket']}"
-            )
-        )
-        if closure["field_dependent_close"]:
-            lines.append(
-                "  a field-dependent decomposition exists: constancy violated"
-            )
-    overall_ok = report["overall"] in ("StrictSymmetry", "DynamicalSymmetry")
+        headline = f"closure: NOT closed at pair {_failure(closure)}"
+    lines += _closure_lines(closure, headline)
+    overall = report["overall"]
     lines.append(
-        "overall: " + (_good(report["overall"]) if overall_ok else _bad(report["overall"]))
+        "overall: " + (_good(overall) if overall in PASSING_VERDICTS else _bad(overall))
     )
     return "\n".join(lines) + "\n"
 
@@ -551,37 +528,16 @@ def structure_constants_report(
 
 
 def structure_constants_text(report: dict) -> str:
-    lines = [
-        _bold(
-            f"structure constants for {report['file']} (set {report['set']})"
-        )
-    ]
     closure = report["closure"]
     if closure["closed"]:
-        lines.append(
-            "closed: yes; antisymmetry "
-            + _verdict_mark(closure["antisymmetry_ok"])
-            + ", Jacobi "
-            + _verdict_mark(closure["jacobi_ok"])
-            + ("; abelian" if closure["abelian"] else "")
-        )
-        for entry in closure["nonzero_entries"]:
-            lines.append(
-                f"  C[{entry['k']}][{entry['i']}][{entry['j']}] = {entry['value']}"
-            )
-        if not closure["nonzero_entries"]:
-            lines.append("  all structure constants zero")
+        abelian = "; abelian" if closure["abelian"] else ""
+        headline = f"closed: yes; {_lie_laws(closure)}{abelian}"
     else:
-        lines.append(
-            _bad(
-                f"closed: no; failing pair ({closure['failing_pair'][0]}, "
-                f"{closure['failing_pair'][1]}), bracket {closure['bracket']}"
-            )
-        )
-        if closure["field_dependent_close"]:
-            lines.append(
-                "  a field-dependent decomposition exists: constancy violated"
-            )
+        headline = f"closed: no; failing pair {_failure(closure)}"
+    lines = [
+        _bold(f"structure constants for {report['file']} (set {report['set']})"),
+        *_closure_lines(closure, headline),
+    ]
     return "\n".join(lines) + "\n"
 
 

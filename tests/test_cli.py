@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from dirac_symmetry.cli import main
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -149,6 +151,32 @@ class TestStructureConstantsCommand:
 
 
 class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chain", EM1, "--degree-bound", "abc"], "invalid int value: 'abc'"),
+            (["chain", EM1, "--format=xml"], "invalid choice: 'xml'"),
+            (["chain", EM1, "--on-shell-energy=maybe"], "invalid choice: 'maybe'"),
+            (["chain", EM1, "--no-such-flag"], "unrecognized arguments"),
+            (["frobnicate", EM1], "invalid choice: 'frobnicate'"),
+            (["chain"], "required: file"),
+            ([], "required: command"),
+        ],
+    )
+    def test_usage_error_is_invalid_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid input: ")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["chain", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: dirac-symmetry" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "chain", "/nonexistent/nowhere.model")
         assert code == 3

@@ -6,6 +6,10 @@ must keep its exit code and the exact bytes of its stdout.  The expected
 values in ``data/cli_contract.json`` were recorded once from the released
 behaviour; a refactor that changes any of them changes what users see, so the
 data is never regenerated to make this test pass.
+
+The text invocations are pinned a second time with ``DIRAC_SYMMETRY_COLOR=1``
+(``data/cli_contract_color.json``), so the placement of every escape sequence
+is part of the contract too.
 """
 
 import hashlib
@@ -18,7 +22,9 @@ from dirac_symmetry.cli import main
 from dirac_symmetry.modelfile import load_model_file
 
 ROOT = Path(__file__).resolve().parent.parent
-CONTRACT = json.loads((Path(__file__).parent / "data" / "cli_contract.json").read_text())
+DATA = Path(__file__).parent / "data"
+CONTRACT = json.loads((DATA / "cli_contract.json").read_text())
+COLOR_CONTRACT = json.loads((DATA / "cli_contract_color.json").read_text())
 COMMANDS = ("chain", "total-hamiltonian", "first-class")
 SET_COMMANDS = ("check-symmetry", "structure-constants")
 FORMATS = ("text", "structured")
@@ -41,13 +47,23 @@ def invocations() -> list[str]:
 def test_contract_covers_the_whole_matrix():
     assert sorted(invocations()) == sorted(CONTRACT)
     assert len(CONTRACT) == 64
+    assert sorted(COLOR_CONTRACT) == sorted(i for i in CONTRACT if i.endswith("--format=text"))
+
+
+def _check(invocation, expected, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the model path is printed as given
+    code = main(invocation.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == (expected["exit"], expected["stdout_sha256"]), invocation
 
 
 @pytest.mark.parametrize("invocation", sorted(CONTRACT))
 def test_invocation_output_is_unchanged(invocation, capsys, monkeypatch):
-    monkeypatch.chdir(ROOT)  # the model path is printed as given
     monkeypatch.delenv("DIRAC_SYMMETRY_COLOR", raising=False)
-    code = main(invocation.split())
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    expected = CONTRACT[invocation]
-    assert (code, digest) == (expected["exit"], expected["stdout_sha256"]), invocation
+    _check(invocation, CONTRACT[invocation], capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("invocation", sorted(COLOR_CONTRACT))
+def test_colored_text_output_is_unchanged(invocation, capsys, monkeypatch):
+    monkeypatch.setenv("DIRAC_SYMMETRY_COLOR", "1")
+    _check(invocation, COLOR_CONTRACT[invocation], capsys, monkeypatch)
