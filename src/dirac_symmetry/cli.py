@@ -36,6 +36,7 @@ from .errors import (
     ModelFileError,
     ParseError,
     ReservedParameterError,
+    SearchTooLargeError,
 )
 from .linsolve import RationalSpan, rational_rank
 from .membership import CoefficientMode
@@ -241,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run(_build_arg_parser().parse_args(argv))
     except (argparse.ArgumentError, ModelFileError, ParseError,
-            DependentPrimariesError, ReservedParameterError) as exc:
+            DependentPrimariesError, ReservedParameterError,
+            SearchTooLargeError) as exc:
         sys.stderr.write(f"error: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     except InconsistentSystemError as exc:

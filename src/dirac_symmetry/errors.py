@@ -45,6 +45,12 @@ class ChainBeyondTertiaryError(DiracSymmetryError):
         self.bracket = bracket
 
 
+class SearchTooLargeError(DiracSymmetryError):
+    """A bounded membership search would solve for more unknowns, summed over
+    its degrees, than ``membership.MAX_UNKNOWNS``; it is refused before the
+    degree that passes the limit is built."""
+
+
 class ModelFileError(DiracSymmetryError):
     """Invalid model file: syntax, unknown keys, or failed validation."""
 

@@ -6,7 +6,10 @@ monomial basis and solving the resulting exact rational linear system.  The
 search runs degree by degree, so the certificate it returns has coefficients
 of the smallest achievable maximum degree, and a negative answer is always
 qualified by the bound: it means "not representable within degree d", never
-absolute non-membership.
+absolute non-membership.  A search whose systems would have more than
+``MAX_UNKNOWNS`` unknowns in all is refused with ``SearchTooLargeError``
+before the degree that passes the cap is built, so no search runs without
+limit.
 """
 
 from __future__ import annotations
@@ -15,10 +18,21 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Sequence
 
+from .errors import SearchTooLargeError
 from .linsolve import solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace
+
+
+# Unknowns (coefficient monomials x generators), summed over the degrees a
+# search tries, beyond which it is refused.  The sum, not the largest single
+# system, bounds the work: with one identifier each degree adds only one
+# monomial, and a ladder towards a degree bound of a million would run for
+# hours.  The largest search of the benchmark workloads has 4845 unknowns in
+# all (880 in the test suite).
+MAX_UNKNOWNS = 50_000
 
 
 class CoefficientMode(Enum):
@@ -169,7 +183,16 @@ def decompose(
         allowed |= gen.used_indices()
     allowed_order = sorted(allowed)
     max_useful = degree_bound if allowed_order else 0
+    unknowns = 0
     for degree in range(max_useful + 1):
+        unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
+        if unknowns > MAX_UNKNOWNS:
+            raise SearchTooLargeError(
+                f"membership search up to coefficient degree {degree} would "
+                f"solve for {unknowns} unknowns ({len(generators)} generators "
+                f"over {len(allowed_order)} identifiers), above the limit of "
+                f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
+            )
         monomials = _monomials_up_to(space, allowed_order, degree)
         coefficients = _try_degree(target, generators, monomials)
         if coefficients is not None:

@@ -351,12 +351,9 @@ def _closure_dict(closure: StructureConstants | NotClosed) -> dict:
                 "k": closure.names[k],
                 "i": closure.names[i],
                 "j": closure.names[j],
-                "value": str(closure.tensor[k][i][j]),
+                "value": str(value),
             }
-            for k in range(len(closure.names))
-            for i in range(len(closure.names))
-            for j in range(len(closure.names))
-            if closure.tensor[k][i][j]
+            for k, i, j, value in closure.nonzero
         ],
     }
 

@@ -237,49 +237,60 @@ def check_counts(
 class StructureConstants:
     """Constant tensor C[k][i][j] with {A_i, A_j} = sum_k C[k][i][j] A_k.
 
-    The Lie-law guards run once, on construction, into ``antisymmetric``
-    and ``jacobi``.
+    The nonzero entries are collected once, on construction, into
+    ``nonzero`` as (k, i, j, value) in (k, i, j) order.  The Lie-law guards
+    then run over that list, so they cost in proportion to the nonzero
+    entries rather than n^5, and store their results in ``antisymmetric``
+    and ``jacobi``.  Both stay exact checks on any tensor.
     """
 
     names: tuple[str, ...]
     tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    nonzero: tuple[tuple[int, int, int, Fraction], ...] = field(
+        init=False, compare=False, repr=False
+    )
     antisymmetric: bool = field(init=False, compare=False)
     jacobi: bool = field(init=False, compare=False)
 
     def __post_init__(self):
+        nonzero = tuple(
+            (k, i, j, value)
+            for k, plane in enumerate(self.tensor)
+            for i, row in enumerate(plane)
+            for j, value in enumerate(row)
+            if value
+        )
+        object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "antisymmetric", self.antisymmetry_ok())
         object.__setattr__(self, "jacobi", self.jacobi_ok())
 
     def antisymmetry_ok(self) -> bool:
-        n = len(self.names)
-        return all(
-            self.tensor[k][i][j] == -self.tensor[k][j][i]
-            for k in range(n)
-            for i in range(n)
-            for j in range(n)
-        )
+        """C[k][i][j] == -C[k][j][i] for all k, i, j.  A pair of zero entries
+        holds trivially, and a pair with a nonzero entry is listed."""
+        c = self.tensor
+        return all(c[k][j][i] == -value for k, i, j, value in self.nonzero)
 
     def jacobi_ok(self) -> bool:
-        n = len(self.names)
-        c = self.tensor
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        total = sum(
-                            c[m][i][j] * c[l][m][k]
-                            + c[m][j][k] * c[l][m][i]
-                            + c[m][k][i] * c[l][m][j]
-                            for m in range(n)
-                        )
-                        if total != 0:
-                            return False
-        return True
+        """J(i, j, k, l) = T(i, j, k, l) + T(j, k, i, l) + T(k, i, j, l) == 0
+        for all i, j, k, l, where T(i, j, k, l) = sum_m C[m][i][j] C[l][m][k].
+
+        Only products of two nonzero entries are formed; each term of T is
+        added to the three cyclic rotations of J it belongs to, and every
+        J left out of the sums is zero.
+        """
+        by_middle: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for l, m, k, value in self.nonzero:
+            by_middle.setdefault(m, []).append((l, k, value))
+        jacobi: dict[tuple[int, int, int, int], Fraction] = {}
+        for m, i, j, outer in self.nonzero:
+            for l, k, inner in by_middle.get(m, ()):
+                term = outer * inner
+                for key in ((i, j, k, l), (k, i, j, l), (j, k, i, l)):
+                    jacobi[key] = jacobi.get(key, 0) + term
+        return not any(jacobi.values())
 
     def is_abelian(self) -> bool:
-        return all(
-            not entry for plane in self.tensor for row in plane for entry in row
-        )
+        return not self.nonzero
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dirac_symmetry.cli import main
+from dirac_symmetry.membership import MAX_UNKNOWNS
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 TLC = str(MODEL_DIR / "three_level_chain.model")
@@ -200,6 +201,22 @@ class TestErrorExitCodes:
         code, _, err = run(capsys, "chain", str(path))
         assert code == 3
         assert "nested deeper than" in err
+
+    def test_oversized_membership_search_is_invalid_input(self, capsys, tmp_path):
+        # {P1, H} = -1000000*q1^999999*p2: its default degree bound is a
+        # million, and the search is refused once its unknowns, summed over
+        # the degrees, pass the cap.
+        path = tmp_path / "huge.model"
+        path.write_text(
+            "[system]\nn_dof = 2\nhamiltonian = q1^1000000*p2 + q2*p2\n"
+            "[primaries]\nP1 = p1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "first-class", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid input: membership search up to coefficient degree")
+        assert f"above the limit of {MAX_UNKNOWNS}" in err
 
     def test_dependent_primaries(self, capsys, tmp_path):
         path = tmp_path / "dep.model"

@@ -9,11 +9,13 @@ from dirac_symmetry import (
     NotFound,
     PhasePolynomial,
     PhaseSpace,
+    SearchTooLargeError,
     decompose,
     default_degree_bound,
     weak_equals,
 )
 
+from dirac_symmetry import membership
 from conftest import poly, random_polynomial
 
 SPACE = PhaseSpace(3)
@@ -95,6 +97,44 @@ class TestDecompose:
             )
         )
         assert outcome.coefficients == (poly("1", SPACE), poly("0", SPACE))
+
+
+class TestSizeCap:
+    # q1^9*p2 is no multiple of p1; the search runs over the identifiers
+    # q1, p1, p2, so degree d has C(3 + d, d) monomials per generator:
+    # 1, 4, 10, 20, 35, ...
+    TARGET = "q1^9*p2"
+
+    def test_refused_before_building_the_degree_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
+        built = []
+        real = membership._try_degree
+        monkeypatch.setattr(
+            membership,
+            "_try_degree",
+            lambda t, g, mons: built.append(len(mons) * len(g)) or real(t, g, mons),
+        )
+        generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
+        with pytest.raises(SearchTooLargeError) as info:
+            decompose(poly(self.TARGET, SPACE), generators)
+        assert built == [2, 8, 20, 40]  # 70 in all: at the cap, not over it
+        message = str(info.value)
+        assert "up to coefficient degree 4" in message
+        assert "140 unknowns" in message and "limit of 70" in message
+
+    def test_bound_within_the_cap_is_a_bounded_negative(self, monkeypatch):
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 15)
+        outcome = decompose(poly(self.TARGET, SPACE), [poly("p1", SPACE)], degree_bound=2)
+        assert isinstance(outcome, NotFound)
+        assert outcome.degree_bound == 2
+
+    def test_one_identifier_ladder_is_refused(self):
+        # Each degree adds a single monomial in q1, so no one system gets
+        # large; the default bound of a million still may not run.
+        space = PhaseSpace(1)
+        target = poly("q1^999999", space)
+        with pytest.raises(SearchTooLargeError):
+            decompose(target, [poly("q1^2 + 1", space)])
 
 
 class TestWeakEquals:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,135 @@ class TestClosure:
         assert outcome.field_dependent_close
         assert outcome.field_certificate is not None
         assert outcome.field_certificate.verify()
+
+
+def dense_antisymmetry(c):
+    """Reference: every (k, i, j) against its transpose."""
+    n = len(c)
+    return all(
+        c[k][i][j] == -c[k][j][i]
+        for k in range(n)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def dense_jacobi(c):
+    """Reference: the Jacobi sum at every (i, j, k, l)."""
+    n = len(c)
+    return all(
+        sum(
+            c[m][i][j] * c[l][m][k]
+            + c[m][j][k] * c[l][m][i]
+            + c[m][k][i] * c[l][m][j]
+            for m in range(n)
+        )
+        == 0
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        for l in range(n)
+    )
+
+
+def constants_from(n, brackets, antisymmetrize=True):
+    """StructureConstants with C[k][i][j] = value for (k, i, j, value) in
+    `brackets`, and C[k][j][i] = -value when `antisymmetrize`."""
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for k, i, j, value in brackets:
+        c[k][i][j] = F(value)
+        if antisymmetrize:
+            c[k][j][i] = -F(value)
+    return StructureConstants(
+        tuple(f"A{x}" for x in range(n)),
+        tuple(tuple(tuple(row) for row in plane) for plane in c),
+    )
+
+
+def random_tensor(rng, n, antisymmetric):
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    density = rng.choice((0.1, 0.3, 0.6))
+    for k in range(n):
+        for i in range(n):
+            for j in range(i + 1 if antisymmetric else 0, n):
+                if rng.random() < density:
+                    value = F(rng.randint(-2, 2), rng.randint(1, 2))
+                    c[k][i][j] = value
+                    if antisymmetric:
+                        c[k][j][i] = -value
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+class TestLieLawGuards:
+    def test_sparse_guards_match_dense_reference(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            tensor = random_tensor(rng, n, antisymmetric=rng.random() < 0.7)
+            constants = StructureConstants(tuple(f"A{x}" for x in range(n)), tensor)
+            expected = (dense_antisymmetry(tensor), dense_jacobi(tensor))
+            assert (constants.antisymmetry_ok(), constants.jacobi_ok()) == expected
+            assert (constants.antisymmetric, constants.jacobi) == expected
+            assert constants.is_abelian() == (not any(
+                entry for plane in tensor for row in plane for entry in row
+            ))
+            seen.add(expected)
+        # Every combination of the two laws holding or failing was exercised.
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_nonzero_entries_in_kij_order(self):
+        constants = constants_from(3, [(2, 0, 1, 1), (0, 1, 2, 1), (1, 2, 0, 1)])
+        assert constants.nonzero == (
+            (0, 1, 2, 1), (0, 2, 1, -1),
+            (1, 0, 2, -1), (1, 2, 0, 1),
+            (2, 0, 1, 1), (2, 1, 0, -1),
+        )
+
+    @pytest.mark.parametrize(
+        "n, brackets",
+        [
+            # so(3): [A_i, A_j] = eps_ijk A_k
+            (3, [(2, 0, 1, 1), (0, 1, 2, 1), (1, 2, 0, 1)]),
+            # sl(2) on (H, E, F): [H, E] = 2E, [H, F] = -2F, [E, F] = H
+            (3, [(1, 0, 1, 2), (2, 0, 2, -2), (0, 1, 2, 1)]),
+            # Heisenberg on (Q, P, I): [Q, P] = I
+            (3, [(2, 0, 1, 1)]),
+        ],
+        ids=["so3", "sl2", "heisenberg"],
+    )
+    def test_lie_algebras_pass(self, n, brackets):
+        constants = constants_from(n, brackets)
+        assert constants.antisymmetric and constants.jacobi
+        assert not constants.is_abelian()
+
+    def test_antisymmetric_tensor_breaking_jacobi_fails(self):
+        # [A0, A1] = A1, [A1, A2] = A0, [A2, A0] = 0: the Jacobi sum of
+        # (A0, A1, A2) is [[A0, A1], A2] = [A1, A2] = A0.
+        constants = constants_from(3, [(1, 0, 1, 1), (0, 1, 2, 1)])
+        assert constants.antisymmetric
+        assert not constants.jacobi
+        assert not dense_jacobi(constants.tensor)
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [[(0, 0, 1, 1)], [(1, 1, 1, 3)], [(0, 0, 1, 1), (0, 1, 0, 1)]],
+        ids=["no-transpose", "diagonal", "symmetric"],
+    )
+    def test_non_antisymmetric_tensor_fails(self, brackets):
+        constants = constants_from(2, brackets, antisymmetrize=False)
+        assert not constants.antisymmetric
+        assert not dense_antisymmetry(constants.tensor)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_em_gauge_closure_scales(self, n):
+        # 16 and 24 generators: guards over all n^5 index tuples take tens
+        # of seconds here, guards over the nonzero entries nothing.
+        constants = closure_and_structure_constants(em_modes(n).generator_sets["gauge"])
+        assert isinstance(constants, StructureConstants)
+        assert len(constants.names) == 2 * n
+        assert constants.is_abelian() and constants.nonzero == ()
+        assert constants.antisymmetric and constants.jacobi
 
 
 class TestClassify:
