@@ -35,6 +35,7 @@ from .errors import (
     InconsistentSystemError,
     ModelFileError,
     ParseError,
+    ProductTooLargeError,
     ReservedParameterError,
     SearchTooLargeError,
 )
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run(_build_arg_parser().parse_args(argv))
     except (argparse.ArgumentError, ModelFileError, ParseError,
             DependentPrimariesError, ReservedParameterError,
-            SearchTooLargeError) as exc:
+            SearchTooLargeError, ProductTooLargeError) as exc:
         sys.stderr.write(f"error: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     except InconsistentSystemError as exc:

@@ -51,6 +51,11 @@ class SearchTooLargeError(DiracSymmetryError):
     degree that passes the limit is built."""
 
 
+class ProductTooLargeError(DiracSymmetryError):
+    """A product or Poisson bracket would form more pairs of terms than
+    ``phase.MAX_TERM_PAIRS``; it is refused before any pair is formed."""
+
+
 class ModelFileError(DiracSymmetryError):
     """Invalid model file: syntax, unknown keys, or failed validation."""
 

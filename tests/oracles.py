@@ -30,8 +30,13 @@ def sympy_bracket(f, g, qs, ps):
 
 
 def to_sympy(poly) -> sp.Expr:
-    """Re-interpret a package polynomial through its printed form."""
-    return sp.sympify(str(poly).replace("^", "**"), rational=True)
+    """Re-interpret a package polynomial through its printed form.
+
+    Every identifier of its phase space is read as a plain symbol, so the
+    energy parameter ``E`` is not taken for Euler's number.
+    """
+    names = {name: sp.Symbol(name) for name in poly.space.identifiers}
+    return sp.sympify(str(poly).replace("^", "**"), locals=names, rational=True)
 
 
 def same_polynomial(package_poly, sympy_expr) -> bool:

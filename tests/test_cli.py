@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dirac_symmetry import phase
 from dirac_symmetry.cli import main
 from dirac_symmetry.membership import MAX_UNKNOWNS
 
@@ -217,6 +218,37 @@ class TestErrorExitCodes:
         assert out == ""
         assert err.startswith("error: invalid input: membership search up to coefficient degree")
         assert f"above the limit of {MAX_UNKNOWNS}" in err
+
+    def test_oversized_power_is_invalid_input(self, capsys, tmp_path):
+        # Squaring the 715-term fourth power would form 715^2 term pairs.
+        path = tmp_path / "power.model"
+        path.write_text(
+            "[system]\nn_dof = 5\n"
+            "hamiltonian = (q1+q2+q3+q4+q5+p1+p2+p3+p4+p5)^40\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid input: [system] hamiltonian: product of a 715-term")
+        assert f"511225 term pairs, over the limit of {phase.MAX_TERM_PAIRS}" in err
+
+    def test_oversized_bracket_is_invalid_input(self, capsys, tmp_path, monkeypatch):
+        # Parsing forms one-term products only; {P1, H} pairs 2 x 2 terms.
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 3)
+        path = tmp_path / "bracket.model"
+        path.write_text(
+            "[system]\nn_dof = 1\nhamiltonian = q1*p1 + q1^2\n"
+            "[primaries]\nP1 = p1 + q1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: invalid input: bracket of a 2-term and a 2-term polynomial "
+            "would form 4 term pairs, over the limit of 3\n"
+        )
 
     def test_dependent_primaries(self, capsys, tmp_path):
         path = tmp_path / "dep.model"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,16 +10,18 @@ from dirac_symmetry import (
     ParseError,
     PhasePolynomial,
     PhaseSpace,
+    ProductTooLargeError,
     SpaceMismatchError,
     UndeclaredIdentifierError,
     parse_polynomial,
     poisson,
 )
 
+from dirac_symmetry import phase
 from dirac_symmetry.expressions import MAX_NESTING
 
 from conftest import poly, polynomial_strategy, random_polynomial
-from oracles import same_polynomial, sympy_bracket, sympy_space
+from oracles import same_polynomial, sympy_bracket, sympy_space, to_sympy
 
 SPACE2 = PhaseSpace(2)
 SPACE3 = PhaseSpace(3)
@@ -211,16 +214,32 @@ class TestPoisson:
         g = parse_polynomial("E*p1", space)
         assert poisson(f, g) == parse_polynomial("m*E", space)
 
-    def test_bracket_against_oracle_randomized(self):
-        rng = random.Random(20240811)
-        qs, ps, _ = sympy_space(3)
+    @pytest.mark.parametrize("n_dof", [1, 2, 4])
+    def test_bracket_against_oracle_randomized(self, n_dof):
+        rng = random.Random(20240811 + n_dof)
+        space = PhaseSpace(n_dof, ("E", "m"))
+        qs, ps, _ = sympy_space(n_dof)
         for _ in range(25):
-            f = random_polynomial(rng, SPACE3, max_terms=3, max_degree=3)
-            g = random_polynomial(rng, SPACE3, max_terms=3, max_degree=3)
-            from oracles import to_sympy
-
+            f = random_polynomial(rng, space, max_terms=6, max_degree=3, allow_parameters=True)
+            g = random_polynomial(rng, space, max_terms=6, max_degree=3, allow_parameters=True)
             oracle = sympy_bracket(to_sympy(f), to_sympy(g), qs, ps)
             assert same_polynomial(poisson(f, g), oracle)
+
+
+class TestTermPairCap:
+    def test_cap_hit_exactly_passes_and_one_pair_over_is_refused(self, monkeypatch):
+        f = poly("q1 + q2 + p1", SPACE2)
+        g = poly("p1 + p2 + q1*p1 + q2^2", SPACE2)
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 12)
+        product, bracket = f * g, poisson(f, g)
+        qs, ps, _ = sympy_space(2)
+        assert same_polynomial(product, sp.expand(to_sympy(f) * to_sympy(g)))
+        assert same_polynomial(bracket, sympy_bracket(to_sympy(f), to_sympy(g), qs, ps))
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 11)
+        with pytest.raises(ProductTooLargeError, match="12 term pairs, over the limit of 11"):
+            f * g
+        with pytest.raises(ProductTooLargeError, match="bracket of a 3-term and a 4-term"):
+            poisson(f, g)
 
 
 POLYS2 = polynomial_strategy(PhaseSpace(2), max_degree=3, max_terms=3)
@@ -239,6 +258,12 @@ class TestRingLaws:
     @given(POLYS2, POLYS2, POLYS2)
     def test_distributivity(self, f, g, h):
         assert f * (g + h) == f * g + f * h
+
+    @given(POLYS2, POLYS2)
+    def test_subtraction(self, f, g):
+        assert f - g == -(g - f)
+        assert (f - g) + g == f
+        assert 3 - f == -(f - 3)
 
 
 class TestBracketLaws:
