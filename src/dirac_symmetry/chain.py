@@ -422,7 +422,7 @@ def first_class_check(
     """Test every constraint pair's bracket for membership in the on-shell module.
 
     Failures are findings about the system, not faults: the report carries a
-    bounded negative certificate for each flagged pair.
+    ``NotFound`` for each flagged pair, exact or bounded by the degree.
     """
     names = chain.all_names()
     polys = chain.all_constraints()

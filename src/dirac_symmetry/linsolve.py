@@ -23,8 +23,11 @@ Row = dict[Hashable, int]
 
 def _integerize(equation: Mapping, rhs: Fraction = 0) -> tuple[Row, int]:
     scale = lcm(rhs.denominator, *(c.denominator for c in equation.values()))
-    row = {col: int(c * scale) for col, c in equation.items() if c}
-    return _reduce_gcd(row, int(rhs * scale))
+    # c.numerator * (scale // c.denominator) is c * scale, without a Fraction
+    row = {
+        col: c.numerator * (scale // c.denominator) for col, c in equation.items() if c
+    }
+    return _reduce_gcd(row, rhs.numerator * (scale // rhs.denominator))
 
 
 def _reduce_gcd(row: Row, rhs: int) -> tuple[Row, int]:

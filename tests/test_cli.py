@@ -204,13 +204,15 @@ class TestErrorExitCodes:
         assert "nested deeper than" in err
 
     def test_oversized_membership_search_is_invalid_input(self, capsys, tmp_path):
-        # {P1, H} = -1000000*q1^999999*p2: its default degree bound is a
-        # million, and the search is refused once its unknowns, summed over
-        # the degrees, pass the cap.
+        # {B, H} = 1000000*q1^999999*q2*p2 is a multiple of the primary A,
+        # so its normal form is zero and the degree ladder must find the
+        # certificate; its default degree bound is about a million, and the
+        # search is refused once its unknowns, summed over the degrees, pass
+        # the cap.
         path = tmp_path / "huge.model"
         path.write_text(
-            "[system]\nn_dof = 2\nhamiltonian = q1^1000000*p2 + q2*p2\n"
-            "[primaries]\nP1 = p1\n",
+            "[system]\nn_dof = 2\nhamiltonian = p1\n"
+            "[primaries]\nA = p2\nB = q1^1000000*q2*p2\n",
             encoding="utf-8",
         )
         code, out, err = run(capsys, "first-class", str(path))
@@ -218,6 +220,25 @@ class TestErrorExitCodes:
         assert out == ""
         assert err.startswith("error: invalid input: membership search up to coefficient degree")
         assert f"above the limit of {MAX_UNKNOWNS}" in err
+
+    def test_huge_non_member_is_answered_exactly(self, capsys, tmp_path):
+        # {P1, S1} = -999999*q1^999998*p2 lies outside the on-shell module
+        # (P1, S1, H_d - E): its normal form is nonzero, so no search is
+        # needed despite its default degree bound of two million.
+        path = tmp_path / "huge.model"
+        path.write_text(
+            "[system]\nn_dof = 2\nhamiltonian = q1^1000000*p2 + q2*p2\n"
+            "[primaries]\nP1 = p1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "first-class", str(path))
+        assert code == 2
+        assert err == ""
+        assert (
+            "  {P1, S1} = -999999*q1^999998*p2 ; SECOND-CLASS ; "
+            "not representable within degree bound 2000000\n"
+        ) in out
+        assert "all pairs first class: NO" in out
 
     def test_oversized_power_is_invalid_input(self, capsys, tmp_path):
         # Squaring the 715-term fourth power would form 715^2 term pairs.

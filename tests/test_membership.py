@@ -60,7 +60,8 @@ class TestDecompose:
         assert empty.coefficients == ()
 
     def test_empty_generators_nonzero_target(self):
-        assert isinstance(decompose(poly("q1", SPACE), []), NotFound)
+        outcome = decompose(poly("q1", SPACE), [])
+        assert isinstance(outcome, NotFound) and outcome.exact
 
     def test_constant_mode_ignores_bound(self):
         outcome = decompose(
@@ -100,10 +101,10 @@ class TestDecompose:
 
 
 class TestSizeCap:
-    # q1^9*p2 is no multiple of p1; the search runs over the identifiers
-    # q1, p1, p2, so degree d has C(3 + d, d) monomials per generator:
-    # 1, 4, 10, 20, 35, ...
-    TARGET = "q1^9*p2"
+    # q1^9*p1*p2 = (q1^9*p2) * p1 needs a coefficient of degree 10, so the
+    # ladder runs over the identifiers q1, p1, p2 until the cap stops it;
+    # degree d has C(3 + d, d) monomials per generator: 1, 4, 10, 20, 35, ...
+    TARGET = "q1^9*p1*p2"
 
     def test_refused_before_building_the_degree_over_the_cap(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
@@ -122,11 +123,30 @@ class TestSizeCap:
         assert "up to coefficient degree 4" in message
         assert "140 unknowns" in message and "limit of 70" in message
 
+    def test_non_member_over_the_cap_is_answered_exactly(self, monkeypatch):
+        # q1^9*p2 is no multiple of p1: after degree 0 its nonzero normal
+        # form settles it, and no system over the cap is ever sized.
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
+        built = []
+        real = membership._try_degree
+        monkeypatch.setattr(
+            membership,
+            "_try_degree",
+            lambda t, g, mons: built.append(len(mons) * len(g)) or real(t, g, mons),
+        )
+        generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
+        outcome = decompose(poly("q1^9*p2", SPACE), generators)
+        assert isinstance(outcome, NotFound) and outcome.exact
+        assert outcome.degree_bound == 12
+        assert outcome.message == "not representable within degree bound 12"
+        assert built == [2]
+
     def test_bound_within_the_cap_is_a_bounded_negative(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 15)
         outcome = decompose(poly(self.TARGET, SPACE), [poly("p1", SPACE)], degree_bound=2)
         assert isinstance(outcome, NotFound)
         assert outcome.degree_bound == 2
+        assert not outcome.exact  # a member, beyond the bound
 
     def test_one_identifier_ladder_is_refused(self):
         # Each degree adds a single monomial in q1, so no one system gets

@@ -1,0 +1,199 @@
+"""The Groebner normal form behind exact negative membership, against sympy.
+
+The package's reduced basis and normal forms are compared with
+``sympy.groebner`` in graded-lex order over the declared identifier order,
+on seeded random ideals and on the on-shell modules of ``em_modes``.
+"""
+
+import random
+
+import pytest
+import sympy as sp
+
+from dirac_symmetry import (
+    IdealDecomposition,
+    NotFound,
+    PhasePolynomial,
+    PhaseSpace,
+    decompose,
+    em_modes,
+    generate_chain,
+)
+from dirac_symmetry import membership
+from dirac_symmetry.report import certificate_dict
+from conftest import poly, random_polynomial
+from oracles import to_sympy
+
+
+def symbols(space):
+    return [sp.Symbol(name) for name in space.identifiers]
+
+
+def basis_polynomials(space, generators):
+    basis = membership._groebner_basis(tuple(generators))
+    return [PhasePolynomial(space, {lead: 1, **dict(tail)}) for lead, tail in basis]
+
+
+def sympy_basis(space, generators):
+    return sp.groebner([to_sympy(g) for g in generators], *symbols(space), order="grlex")
+
+
+def monic_grlex(expr, space):
+    """expr divided by its graded-lex leading coefficient."""
+    return sp.expand(expr / sp.Poly(expr, *symbols(space)).LC(order="grlex"))
+
+
+def random_ideals(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        parameters = ("E", "a") if rng.random() < 0.5 else ("E",)
+        space = PhaseSpace(rng.randint(1, 3), parameters)
+        gens = [
+            random_polynomial(rng, space, max_terms=3, max_degree=3, allow_parameters=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        targets = [
+            random_polynomial(rng, space, max_terms=4, max_degree=4, allow_parameters=True)
+            for _ in range(3)
+        ]
+        yield space, [g for g in gens if g], targets
+
+
+def on_shell_ideal(n):
+    chain = generate_chain(em_modes(n).system)
+    return chain.space, list(chain.on_shell_generators(True)[1])
+
+
+def assert_matches_sympy(space, gens, targets):
+    reference = sympy_basis(space, gens)
+    mine = {sp.expand(to_sympy(g)) for g in basis_polynomials(space, gens)}
+    assert mine == {monic_grlex(e, space) for e in reference.exprs}
+    for target in targets:
+        normal_form = PhasePolynomial(space, membership._normal_form(target, tuple(gens)))
+        _, remainder = reference.reduce(to_sympy(target))
+        assert sp.expand(to_sympy(normal_form) - remainder) == 0
+
+
+class TestAgainstSympy:
+    def test_random_ideals(self):
+        for space, gens, targets in random_ideals(2024, 40):
+            assert_matches_sympy(space, gens, targets)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_on_shell_ideals_of_em_modes(self, n):
+        space, gens = on_shell_ideal(n)
+        rng = random.Random(n)
+        targets = [
+            random_polynomial(rng, space, max_terms=4, max_degree=3, allow_parameters=True)
+            for _ in range(10)
+        ]
+        assert_matches_sympy(space, gens, targets)
+
+    def test_basis_is_sorted_monic_and_reduced(self):
+        space = PhaseSpace(1)
+        gens = [poly("q1^2*p1 - 1", space), poly("q1*p1^2 - q1", space)]
+        # p1*g1 - q1*g2 = q1^2 - p1, which then reduces g1 to p1^2 - 1, a
+        # factor of g2.
+        assert basis_polynomials(space, gens) == [
+            poly("q1^2 - p1", space),
+            poly("p1^2 - 1", space),
+        ]
+
+
+class TestDecomposeVerdicts:
+    def test_members_round_trip_and_non_members_are_exact(self):
+        rng = random.Random(77)
+        checked = {"member": 0, "outside": 0}
+        for space, gens, targets in random_ideals(31, 30):
+            reference = sympy_basis(space, gens)
+            for target in targets:
+                member = target * gens[0]
+                for extra, g in zip(targets, gens[1:]):
+                    member = member + extra * g
+                outcome = decompose(member, gens, degree_bound=4)
+                assert isinstance(outcome, IdealDecomposition)
+                assert outcome.verify()
+                checked["member"] += 1
+                _, remainder = reference.reduce(to_sympy(target))
+                outcome = decompose(target, gens, degree_bound=rng.randint(1, 3))
+                if sp.expand(remainder) != 0:
+                    assert isinstance(outcome, NotFound) and outcome.exact
+                    checked["outside"] += 1
+                else:
+                    assert isinstance(outcome, IdealDecomposition) or not outcome.exact
+        assert checked["member"] == 90 and checked["outside"] > 40
+
+    def test_on_shell_non_member_at_any_bound(self):
+        # q3*q4 is a polynomial in the free identifiers of em_modes(5) alone.
+        space, gens = on_shell_ideal(5)
+        for bound in (1, 4, 40):
+            outcome = decompose(poly("q3*q4", space), gens, bound)
+            assert isinstance(outcome, NotFound) and outcome.exact
+            assert outcome.message == f"not representable within degree bound {bound}"
+
+    def test_constant_mode_never_reduces(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the normal form was consulted")
+
+        monkeypatch.setattr(membership, "_normal_form", refuse)
+        space = PhaseSpace(2)
+        outcome = decompose(
+            poly("q1", space), [poly("p1", space)], mode=membership.CoefficientMode.CONSTANT
+        )
+        assert isinstance(outcome, NotFound) and not outcome.exact
+        # A constant certificate ends the ladder at degree 0, before any basis.
+        found = decompose(poly("2*p1 - 3*q2", space), [poly("p1", space), poly("q2", space)])
+        assert found.coefficients == (poly("2", space), poly("-3", space))
+
+
+class TestBudgets:
+    def test_tiny_basis_budget_falls_back_to_the_ladder(self, monkeypatch):
+        membership._groebner_basis.cache_clear()
+        monkeypatch.setattr(membership, "MAX_BASIS_STEPS", 1)
+        try:
+            space = PhaseSpace(1)
+            gens = (poly("q1^2*p1 - 1", space), poly("q1*p1^2 - q1", space))
+            assert membership._normal_form(poly("q1", space), gens) is None
+            outcome = decompose(poly("q1 + 7", space), gens, degree_bound=2)
+            assert isinstance(outcome, NotFound) and not outcome.exact
+            assert outcome.message == "not representable within degree bound 2"
+            # Members still get their minimal-degree certificate.
+            member = decompose(poly("q1^2 - p1", space), gens, degree_bound=2)
+            assert isinstance(member, IdealDecomposition) and member.verify()
+        finally:
+            membership._groebner_basis.cache_clear()
+
+    def test_tiny_reduction_budget_falls_back_to_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(membership, "MAX_REDUCTION_STEPS", 2)
+        space = PhaseSpace(2)
+        gens = (poly("p1", space), poly("p2", space))
+        outcome = decompose(poly("q1^2 + q1*q2 + q2^2", space), gens, degree_bound=1)
+        assert isinstance(outcome, NotFound) and not outcome.exact
+        small = decompose(poly("q1", space), gens, degree_bound=1)
+        assert isinstance(small, NotFound) and small.exact
+
+    def test_exhausted_basis_is_memoised(self, monkeypatch):
+        membership._groebner_basis.cache_clear()
+        monkeypatch.setattr(membership, "MAX_BASIS_STEPS", 1)
+        calls = []
+        real = membership._buchberger
+        monkeypatch.setattr(
+            membership, "_buchberger", lambda g, steps: calls.append(1) or real(g, steps)
+        )
+        try:
+            space = PhaseSpace(1)
+            gens = (poly("q1^2*p1 - 1", space), poly("q1*p1^2 - q1", space))
+            for _ in range(3):
+                assert membership._normal_form(poly("q1", space), gens) is None
+            assert calls == [1]
+        finally:
+            membership._groebner_basis.cache_clear()
+
+
+def test_exactness_leaves_reports_unchanged():
+    # Exact and bounded negatives report the same bytes, so the CLI
+    # contract does not move.
+    exact = NotFound(3, membership.CoefficientMode.POLYNOMIAL, exact=True)
+    bounded = NotFound(3, membership.CoefficientMode.POLYNOMIAL)
+    assert exact.message == bounded.message
+    assert certificate_dict(exact, ["A"]) == certificate_dict(bounded, ["A"])
