@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, UndeclaredIdentifierError
-from .phase import PhasePolynomial, PhaseSpace
+from .phase import Exponents, PhasePolynomial, PhaseSpace
 
 # Deepest parenthesis nesting accepted: each level costs four frames of
 # recursive descent, so this stays far below the interpreter's limit.
@@ -87,17 +87,19 @@ class _Parser:
             if nxt.kind == "ident" or (nxt.kind == "op" and nxt.text == "("):
                 self.advance()
                 negate = True
-        poly = self.term()
-        if negate:
-            poly = -poly
+        # The terms of the whole sum go into one dictionary, so a sum of n
+        # terms costs O(n), not the O(n^2) of adding polynomials one by one;
+        # the constructor drops the coefficients that cancelled.
+        terms: dict[Exponents, Fraction] = {}
         while True:
+            for mon, coeff in self.term().terms.items():
+                terms[mon] = terms.get(mon, 0) + (-coeff if negate else coeff)
             token = self.peek()
             if token.kind == "op" and token.text in "+-":
                 self.advance()
-                rhs = self.term()
-                poly = poly + rhs if token.text == "+" else poly - rhs
+                negate = token.text == "-"
             else:
-                return poly
+                return PhasePolynomial(self.space, terms)
 
     def term(self) -> PhasePolynomial:
         poly = self.factor()

@@ -2,11 +2,14 @@
 
 Rows are integer dictionaries with an integer right-hand side; an
 elimination step cross-multiplies a row with a pivot row and divides out the
-gcd.  The caller picks the pivot order: column order (``min``) for
-``solve_sparse`` and ``rational_rank``, the graded-lex-leading monomial for
-``RationalSpan``.  Results depend only on that order, never on how
-elimination proceeds: the solution with free unknowns pinned to zero, the
-rank and the pivot-free residual are invariants of the row space.
+gcd.  ``solve_sparse`` takes integer rows as they are (membership builds its
+Macaulay systems in integers); ``rational_rank`` and ``RationalSpan`` scale
+rational rows to integers on entry.  The caller picks the pivot order:
+column order (``min``) for ``solve_sparse`` and ``rational_rank``, the
+graded-lex-leading monomial for ``RationalSpan``.  Results depend only on
+that order, never on how elimination proceeds: the solution with free
+unknowns pinned to zero, the rank and the pivot-free residual are
+invariants of the row space.
 """
 
 from __future__ import annotations
@@ -85,17 +88,18 @@ class Echelon:
         return row, rhs, col
 
 
-def solve_sparse(
-    equations: Iterable[tuple[Mapping[int, Fraction], Fraction]],
-) -> dict[int, Fraction] | None:
-    """One exact solution of the sparse system, or None if inconsistent.
+def solve_sparse(equations: Iterable[tuple[Row, int]]) -> dict[int, Fraction] | None:
+    """One exact solution of the sparse integer system, or None if inconsistent.
 
-    Free (non-pivot) unknowns are pinned to zero; the returned mapping only
-    lists nonzero components.
+    Each equation is a row of nonzero integer coefficients keyed by unknown
+    and an integer right-hand side; a system with rational coefficients is
+    scaled to integers by the caller.  Free (non-pivot) unknowns are pinned
+    to zero; the returned mapping only lists nonzero components, which may
+    be non-integral.
     """
     echelon = Echelon()
     for equation, rhs in equations:
-        row, r, _ = echelon.add(*_integerize(equation, rhs))
+        row, r, _ = echelon.add(*_reduce_gcd(equation, rhs))
         if not row and r:
             return None
     solution: dict[int, Fraction] = {}

@@ -2,10 +2,13 @@
 
 ``decompose`` searches for coefficient polynomials f_k with
 ``target = sum_k f_k * generators[k]`` by equating coefficients on the
-monomial basis and solving the resulting exact rational linear system.  The
-search runs degree by degree, so the certificate it returns has coefficients
-of the smallest achievable maximum degree.  A search whose systems would have
-more than ``MAX_UNKNOWNS`` unknowns in all is refused with
+monomial basis and solving the resulting exact linear system.  Each
+generator g_k is scaled once per search by the lcm s_k of its denominators,
+and the target by its own lcm t, so every system is built in integers; a
+solution h_k maps back to f_k = h_k * s_k / t.  The search runs degree by
+degree, so the certificate it returns has coefficients of the smallest
+achievable maximum degree.  A search whose systems would have more than
+``MAX_UNKNOWNS`` unknowns in all is refused with
 ``SearchTooLargeError`` before the degree that passes the cap is built, so no
 search runs without limit.
 
@@ -28,11 +31,12 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import SearchTooLargeError
-from .linsolve import solve_sparse
+from .linsolve import Row, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 
 
@@ -46,12 +50,15 @@ MAX_UNKNOWNS = 50_000
 
 # Steps a Groebner basis may take, and steps the target's normal form may
 # take on top of it, before the search falls back to the degree ladder.  A
-# step is one term of the polynomial being reduced taken up, one term of a
-# shifted basis polynomial subtracted from it, or one pair or basis entry
-# visited in the pair bookkeeping.  Random ideals of four quintics in six
-# variables spend the basis budget in 0.14 to 0.2 s of CPU (Python 3.11 on
-# a 2-vCPU Xeon VM).  Over the benchmark workloads and the shipped models
-# the largest basis takes 58 steps and the largest normal form 40.
+# step is one basis lead tested against a term of the polynomial being
+# reduced, one term of a shifted basis polynomial subtracted from it, one
+# pair or basis entry visited in the pair bookkeeping, or one lcm comparison
+# of the chain criterion.  Random ideals of four quintics in six variables
+# spend the basis budget in 0.019 to 0.023 s of CPU (Python 3.11 on a 2-vCPU
+# Xeon VM); the on-shell basis of em_modes(20), 41 generators over 161
+# identifiers, takes 8840 steps in 0.047 s.  Over the benchmark workloads
+# and the shipped models the largest basis takes 204 steps and the largest
+# normal form 117.
 MAX_BASIS_STEPS = 20_000
 MAX_REDUCTION_STEPS = 20_000
 
@@ -168,8 +175,8 @@ def _reduce(
     terms: dict[Exponents, Fraction], basis: Sequence[_Monic], steps: _Steps
 ) -> dict[Exponents, Fraction]:
     """Full normal form of `terms` modulo the monic `basis`: every term that
-    a basis lead divides is cancelled, leading terms first.  Each term taken
-    up and each term subtracted is a step."""
+    a basis lead divides is cancelled, leading terms first.  Each basis lead
+    tested against a term taken up and each term subtracted is a step."""
     terms = dict(terms)
     heap = [_descending(m) for m in terms]
     heapify(heap)
@@ -179,10 +186,9 @@ def _reduce(
         coeff = terms.pop(mon, None)
         if coeff is None:  # cancelled, or a second entry of a taken-up term
             continue
-        steps.spend(1)
-        for lead, tail in basis:
+        for tested, (lead, tail) in enumerate(basis, 1):
             if _divides(lead, mon):
-                steps.spend(len(tail))
+                steps.spend(tested + len(tail))
                 shift = tuple(a - b for a, b in zip(mon, lead))
                 for tmon, tcoeff in tail:
                     key = tuple(a + b for a, b in zip(tmon, shift))
@@ -197,6 +203,7 @@ def _reduce(
                         del terms[key]
                 break
         else:
+            steps.spend(len(basis))
             remainder[mon] = coeff
     return remainder
 
@@ -236,7 +243,8 @@ def _buchberger(
 
     def update(new: int) -> None:
         # Pair bookkeeping is charged too, one step per pair or basis entry
-        # visited, so the budget also bounds how many pairs there can be.
+        # visited and per lcm comparison made, so the budget also bounds how
+        # many pairs there can be.
         steps.spend(len(basis) + len(pairs))
         lead = polys[new][0]
         lcms = {i: _lcm(lead, polys[i][0]) for i in basis}
@@ -247,9 +255,12 @@ def _buchberger(
         kept: list[int] = []
         candidates = sorted(basis)
         for pos, i in enumerate(candidates):
-            if i in coprime or not any(
-                _divides(lcms[j], lcms[i]) for j in chain(candidates[pos + 1:], kept)
-            ):
+            others = () if i in coprime else tuple(chain(candidates[pos + 1:], kept))
+            hit = next(
+                (n for n, j in enumerate(others, 1) if _divides(lcms[j], lcms[i])), 0
+            )
+            steps.spend(hit or len(others))
+            if not hit:
                 kept.append(i)
         fresh = {(i, new) for i in kept if i not in coprime}
         # Chain criterion on the old pairs: (i, j) is dropped when the new
@@ -347,38 +358,66 @@ def _monomials_up_to(
     return monomials
 
 
+def _integer_terms(poly: PhasePolynomial) -> tuple[int, dict[Exponents, int]]:
+    """(s, s * poly) with s the lcm of the coefficient denominators, so that
+    s * poly has integer coefficients."""
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    return scale, {
+        mon: c.numerator * (scale // c.denominator) for mon, c in poly.terms.items()
+    }
+
+
 def _try_degree(
-    target: PhasePolynomial,
-    generators: Sequence[PhasePolynomial],
+    target: dict[Exponents, int],
+    generators: Sequence[dict[Exponents, int]],
     monomials: Sequence[Exponents],
-) -> tuple[PhasePolynomial, ...] | None:
-    space = target.space
+) -> dict[int, Fraction] | None:
+    """Solve ``target = sum_k h_k * generators[k]`` over the coefficient
+    `monomials`, all polynomials given by integer terms; unknown
+    ``k * len(monomials) + i`` is the coefficient of ``monomials[i]`` in h_k.
+
+    Distinct terms of one generator shifted by the same monomial land on
+    distinct products, so every entry of a row is a single generator
+    coefficient and the rows are integer from the start.
+    """
     n_mons = len(monomials)
-    rows: dict[Exponents, dict[int, Fraction]] = {}
+    rows: dict[Exponents, Row] = {}
     for k, gen in enumerate(generators):
-        base = k * n_mons
-        for mi, mon in enumerate(monomials):
-            for gmon, gcoeff in gen.terms.items():
-                prod = tuple(a + b for a, b in zip(mon, gmon))
-                row = rows.setdefault(prod, {})
-                row[base + mi] = row.get(base + mi, Fraction(0)) + gcoeff
-    for mon in target.terms:
+        for col, mon in enumerate(monomials, k * n_mons):
+            for gmon, gcoeff in gen.items():
+                prod = tuple(map(add, mon, gmon))
+                row = rows.get(prod)
+                if row is None:
+                    rows[prod] = {col: gcoeff}
+                else:
+                    row[col] = gcoeff
+    for mon in target:
         rows.setdefault(mon, {})
     equations = [
-        (rows[mon], target.coefficient(mon))
-        for mon in sorted(rows, key=lambda m: (sum(m), m), reverse=True)
+        (rows[mon], target.get(mon, 0))
+        for mon in sorted(rows, key=_grlex_key, reverse=True)
     ]
-    solution = solve_sparse(equations)
-    if solution is None:
-        return None
+    return solve_sparse(equations)
+
+
+def _certificate(
+    space: PhaseSpace,
+    solution: dict[int, Fraction],
+    monomials: Sequence[Exponents],
+    scales: Sequence[int],
+    target_scale: int,
+) -> tuple[PhasePolynomial, ...]:
+    """The coefficients f_k = h_k * s_k / t of a solution h of the system
+    over the generators scaled by s_k and the target scaled by t."""
+    n_mons = len(monomials)
     coefficients = []
-    for k in range(len(generators)):
-        base = k * n_mons
+    for k, scale in enumerate(scales):
+        factor = Fraction(scale, target_scale)
         terms = {}
-        for mi, mon in enumerate(monomials):
-            value = solution.get(base + mi)
+        for col, mon in enumerate(monomials, k * n_mons):
+            value = solution.get(col)
             if value:
-                terms[mon] = value
+                terms[mon] = value * factor
         coefficients.append(PhasePolynomial(space, terms))
     return tuple(coefficients)
 
@@ -423,6 +462,9 @@ def decompose(
         allowed |= gen.used_indices()
     allowed_order = sorted(allowed)
     max_useful = degree_bound if allowed_order else 0
+    # Integer rows for every degree: generator k scaled by s_k, the target by t.
+    target_scale, target_terms = _integer_terms(target)
+    scales, scaled = zip(*map(_integer_terms, generators))
     unknowns = 0
     for degree in range(max_useful + 1):
         # Between degrees 0 and 1: most certificates are constant and need
@@ -438,8 +480,9 @@ def decompose(
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
         monomials = _monomials_up_to(space, allowed_order, degree)
-        coefficients = _try_degree(target, generators, monomials)
-        if coefficients is not None:
+        solution = _try_degree(target_terms, scaled, monomials)
+        if solution is not None:
+            coefficients = _certificate(space, solution, monomials, scales, target_scale)
             result = IdealDecomposition(target, generators, coefficients, degree_bound)
             if not result.verify():  # soundness guard, must never trip
                 raise RuntimeError(

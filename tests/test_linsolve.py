@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import sympy as sp
 
@@ -27,39 +28,44 @@ def check(equations, solution):
         assert sum(c * solution.get(k, F(0)) for k, c in row.items()) == rhs
 
 
+def integer_equation(row, rhs):
+    """The equation row . x = rhs scaled by the lcm of its denominators."""
+    scale = lcm(F(rhs).denominator, *(F(c).denominator for c in row.values()))
+    return {k: int(c * scale) for k, c in row.items()}, int(rhs * scale)
+
+
 class TestSolveSparse:
     def test_unique_solution(self):
         eqs = [
-            ({0: F(2), 1: F(1)}, F(5)),
-            ({0: F(1), 1: F(-1)}, F(1)),
+            ({0: 2, 1: 1}, 5),
+            ({0: 1, 1: -1}, 1),
         ]
         solution = solve_sparse(eqs)
         assert solution == {0: F(2), 1: F(1)}
 
-    def test_rational_entries(self):
-        eqs = [({0: F(1, 3)}, F(5, 6))]
-        assert solve_sparse(eqs) == {0: F(5, 2)}
+    def test_non_integral_solution(self):
+        assert solve_sparse([({0: 2}, 5)]) == {0: F(5, 2)}
 
     def test_inconsistent(self):
         eqs = [
-            ({0: F(1)}, F(1)),
-            ({0: F(2)}, F(3)),
+            ({0: 1}, 1),
+            ({0: 2}, 3),
         ]
         assert solve_sparse(eqs) is None
 
     def test_zero_row_nonzero_rhs(self):
-        assert solve_sparse([({}, F(1))]) is None
-        assert solve_sparse([({}, F(0))]) == {}
+        assert solve_sparse([({}, 1)]) is None
+        assert solve_sparse([({}, 0)]) == {}
 
     def test_underdetermined_pins_free_variables(self):
         # x0 + x1 = 3 with x1 free: deterministic solution x1 = 0.
-        solution = solve_sparse([({0: F(1), 1: F(1)}, F(3))])
+        solution = solve_sparse([({0: 1, 1: 1}, 3)])
         assert solution == {0: F(3)}
 
     def test_redundant_rows(self):
         eqs = [
-            ({0: F(1), 1: F(2)}, F(3)),
-            ({0: F(2), 1: F(4)}, F(6)),
+            ({0: 1, 1: 2}, 3),
+            ({0: 2, 1: 4}, 6),
         ]
         solution = solve_sparse(eqs)
         assert solution is not None
@@ -81,7 +87,7 @@ class TestSolveSparse:
                 }
                 row = {k: v for k, v in row.items() if v}
                 rhs = sum(c * planted[k] for k, c in row.items())
-                eqs.append((row, F(rhs)))
+                eqs.append(integer_equation(row, F(rhs)))
             solution = solve_sparse(eqs)
             assert solution is not None
             check(eqs, solution)
@@ -91,9 +97,10 @@ class TestSolveSparse:
         for _ in range(150):
             n = rng.randint(1, 5)
             rows = random_rows(rng, rng.randint(1, 6), n)
-            eqs = [(row, F(rng.randint(-2, 2))) for row in rows]
+            rhss = [F(rng.randint(-2, 2)) for _ in rows]
             a = dense(rows, range(n))
-            augmented = a.row_join(sp.Matrix([rhs for _, rhs in eqs]))
+            augmented = a.row_join(sp.Matrix(rhss))
+            eqs = [integer_equation(row, rhs) for row, rhs in zip(rows, rhss)]
             solution = solve_sparse(eqs)
             if a.rank() == augmented.rank():
                 check(eqs, solution)
@@ -102,8 +109,8 @@ class TestSolveSparse:
 
     def test_deterministic(self):
         eqs = [
-            ({0: F(1), 2: F(3)}, F(2)),
-            ({1: F(2), 2: F(-1)}, F(0)),
+            ({0: 1, 2: 3}, 2),
+            ({1: 2, 2: -1}, 0),
         ]
         assert solve_sparse(eqs) == solve_sparse(list(eqs))
 

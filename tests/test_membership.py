@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,6 +13,7 @@ from dirac_symmetry import (
     SearchTooLargeError,
     decompose,
     default_degree_bound,
+    em_modes,
     weak_equals,
 )
 
@@ -251,3 +253,132 @@ class TestProperties:
             )
         )
         assert outcome.expand() == poly("q1*p1 + q2*p2", SPACE)
+
+
+# ----------------------------------------------------------------------
+# Integer Macaulay systems against a dense rational reference
+# ----------------------------------------------------------------------
+def reference_coefficients(target, generators, degree):
+    """The degree's Macaulay system solved by dense Gauss-Jordan elimination
+    in Fraction arithmetic, pivoting on the smallest column and pinning free
+    unknowns to 0; None when it is inconsistent.  Unknowns are numbered as
+    ``decompose`` numbers them: generator-major, then the coefficient
+    monomials over the used identifiers in ascending graded order."""
+    space = target.space
+    used = sorted(target.used_indices().union(*(g.used_indices() for g in generators)))
+    monomials = []
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(used, d):
+            exps = [0] * space.n_identifiers
+            for idx in combo:
+                exps[idx] += 1
+            monomials.append(tuple(exps))
+    columns = [(k, mon) for k in range(len(generators)) for mon in monomials]
+    rows = {}
+    for col, (k, mon) in enumerate(columns):
+        for gmon, gcoeff in generators[k].terms.items():
+            prod = tuple(a + b for a, b in zip(mon, gmon))
+            rows.setdefault(prod, [Fraction(0)] * len(columns))[col] += gcoeff
+    for mon in target.terms:
+        rows.setdefault(mon, [Fraction(0)] * len(columns))
+    matrix = [row + [target.coefficient(mon)] for mon, row in rows.items()]
+    pivots = []
+    for col in range(len(columns)):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(matrix)) if matrix[i][col]), None)
+        if pick is None:
+            continue
+        matrix[r], matrix[pick] = matrix[pick], matrix[r]
+        lead = matrix[r][col]
+        matrix[r] = [v / lead for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[col]:
+                factor = row[col]
+                matrix[i] = [a - factor * b for a, b in zip(row, matrix[r])]
+        pivots.append(col)
+    if any(row[-1] for row in matrix[len(pivots):]):
+        return None
+    terms = [{} for _ in generators]
+    for r, col in enumerate(pivots):
+        k, mon = columns[col]
+        terms[k][mon] = matrix[r][-1]
+    return tuple(PhasePolynomial(space, t) for t in terms)
+
+
+# Denominators 2, 3 and 6, both signs, and integers with common factors.
+COEFFICIENTS = [Fraction(n, d) for n in (-5, -2, -1, 1, 3, 4) for d in (1, 2, 3, 6)]
+
+
+def scaled_polynomial(rng, space, max_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * space.n_identifiers
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(space.n_identifiers)] += 1
+        terms[tuple(exps)] = rng.choice(COEFFICIENTS)
+    return PhasePolynomial(space, terms)
+
+
+class TestIntegerSystems:
+    def test_certificates_match_the_dense_rational_reference(self):
+        rng = random.Random(20240806)
+        compared = {"found": 0, "not found": 0}
+        for _ in range(40):
+            space = PhaseSpace(rng.randint(1, 2), ("E",))
+            top = 2 if space.n_dof == 1 else 1
+            generators = []
+            while not generators:
+                generators = [
+                    # a common integer factor 2, 3 or 6 on some generators
+                    rng.choice((1, 1, 2, 3, 6)) * scaled_polynomial(rng, space, 2)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                generators = [g for g in generators if g]
+            target = PhasePolynomial.zero(space)
+            for gen in generators:
+                target = target + scaled_polynomial(rng, space, top) * gen
+            if rng.random() < 0.3:
+                target = target + scaled_polynomial(rng, space, 2)
+            target = Fraction(rng.choice((-2, 1, 3)), rng.choice((5, 7))) * target
+            if target.is_zero():
+                continue
+            expected = None
+            for degree in range(top + 1):
+                if expected is None:
+                    expected = reference_coefficients(target, generators, degree)
+                outcome = decompose(target, generators, degree_bound=degree)
+                if expected is None:
+                    assert isinstance(outcome, NotFound)
+                    compared["not found"] += 1
+                else:
+                    assert found(outcome).coefficients == expected
+                    compared["found"] += 1
+        assert min(compared.values()) >= 10, compared
+
+    def test_system_sizes_of_a_fixed_positive_search(self, monkeypatch):
+        # (rows, columns, nonzeros) of every system the search solves: a
+        # guard on the work of the ladder that does not depend on timing.
+        model = em_modes(2)
+        system = model.system
+        space = system.space
+        ideal = list(system.primaries) + [poly("p2", space), poly("p6", space)]
+        ideal.append(system.h_d - poly("E", space))
+        target = (
+            poly("q3*q4 - 1/2*E", space) * ideal[-1]
+            + poly("2/3*q1", space) * ideal[0]
+            - poly("3*p6*E", space) * ideal[3]
+        )
+        sizes = []
+        real = membership.solve_sparse
+
+        def recording(equations):
+            columns = set().union(*(row for row, _ in equations))
+            sizes.append((
+                len(equations), len(columns), sum(len(row) for row, _ in equations)
+            ))
+            return real(equations)
+
+        monkeypatch.setattr(membership, "solve_sparse", recording)
+        outcome = found(decompose(target, ideal, degree_bound=2))
+        assert max(c.total_degree() for c in outcome.coefficients) == 2
+        assert sizes == [(44, 5, 17), (269, 80, 272), (1964, 680, 2312)]

@@ -107,6 +107,31 @@ class TestParsing:
         assert err.value.position == 2 * depth + 1
 
 
+    def test_long_sums_match_sympy(self):
+        # Few distinct monomials under many signed terms, so most of them
+        # cancel or merge; parenthesised sub-sums and a leading '-' too.
+        rng = random.Random(8)
+        names = {name: sp.Symbol(name) for name in SPACE2.identifiers}
+        monomials = ["q1", "p1^2", "q1*p2", "q2^3*p1", "E", "1"]
+        for n_terms in (1, 50, 2000):
+            pieces = []
+            for i in range(n_terms):
+                sign = rng.choice("+-") if i else rng.choice(("", "-"))
+                term = f"{rng.randint(1, 9)}/{rng.randint(1, 4)}*{rng.choice(monomials)}"
+                if rng.random() < 0.05:
+                    term = f"({term} - {rng.choice(monomials)})"
+                pieces.append(f"{sign} {term}")
+            text = " ".join(pieces)
+            parsed = poly(text, SPACE2)
+            assert all(parsed.terms.values())
+            expected = sp.sympify(text.replace("^", "**"), locals=names, rational=True)
+            assert same_polynomial(parsed, sp.expand(expected))
+
+    def test_long_sum_cancelling_to_zero(self):
+        text = " + ".join(f"{i}*q1*p{i % 2 + 1} - {i}*p{i % 2 + 1}*q1" for i in range(1, 3001))
+        parsed = poly(text, SPACE2)
+        assert parsed.is_zero() and parsed.terms == {}
+
 class TestPrinting:
     def test_canonical_forms(self):
         cases = [
