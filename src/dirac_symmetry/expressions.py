@@ -123,7 +123,7 @@ class _Parser:
                     exp_token.position,
                 )
             self.advance()
-            poly = poly ** int(exp_token.text)
+            poly = poly ** _integer(exp_token)
         return poly
 
     def atom(self) -> PhasePolynomial:
@@ -163,7 +163,7 @@ class _Parser:
 
     def rational(self, negative: bool) -> PhasePolynomial:
         num_token = self.advance()
-        numerator = int(num_token.text)
+        numerator = _integer(num_token)
         if negative:
             numerator = -numerator
         denominator = 1
@@ -174,10 +174,20 @@ class _Parser:
             if den_token.kind != "number":
                 raise ParseError("expected an unsigned denominator", den_token.position)
             self.advance()
-            denominator = int(den_token.text)
+            denominator = _integer(den_token)
             if denominator == 0:
                 raise ParseError("zero denominator", den_token.position)
         return PhasePolynomial.constant(self.space, Fraction(numerator, denominator))
+
+
+def _integer(token: _Token) -> int:
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ParseError(
+            f"numeric literal of {len(token.text)} digits is too long", token.position
+        ) from None
 
 
 def parse_polynomial(text: str, space: PhaseSpace) -> PhasePolynomial:

@@ -1,15 +1,14 @@
 """Exact linear algebra over Q on one sparse, fraction-free echelon.
 
-Rows are integer dictionaries with an integer right-hand side; an
-elimination step cross-multiplies a row with a pivot row and divides out the
-gcd.  ``solve_sparse`` takes integer rows as they are (membership builds its
-Macaulay systems in integers); ``rational_rank`` and ``RationalSpan`` scale
-rational rows to integers on entry.  The caller picks the pivot order:
-column order (``min``) for ``solve_sparse`` and ``rational_rank``, the
-graded-lex-leading monomial for ``RationalSpan``.  Results depend only on
-that order, never on how elimination proceeds: the solution with free
-unknowns pinned to zero, the rank and the pivot-free residual are
-invariants of the row space.
+Rows are integer dictionaries that carry integer *tags*, which record the
+inputs a row combines: a row is always ``sum_i tags[i] * input_i``.  An
+elimination step cross-multiplies a row with a pivot row, tags included,
+and divides out their gcd.  ``integer_scaled`` is the one rule that turns
+rational rows into integer ones.  The caller picks the pivot order: the
+smallest key for ``solve_sparse`` and ``rational_rank``, the graded-lex
+leading monomial for ``RationalSpan``.  No result depends on how
+elimination proceeds: a solution depends only on the order of the columns,
+a residual only on the pivot order, and a rank on neither.
 """
 
 from __future__ import annotations
@@ -24,29 +23,38 @@ from .phase import Exponents, _grlex_key
 Row = dict[Hashable, int]
 
 
-def _integerize(equation: Mapping, rhs: Fraction = 0) -> tuple[Row, int]:
-    scale = lcm(rhs.denominator, *(c.denominator for c in equation.values()))
+def integer_scaled(terms: Mapping[Hashable, Fraction]) -> tuple[int, Row]:
+    """(s, s * terms) with s the lcm of the denominators, so that s * terms
+    has integer values; zero values are dropped."""
+    scale = lcm(*(c.denominator for c in terms.values()))
     # c.numerator * (scale // c.denominator) is c * scale, without a Fraction
-    row = {
-        col: c.numerator * (scale // c.denominator) for col, c in equation.items() if c
+    return scale, {
+        key: c.numerator * (scale // c.denominator) for key, c in terms.items() if c
     }
-    return _reduce_gcd(row, rhs.numerator * (scale // rhs.denominator))
 
 
-def _reduce_gcd(row: Row, rhs: int) -> tuple[Row, int]:
-    common = abs(rhs)
-    for value in row.values():
-        common = gcd(common, value)
-        if common == 1:
-            return row, rhs
+def _combine(b: int, row: Row, a: int, other: Row) -> Row:
+    """b * row - a * other, without zero entries."""
+    updated = {c: b * v for c, v in row.items()}
+    for c, v in other.items():
+        nv = updated.get(c, 0) - a * v
+        if nv:
+            updated[c] = nv
+        else:
+            updated.pop(c, None)
+    return updated
+
+
+def _reduce_gcd(row: Row, tags: Row) -> tuple[Row, Row]:
+    common = gcd(*tags.values(), *row.values())
     if common > 1:
-        row = {col: value // common for col, value in row.items()}
-        rhs //= common
-    return row, rhs
+        row = {c: v // common for c, v in row.items()}
+        tags = {c: v // common for c, v in tags.items()}
+    return row, tags
 
 
 class Echelon:
-    """Sparse integer rows in echelon form, one per pivot column.
+    """Sparse tagged integer rows in echelon form, one per pivot column.
 
     ``lead`` picks a row's pivot among its columns; every other column of a
     pivot row comes after the pivot in that order.
@@ -54,74 +62,61 @@ class Echelon:
 
     def __init__(self, lead: Callable[[Iterable], Hashable] = min):
         self.lead = lead
-        self.pivots: dict[Hashable, tuple[Row, int]] = {}
+        self.pivots: dict[Hashable, tuple[Row, Row]] = {}
 
-    def reduce(self, row: Row, rhs: int = 0, full: bool = False):
-        """Cancel pivot columns of (row, rhs), cross-multiplying with their
-        pivot rows, until its lead is no pivot column (with ``full``: until
-        none of its columns is).  Returns the row, its rhs and its lead."""
+    def reduce(self, row: Row, tags: Row, full: bool = False):
+        """Cancel pivot columns of the tagged row, cross-multiplying with
+        their pivot rows, until its lead is no pivot column (with ``full``:
+        until none of its columns is).  Returns the row, its tags and its
+        lead."""
         pivots, lead = self.pivots, self.lead
+        row, tags = _reduce_gcd(row, tags)
         col = None
         while row:
             col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
             pivot = pivots.get(col)
             if pivot is None:
                 break
-            prow, prhs = pivot
-            a = row[col]
-            b = prow[col]
-            updated: Row = {c: b * v for c, v in row.items()}
-            for c, v in prow.items():
-                nv = updated.get(c, 0) - a * v
-                if nv:
-                    updated[c] = nv
-                else:
-                    updated.pop(c, None)
-            row, rhs = _reduce_gcd(updated, b * rhs - a * prhs)
-        return row, rhs, col
+            prow, ptags = pivot
+            a, b = row[col], prow[col]
+            row, tags = _reduce_gcd(_combine(b, row, a, prow), _combine(b, tags, a, ptags))
+        return row, tags, col
 
-    def add(self, row: Row, rhs: int = 0, full: bool = False):
-        """Reduce (row, rhs) and keep it as a pivot row unless it vanished."""
-        row, rhs, col = self.reduce(row, rhs, full)
+    def add(self, row: Row, tags: Row, full: bool = False):
+        """Reduce the tagged row and keep it as a pivot row unless it vanished."""
+        row, tags, col = self.reduce(row, tags, full)
         if row:
-            self.pivots[col] = (row, rhs)
-        return row, rhs, col
+            self.pivots[col] = (row, tags)
+        return row, tags, col
 
 
-def solve_sparse(equations: Iterable[tuple[Row, int]]) -> dict[int, Fraction] | None:
-    """One exact solution of the sparse integer system, or None if inconsistent.
+def solve_sparse(
+    columns: Iterable[tuple[Row, Hashable]], target: Row
+) -> dict[Hashable, Fraction] | None:
+    """One exact solution x of ``sum_j x_j * column_j = target``, or None.
 
-    Each equation is a row of nonzero integer coefficients keyed by unknown
-    and an integer right-hand side; a system with rational coefficients is
-    scaled to integers by the caller.  Free (non-pivot) unknowns are pinned
-    to zero; the returned mapping only lists nonzero components, which may
-    be non-integral.
+    Each integer column comes with its unknown (any key but None) and is
+    inserted in the order given, tagged with that unknown; a column in the
+    span of earlier ones reduces to zero, and its unknown is 0.  The target,
+    tagged None, reduces to zero exactly when it is in the span, and then
+    ``tags[None] * target + sum_j tags[j] * column_j = 0``.  Only nonzero
+    components are listed.
     """
     echelon = Echelon()
-    for equation, rhs in equations:
-        row, r, _ = echelon.add(*_reduce_gcd(equation, rhs))
-        if not row and r:
-            return None
-    solution: dict[int, Fraction] = {}
-    for col in sorted(echelon.pivots, reverse=True):
-        row, rhs = echelon.pivots[col]
-        total = Fraction(rhs)
-        for c, v in row.items():
-            if c != col:
-                x = solution.get(c)
-                if x:
-                    total -= v * x
-        value = total / row[col]
-        if value:
-            solution[col] = value
-    return solution
+    for column, unknown in columns:
+        echelon.add(column, {unknown: 1})
+    residual, tags, _ = echelon.reduce(target, {None: 1})
+    if residual:
+        return None
+    scale = tags.pop(None)
+    return {unknown: Fraction(-t, scale) for unknown, t in tags.items()}
 
 
 def rational_rank(rows: Iterable[Mapping]) -> int:
     """Rank over Q of sparse rows (mappings from orderable keys to rationals)."""
     echelon = Echelon()
     for row in rows:
-        echelon.add(*_integerize(row))
+        echelon.add(integer_scaled(row)[1], {})
     return len(echelon.pivots)
 
 
@@ -143,13 +138,15 @@ class RationalSpan:
         return len(self._echelon.pivots)
 
     def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        # The right-hand side starts at 1 and carries the scale of the row.
-        row, scale, _ = self._echelon.reduce(*_integerize(terms, Fraction(1)), full=True)
-        return {m: Fraction(v, scale) for m, v in row.items()}
+        # The tag starts at the scale, so the row is always tags[None] * terms
+        # minus a combination of pivot rows.
+        scale, row = integer_scaled(terms)
+        row, tags, _ = self._echelon.reduce(row, {None: scale}, full=True)
+        return {m: Fraction(v, tags[None]) for m, v in row.items()}
 
     def add(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction] | None:
         """Insert; returns the residual with leading coefficient 1, or None if dependent."""
-        row, _, lead = self._echelon.add(*_integerize(terms), full=True)
+        row, _, lead = self._echelon.add(integer_scaled(terms)[1], {}, full=True)
         if not row:
             return None
         return {m: Fraction(v, row[lead]) for m, v in row.items()}

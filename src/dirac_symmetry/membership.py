@@ -1,16 +1,17 @@
 """Membership in the module generated by constraint polynomials.
 
 ``decompose`` searches for coefficient polynomials f_k with
-``target = sum_k f_k * generators[k]`` by equating coefficients on the
-monomial basis and solving the resulting exact linear system.  Each
-generator g_k is scaled once per search by the lcm s_k of its denominators,
-and the target by its own lcm t, so every system is built in integers; a
-solution h_k maps back to f_k = h_k * s_k / t.  The search runs degree by
-degree, so the certificate it returns has coefficients of the smallest
-achievable maximum degree.  A search whose systems would have more than
-``MAX_UNKNOWNS`` unknowns in all is refused with
-``SearchTooLargeError`` before the degree that passes the cap is built, so no
-search runs without limit.
+``target = sum_k f_k * generators[k]`` by solving an exact linear system.
+Its unknown for monomial m in f_k has the shifted generator m * g_k as its
+column, and ``linsolve.solve_sparse`` takes these columns and the target as
+they are.  Each generator g_k is scaled once per search by the lcm s_k of
+its denominators, and the target by its own lcm t, so every column is built
+in integers; a solution h_k maps back to f_k = h_k * s_k / t.  The search
+runs degree by degree, so the certificate it returns has coefficients of
+the smallest achievable maximum degree.  A search whose systems would have
+more than ``MAX_UNKNOWNS`` unknowns in all is refused with
+``SearchTooLargeError`` before the degree that passes the cap is built, so
+no search runs without limit.
 
 When degree 0 fails, the target is first reduced modulo a reduced Groebner
 basis of the generators in the package's graded-lex order (Buchberger's
@@ -31,12 +32,12 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement
-from math import comb, lcm
+from math import comb
 from operator import add
 from typing import Sequence
 
 from .errors import SearchTooLargeError
-from .linsolve import Row, solve_sparse
+from .linsolve import Row, integer_scaled, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 
 
@@ -358,46 +359,22 @@ def _monomials_up_to(
     return monomials
 
 
-def _integer_terms(poly: PhasePolynomial) -> tuple[int, dict[Exponents, int]]:
-    """(s, s * poly) with s the lcm of the coefficient denominators, so that
-    s * poly has integer coefficients."""
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    return scale, {
-        mon: c.numerator * (scale // c.denominator) for mon, c in poly.terms.items()
-    }
-
-
 def _try_degree(
-    target: dict[Exponents, int],
+    target: Row,
     generators: Sequence[dict[Exponents, int]],
     monomials: Sequence[Exponents],
 ) -> dict[int, Fraction] | None:
     """Solve ``target = sum_k h_k * generators[k]`` over the coefficient
-    `monomials`, all polynomials given by integer terms; unknown
-    ``k * len(monomials) + i`` is the coefficient of ``monomials[i]`` in h_k.
-
-    Distinct terms of one generator shifted by the same monomial land on
-    distinct products, so every entry of a row is a single generator
-    coefficient and the rows are integer from the start.
-    """
+    `monomials`, all polynomials given by integer terms.  Unknown
+    ``k * len(monomials) + i`` is the coefficient of ``monomials[i]`` in h_k;
+    its column is the shifted generator ``monomials[i] * generators[k]``."""
     n_mons = len(monomials)
-    rows: dict[Exponents, Row] = {}
-    for k, gen in enumerate(generators):
-        for col, mon in enumerate(monomials, k * n_mons):
-            for gmon, gcoeff in gen.items():
-                prod = tuple(map(add, mon, gmon))
-                row = rows.get(prod)
-                if row is None:
-                    rows[prod] = {col: gcoeff}
-                else:
-                    row[col] = gcoeff
-    for mon in target:
-        rows.setdefault(mon, {})
-    equations = [
-        (rows[mon], target.get(mon, 0))
-        for mon in sorted(rows, key=_grlex_key, reverse=True)
+    columns = [
+        ({tuple(map(add, mon, gmon)): c for gmon, c in gen.items()}, unknown)
+        for k, gen in enumerate(generators)
+        for unknown, mon in enumerate(monomials, k * n_mons)
     ]
-    return solve_sparse(equations)
+    return solve_sparse(columns, target)
 
 
 def _certificate(
@@ -462,9 +439,9 @@ def decompose(
         allowed |= gen.used_indices()
     allowed_order = sorted(allowed)
     max_useful = degree_bound if allowed_order else 0
-    # Integer rows for every degree: generator k scaled by s_k, the target by t.
-    target_scale, target_terms = _integer_terms(target)
-    scales, scaled = zip(*map(_integer_terms, generators))
+    # Integer terms for every degree: generator k scaled by s_k, the target by t.
+    target_scale, target_terms = integer_scaled(target.terms)
+    scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
     unknowns = 0
     for degree in range(max_useful + 1):
         # Between degrees 0 and 1: most certificates are constant and need

@@ -240,6 +240,33 @@ class TestErrorExitCodes:
         ) in out
         assert "all pairs first class: NO" in out
 
+    def test_huge_phase_space_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "wide.model"
+        path.write_text(
+            "[system]\nn_dof = 10000000\nhamiltonian = q1*p1\n[primaries]\nP1 = p2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: invalid input: [system]: n_dof must be at most "
+            f"{phase.MAX_DOF}, got 10000000\n"
+        )
+
+    @pytest.mark.parametrize("literal", ["7" * 5001, "1/" + "7" * 4400])
+    def test_over_long_literal_is_invalid_input(self, capsys, tmp_path, literal):
+        path = tmp_path / "literal.model"
+        path.write_text(
+            f"[system]\nn_dof = 1\nhamiltonian = q1*p1 + {literal}*q1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid input: [system] hamiltonian: numeric literal of")
+        assert "digits is too long" in err
+
     def test_oversized_power_is_invalid_input(self, capsys, tmp_path):
         # Squaring the 715-term fourth power would form 715^2 term pairs.
         path = tmp_path / "power.model"

@@ -34,41 +34,61 @@ def integer_equation(row, rhs):
     return {k: int(c * scale) for k, c in row.items()}, int(rhs * scale)
 
 
+def columns_of(equations):
+    """The integer equations transposed: one (column, unknown) pair per
+    unknown, in unknown order, and the target, both keyed by equation."""
+    columns, target = {}, {}
+    for i, (row, rhs) in enumerate(equations):
+        for k, c in row.items():
+            columns.setdefault(k, {})[i] = c
+        if rhs:
+            target[i] = rhs
+    return [(columns[k], k) for k in sorted(columns)], target
+
+
+def solve(equations):
+    return solve_sparse(*columns_of(equations))
+
+
 class TestSolveSparse:
     def test_unique_solution(self):
         eqs = [
             ({0: 2, 1: 1}, 5),
             ({0: 1, 1: -1}, 1),
         ]
-        solution = solve_sparse(eqs)
-        assert solution == {0: F(2), 1: F(1)}
+        assert columns_of(eqs) == ([({0: 2, 1: 1}, 0), ({0: 1, 1: -1}, 1)], {0: 5, 1: 1})
+        assert solve(eqs) == {0: F(2), 1: F(1)}
 
     def test_non_integral_solution(self):
-        assert solve_sparse([({0: 2}, 5)]) == {0: F(5, 2)}
+        # 2x = 5
+        assert solve_sparse([({0: 2}, 0)], {0: 5}) == {0: F(5, 2)}
 
     def test_inconsistent(self):
         eqs = [
             ({0: 1}, 1),
             ({0: 2}, 3),
         ]
-        assert solve_sparse(eqs) is None
+        assert solve(eqs) is None
 
-    def test_zero_row_nonzero_rhs(self):
-        assert solve_sparse([({}, 1)]) is None
-        assert solve_sparse([({}, 0)]) == {}
+    def test_no_columns_or_zero_columns(self):
+        assert solve_sparse([], {0: 1}) is None
+        assert solve_sparse([({}, 0)], {0: 1}) is None
+        assert solve_sparse([], {}) == {}
+        assert solve_sparse([({}, 0)], {}) == {}
 
-    def test_underdetermined_pins_free_variables(self):
-        # x0 + x1 = 3 with x1 free: deterministic solution x1 = 0.
-        solution = solve_sparse([({0: 1, 1: 1}, 3)])
-        assert solution == {0: F(3)}
+    def test_dependent_column_gets_zero(self):
+        # x0 + x1 = 3: x1's column repeats x0's, so x1 is pinned to 0 ...
+        assert solve_sparse([({0: 1}, 0), ({0: 1}, 1)], {0: 3}) == {0: F(3)}
+        # ... and the insertion order, not the unknowns' names, decides.
+        assert solve_sparse([({0: 1}, 1), ({0: 1}, 0)], {0: 3}) == {1: F(3)}
 
     def test_redundant_rows(self):
         eqs = [
             ({0: 1, 1: 2}, 3),
             ({0: 2, 1: 4}, 6),
         ]
-        solution = solve_sparse(eqs)
-        assert solution is not None
+        solution = solve(eqs)
+        assert solution == {0: F(3)}
         check(eqs, solution)
 
     def test_randomized_consistent_systems(self):
@@ -88,7 +108,7 @@ class TestSolveSparse:
                 row = {k: v for k, v in row.items() if v}
                 rhs = sum(c * planted[k] for k, c in row.items())
                 eqs.append(integer_equation(row, F(rhs)))
-            solution = solve_sparse(eqs)
+            solution = solve(eqs)
             assert solution is not None
             check(eqs, solution)
 
@@ -101,9 +121,11 @@ class TestSolveSparse:
             a = dense(rows, range(n))
             augmented = a.row_join(sp.Matrix(rhss))
             eqs = [integer_equation(row, rhs) for row, rhs in zip(rows, rhss)]
-            solution = solve_sparse(eqs)
+            solution = solve(eqs)
             if a.rank() == augmented.rank():
                 check(eqs, solution)
+                # supported on the pivot columns, where the solution is unique
+                assert set(solution) <= set(a.rref()[1])
             else:
                 assert solution is None
 
@@ -112,7 +134,7 @@ class TestSolveSparse:
             ({0: 1, 2: 3}, 2),
             ({1: 2, 2: -1}, 0),
         ]
-        assert solve_sparse(eqs) == solve_sparse(list(eqs))
+        assert solve(eqs) == solve(list(eqs))
 
 
 class TestRationalRank:

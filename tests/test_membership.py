@@ -356,8 +356,8 @@ class TestIntegerSystems:
         assert min(compared.values()) >= 10, compared
 
     def test_system_sizes_of_a_fixed_positive_search(self, monkeypatch):
-        # (rows, columns, nonzeros) of every system the search solves: a
-        # guard on the work of the ladder that does not depend on timing.
+        # (unknowns, monomials, nonzeros) of every system the search solves:
+        # a guard on the work of the ladder that does not depend on timing.
         model = em_modes(2)
         system = model.system
         space = system.space
@@ -371,14 +371,14 @@ class TestIntegerSystems:
         sizes = []
         real = membership.solve_sparse
 
-        def recording(equations):
-            columns = set().union(*(row for row, _ in equations))
+        def recording(columns, target):
+            monomials = set().union(*(column for column, _ in columns))
             sizes.append((
-                len(equations), len(columns), sum(len(row) for row, _ in equations)
+                len(columns), len(monomials), sum(len(column) for column, _ in columns)
             ))
-            return real(equations)
+            return real(columns, target)
 
         monkeypatch.setattr(membership, "solve_sparse", recording)
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
-        assert sizes == [(44, 5, 17), (269, 80, 272), (1964, 680, 2312)]
+        assert sizes == [(5, 17, 17), (80, 256, 272), (680, 1964, 2312)]

@@ -49,6 +49,13 @@ class TestPhaseSpace:
         with pytest.raises(ValueError):
             PhaseSpace(0)
 
+    def test_degrees_of_freedom_are_capped(self):
+        assert PhaseSpace(phase.MAX_DOF).n_dof == phase.MAX_DOF
+        with pytest.raises(ValueError, match=f"n_dof must be at most {phase.MAX_DOF}"):
+            PhaseSpace(phase.MAX_DOF + 1)
+        with pytest.raises(ValueError):
+            PhaseSpace(10**7)
+
     def test_extend_appends_parameters(self):
         space = PhaseSpace(1)
         ext = space.extend(("v1", "u1"))
@@ -88,6 +95,20 @@ class TestParsing:
         assert poly("2*-3", SPACE2) == PhasePolynomial.constant(SPACE2, -6)
         with pytest.raises(ParseError):
             parse_polynomial("1/0", SPACE2)
+
+    def test_over_long_literals_are_parse_errors(self):
+        # Python converts at most sys.get_int_max_str_digits() (4300) digits.
+        for text, position in (
+            ("q1 + " + "7" * 5001 + "*p1", 5),
+            ("q1 + 1/" + "3" * 4400, 7),
+            ("q1^" + "2" * 5001, 3),
+        ):
+            with pytest.raises(ParseError, match="digits is too long") as err:
+                parse_polynomial(text, SPACE2)
+            assert err.value.position == position
+        assert poly("1/" + "3" * 4300, SPACE2) == PhasePolynomial.constant(
+            SPACE2, Fraction(1, int("3" * 4300))
+        )
 
     def test_parenthesized_powers(self):
         assert poly("(q1 + p1)^2", SPACE2) == poly("q1^2 + 2*q1*p1 + p1^2", SPACE2)
