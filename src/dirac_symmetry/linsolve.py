@@ -9,12 +9,17 @@ smallest key for ``solve_sparse`` and ``rational_rank``, the graded-lex
 leading monomial for ``RationalSpan``.  No result depends on how
 elimination proceeds: a solution depends only on the order of the columns,
 a residual only on the pivot order, and a rank on neither.
+
+``solve_sparse`` takes its columns as ``Columns``, a list that keeps the
+echelon of its columns once the first solve has built it; later targets
+are reduced against that echelon, which ``Echelon.reduce`` never changes,
+so every target gets the solution a fresh elimination would give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -90,22 +95,35 @@ class Echelon:
         return row, tags, col
 
 
+class Columns(list):
+    """``(column, unknown)`` pairs of a linear system, integer columns with
+    any unknown but None.  ``echelon`` inserts them in list order, each
+    tagged with its unknown, the first time it is read, and is kept; the
+    list must not change after that."""
+
+    @cached_property
+    def echelon(self) -> Echelon:
+        echelon = Echelon()
+        for column, unknown in self:
+            echelon.add(column, {unknown: 1})
+        return echelon
+
+
 def solve_sparse(
     columns: Iterable[tuple[Row, Hashable]], target: Row
 ) -> dict[Hashable, Fraction] | None:
     """One exact solution x of ``sum_j x_j * column_j = target``, or None.
 
-    Each integer column comes with its unknown (any key but None) and is
-    inserted in the order given, tagged with that unknown; a column in the
-    span of earlier ones reduces to zero, and its unknown is 0.  The target,
-    tagged None, reduces to zero exactly when it is in the span, and then
+    The columns are inserted in the order given (see ``Columns``, which any
+    other iterable is wrapped in); a column in the span of earlier ones
+    reduces to zero, and its unknown is 0.  The target, tagged None, reduces
+    to zero exactly when it is in the span, and then
     ``tags[None] * target + sum_j tags[j] * column_j = 0``.  Only nonzero
     components are listed.
     """
-    echelon = Echelon()
-    for column, unknown in columns:
-        echelon.add(column, {unknown: 1})
-    residual, tags, _ = echelon.reduce(target, {None: 1})
+    if not isinstance(columns, Columns):
+        columns = Columns(columns)
+    residual, tags, _ = columns.echelon.reduce(target, {None: 1})
     if residual:
         return None
     scale = tags.pop(None)

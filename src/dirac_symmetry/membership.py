@@ -13,6 +13,17 @@ more than ``MAX_UNKNOWNS`` unknowns in all is refused with
 ``SearchTooLargeError`` before the degree that passes the cap is built, so
 no search runs without limit.
 
+Monomials are packed into one int each, a fixed-width exponent field per
+identifier the search allows, so a shifted column is one integer addition
+per term; the packed ints order as the exponent tuples do, and elimination
+takes the same pivots.  A system depends only on the generators, the
+allowed identifiers, the degree and the field width, not on the target, so
+each is built once and kept with its echelon (``linsolve.Columns``);
+later targets are reduced against it.  Kept systems are evicted least
+recently used first once they hold more than ``MAX_UNKNOWNS`` unknowns in
+all.  The same columns in the same order give the same echelon and the same
+solution, so a kept system returns the certificate a fresh one would.
+
 When degree 0 fails, the target is first reduced modulo a reduced Groebner
 basis of the generators in the package's graded-lex order (Buchberger's
 algorithm with the Gebauer-Moeller criteria, memoised per generator tuple).
@@ -26,6 +37,7 @@ a negative answer means only "not representable within degree d".
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,11 +45,11 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement
 from math import comb
-from operator import add
-from typing import Sequence
+from threading import Lock
+from typing import NamedTuple, Sequence
 
 from .errors import SearchTooLargeError
-from .linsolve import Row, integer_scaled, solve_sparse
+from .linsolve import Columns, Row, integer_scaled, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 
 
@@ -46,7 +58,8 @@ from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 # system, bounds the work: with one identifier each degree adds only one
 # monomial, and a ladder towards a degree bound of a million would run for
 # hours.  The largest search of the benchmark workloads has 4845 unknowns in
-# all (880 in the test suite).
+# all (880 in the test suite).  The kept systems hold no more unknowns in all
+# than one search may solve for.
 MAX_UNKNOWNS = 50_000
 
 # Steps a Groebner basis may take, and steps the target's normal form may
@@ -343,60 +356,133 @@ def _normal_form(
         return None
 
 
-def _monomials_up_to(
-    space: PhaseSpace, allowed: Sequence[int], degree: int
-) -> list[Exponents]:
-    """All exponent tuples supported on `allowed` with total degree <= degree,
-    in ascending graded order."""
-    n = space.n_identifiers
-    monomials: list[Exponents] = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(allowed, d):
-            exps = [0] * n
-            for idx in combo:
-                exps[idx] += 1
-            monomials.append(tuple(exps))
-    return monomials
+# ----------------------------------------------------------------------
+# Macaulay systems over packed monomials, kept across searches
+# ----------------------------------------------------------------------
+_Fields = tuple[tuple[int, int], ...]
 
 
-def _try_degree(
-    target: Row,
-    generators: Sequence[dict[Exponents, int]],
-    monomials: Sequence[Exponents],
-) -> dict[int, Fraction] | None:
-    """Solve ``target = sum_k h_k * generators[k]`` over the coefficient
-    `monomials`, all polynomials given by integer terms.  Unknown
-    ``k * len(monomials) + i`` is the coefficient of ``monomials[i]`` in h_k;
-    its column is the shifted generator ``monomials[i] * generators[k]``."""
-    n_mons = len(monomials)
-    columns = [
-        ({tuple(map(add, mon, gmon)): c for gmon, c in gen.items()}, unknown)
-        for k, gen in enumerate(generators)
-        for unknown, mon in enumerate(monomials, k * n_mons)
+def _fields(allowed: Sequence[int], width: int) -> _Fields:
+    """(identifier, bit offset) of each exponent field of a packed monomial:
+    `width` bits per allowed identifier, the first one most significant.
+    While no exponent reaches 2**width, packing is injective, adds when
+    monomials multiply, and orders packed monomials as their exponent
+    tuples."""
+    top = width * (len(allowed) - 1)
+    return tuple(zip(allowed, range(top, -1, -width)))
+
+
+def _pack(mon: Exponents, fields: _Fields) -> int:
+    return sum(mon[idx] << shift for idx, shift in fields)
+
+
+def _unpack(packed: int, fields: _Fields, width: int, n_identifiers: int) -> Exponents:
+    exps = [0] * n_identifiers
+    mask = (1 << width) - 1
+    for idx, shift in fields:
+        exps[idx] = packed >> shift & mask
+    return tuple(exps)
+
+
+def _monomials_up_to(fields: _Fields, degree: int) -> list[int]:
+    """All packed monomials in the fields' identifiers with total degree
+    <= degree, in ascending graded order."""
+    units = [1 << shift for _, shift in fields]
+    return [
+        sum(combo)
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(units, d)
     ]
-    return solve_sparse(columns, target)
+
+
+class _Module(NamedTuple):
+    """The generators of a search, each g_k scaled by s_k and packed."""
+
+    scales: tuple[int, ...]
+    generators: tuple[Row, ...]
+
+
+class _System(NamedTuple):
+    """One degree's Macaulay system: unknown ``k * len(monomials) + i`` is
+    the coefficient of ``monomials[i]`` in h_k, and its column is the
+    shifted generator ``monomials[i] * module.generators[k]``."""
+
+    columns: Columns
+    monomials: list[int]
+    module: _Module
+
+
+class _KeptSystems:
+    """Built systems by (generators, allowed identifiers, degree, field
+    width), least recently used first, with at most ``MAX_UNKNOWNS``
+    unknowns in all: about the memory one search at the cap takes anyway.
+    A lock keeps the order and the count consistent across threads."""
+
+    def __init__(self):
+        self.systems: OrderedDict[tuple, _System] = OrderedDict()
+        self.unknowns = 0
+        self.lock = Lock()
+
+    def get(self, key: tuple) -> _System | None:
+        with self.lock:
+            system = self.systems.get(key)
+            if system is not None:
+                self.systems.move_to_end(key)
+            return system
+
+    def put(self, key: tuple, system: _System) -> None:
+        with self.lock:
+            if key in self.systems:  # built meanwhile in another thread
+                return
+            self.systems[key] = system
+            self.unknowns += len(system.columns)
+            while self.unknowns > MAX_UNKNOWNS:
+                _, old = self.systems.popitem(last=False)
+                self.unknowns -= len(old.columns)
+
+    def clear(self) -> None:
+        with self.lock:
+            self.systems.clear()
+            self.unknowns = 0
+
+
+_KEPT = _KeptSystems()
+
+
+def _build_system(module: _Module, monomials: list[int]) -> _System:
+    n_mons = len(monomials)
+    columns = Columns(
+        ({mon + gmon: c for gmon, c in gen.items()}, unknown)
+        for k, gen in enumerate(module.generators)
+        for unknown, mon in enumerate(monomials, k * n_mons)
+    )
+    return _System(columns, monomials, module)
+
+
+def _try_degree(target: Row, system: _System) -> dict[int, Fraction] | None:
+    """Solve ``target = sum_k h_k * generators[k]`` in the system's
+    unknowns, all polynomials given by packed integer terms."""
+    return solve_sparse(system.columns, target)
 
 
 def _certificate(
     space: PhaseSpace,
     solution: dict[int, Fraction],
-    monomials: Sequence[Exponents],
-    scales: Sequence[int],
+    system: _System,
+    fields: _Fields,
+    width: int,
     target_scale: int,
 ) -> tuple[PhasePolynomial, ...]:
     """The coefficients f_k = h_k * s_k / t of a solution h of the system
-    over the generators scaled by s_k and the target scaled by t."""
-    n_mons = len(monomials)
-    coefficients = []
-    for k, scale in enumerate(scales):
-        factor = Fraction(scale, target_scale)
-        terms = {}
-        for col, mon in enumerate(monomials, k * n_mons):
-            value = solution.get(col)
-            if value:
-                terms[mon] = value * factor
-        coefficients.append(PhasePolynomial(space, terms))
-    return tuple(coefficients)
+    over the generators scaled by s_k and the target scaled by t; only the
+    solution's nonzero unknowns are visited."""
+    monomials, scales = system.monomials, system.module.scales
+    terms: list[dict[Exponents, Fraction]] = [{} for _ in scales]
+    for col, value in solution.items():
+        k, i = divmod(col, len(monomials))
+        mon = _unpack(monomials[i], fields, width, space.n_identifiers)
+        terms[k][mon] = value * Fraction(scales[k], target_scale)
+    return tuple(PhasePolynomial(space, t) for t in terms)
 
 
 def decompose(
@@ -437,11 +523,15 @@ def decompose(
     allowed: set[int] = set(target.used_indices())
     for gen in generators:
         allowed |= gen.used_indices()
-    allowed_order = sorted(allowed)
+    allowed_order = tuple(sorted(allowed))
     max_useful = degree_bound if allowed_order else 0
-    # Integer terms for every degree: generator k scaled by s_k, the target by t.
+    # No exponent of the target or of a column reaches 2**width (see _fields).
+    top = degree_bound + max(g.total_degree() for g in generators)
+    width = max(target.total_degree(), top, 1).bit_length()
+    fields = _fields(allowed_order, width)
     target_scale, target_terms = integer_scaled(target.terms)
-    scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
+    target_terms = {_pack(mon, fields): c for mon, c in target_terms.items()}
+    module = None
     unknowns = 0
     for degree in range(max_useful + 1):
         # Between degrees 0 and 1: most certificates are constant and need
@@ -456,10 +546,23 @@ def decompose(
                 f"over {len(allowed_order)} identifiers), above the limit of "
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
-        monomials = _monomials_up_to(space, allowed_order, degree)
-        solution = _try_degree(target_terms, scaled, monomials)
+        key = (generators, allowed_order, degree, width)
+        system = _KEPT.get(key)
+        if system is None:
+            if module is None:
+                # Integer terms for every degree: generator k scaled by s_k.
+                scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
+                module = _Module(scales, tuple(
+                    {_pack(mon, fields): c for mon, c in g.items()} for g in scaled
+                ))
+            system = _build_system(module, _monomials_up_to(fields, degree))
+            _KEPT.put(key, system)
+        module = system.module
+        solution = _try_degree(target_terms, system)
         if solution is not None:
-            coefficients = _certificate(space, solution, monomials, scales, target_scale)
+            coefficients = _certificate(
+                space, solution, system, fields, width, target_scale
+            )
             result = IdealDecomposition(target, generators, coefficients, degree_bound)
             if not result.verify():  # soundness guard, must never trip
                 raise RuntimeError(

@@ -4,7 +4,7 @@ from math import lcm
 
 import sympy as sp
 
-from dirac_symmetry.linsolve import RationalSpan, rational_rank, solve_sparse
+from dirac_symmetry.linsolve import Columns, RationalSpan, rational_rank, solve_sparse
 
 F = Fraction
 
@@ -135,6 +135,30 @@ class TestSolveSparse:
             ({1: 2, 2: -1}, 0),
         ]
         assert solve(eqs) == solve(list(eqs))
+
+    def test_kept_echelon_answers_every_target_as_a_fresh_one(self):
+        rng = random.Random(11)
+        equations = [integer_equation(row, 0) for row in random_rows(rng, 8, 6)]
+        pairs, _ = columns_of(equations)
+        columns = Columns(pairs)
+        echelon = columns.echelon
+        outcomes = []
+        for _ in range(20):
+            # a combination of the columns, half the time moved off their span
+            target = {}
+            for column, _ in pairs:
+                x = rng.randint(-2, 2)
+                for i, v in column.items():
+                    target[i] = target.get(i, 0) + x * v
+            if rng.random() < 0.5:
+                i = rng.randrange(8)
+                target[i] = target.get(i, 0) + 1
+            target = {i: v for i, v in target.items() if v}
+            solution = solve_sparse(columns, target)
+            assert solution == solve_sparse(list(pairs), target)
+            outcomes.append(solution is None)
+        assert columns.echelon is echelon  # built once, then kept
+        assert True in outcomes and False in outcomes
 
 
 class TestRationalRank:

@@ -1,8 +1,12 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirac_symmetry import (
     CoefficientMode,
@@ -17,7 +21,7 @@ from dirac_symmetry import (
     weak_equals,
 )
 
-from dirac_symmetry import membership
+from dirac_symmetry import linsolve, membership
 from conftest import poly, random_polynomial
 
 SPACE = PhaseSpace(3)
@@ -115,7 +119,7 @@ class TestSizeCap:
         monkeypatch.setattr(
             membership,
             "_try_degree",
-            lambda t, g, mons: built.append(len(mons) * len(g)) or real(t, g, mons),
+            lambda t, system: built.append(len(system.columns)) or real(t, system),
         )
         generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
         with pytest.raises(SearchTooLargeError) as info:
@@ -134,7 +138,7 @@ class TestSizeCap:
         monkeypatch.setattr(
             membership,
             "_try_degree",
-            lambda t, g, mons: built.append(len(mons) * len(g)) or real(t, g, mons),
+            lambda t, system: built.append(len(system.columns)) or real(t, system),
         )
         generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
         outcome = decompose(poly("q1^9*p2", SPACE), generators)
@@ -382,3 +386,167 @@ class TestIntegerSystems:
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
         assert sizes == [(5, 17, 17), (80, 256, 272), (680, 1964, 2312)]
+
+    def test_certificates_match_on_a_warm_cache(self, monkeypatch):
+        membership._KEPT.clear()
+        self.test_certificates_match_the_dense_rational_reference()
+        inserted = []
+        real = linsolve.Echelon.add
+        monkeypatch.setattr(
+            linsolve.Echelon, "add",
+            lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
+        )
+        self.test_certificates_match_the_dense_rational_reference()
+        assert inserted == []  # every system came from the cache
+
+
+# ----------------------------------------------------------------------
+# Packed monomials and kept systems
+# ----------------------------------------------------------------------
+@st.composite
+def packing_cases(draw):
+    """A width, an allowed subset of n identifiers, and three exponent
+    tuples supported on it, the sum of the first two still within the
+    width."""
+    n = draw(st.integers(1, 7))
+    allowed = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    width = draw(st.integers(1, 5))
+    top = (1 << width) - 1
+
+    def tuple_of(values):
+        exps = [0] * n
+        for idx, value in zip(allowed, values):
+            exps[idx] = value
+        return tuple(exps)
+
+    a = [draw(st.integers(0, top)) for _ in allowed]
+    b = [draw(st.integers(0, top - x)) for x in a]
+    c = [draw(st.integers(0, top)) for _ in allowed]
+    return n, allowed, width, tuple_of(a), tuple_of(b), tuple_of(c)
+
+
+class TestPackedMonomials:
+    @given(packing_cases())
+    def test_packing_is_injective_additive_and_ordered(self, case):
+        n, allowed, width, a, b, c = case
+        fields = membership._fields(allowed, width)
+
+        def pack(mon):
+            return membership._pack(mon, fields)
+
+        assert (pack(a) == pack(c)) == (a == c)
+        assert (pack(a) < pack(c)) == (a < c)
+        assert pack(a) + pack(b) == pack(tuple(x + y for x, y in zip(a, b)))
+        assert membership._unpack(pack(c), fields, width, n) == c
+
+    def test_packed_monomials_are_in_ascending_graded_order(self):
+        fields = membership._fields([0, 2, 3], 3)
+        packed = membership._monomials_up_to(fields, 3)
+        tuples = [membership._unpack(m, fields, 3, 5) for m in packed]
+        assert len(set(packed)) == len(packed) == 20
+        assert tuples == sorted(tuples, key=lambda m: (sum(m), [-e for e in m]))
+
+    @pytest.mark.parametrize(
+        "target, generators, bound, expected, exact",
+        [
+            # p1^2 is no multiple of q1; a field one bit wide, wide enough
+            # for the columns alone, would pack p1^2 as q1.
+            ("p1^2", ["q1"], 0, None, False),
+            ("q1*p1^4", ["q1"], 0, None, False),
+            ("q1*p1^4", ["q1"], 4, ["p1^4"], None),
+            ("q1^9*p1*p2", ["p1"], 2, None, False),
+            ("q3^7*p2 + p3", ["q1", "p3"], 0, None, False),
+            ("q3^7*p2 + p3", ["q1", "p3"], 1, None, True),
+        ],
+    )
+    def test_target_degree_above_the_columns(self, target, generators, bound, expected, exact):
+        # deg target > degree bound + max generator degree: the field width
+        # follows the target, so no exponent of it aliases another field.
+        outcome = decompose(
+            poly(target, SPACE), [poly(g, SPACE) for g in generators], degree_bound=bound
+        )
+        if expected is None:
+            assert isinstance(outcome, NotFound) and outcome.exact is exact
+        else:
+            assert [str(c) for c in found(outcome).coefficients] == expected
+
+
+class TestKeptSystems:
+    GENERATORS = ("q1*p1 - 1", "p2^2")
+
+    def test_a_repeated_search_inserts_no_column(self, monkeypatch):
+        g0, g1 = (poly(g, SPACE) for g in self.GENERATORS)
+        first = poly("q2", SPACE) * g0 + poly("p1", SPACE) * g1
+        second = poly("p1 - 3*q2", SPACE) * g0 + poly("2/3*q2", SPACE) * g1
+        membership._KEPT.clear()
+        found(decompose(first, [g0, g1]))
+        inserted = []
+        real = linsolve.Echelon.add
+        monkeypatch.setattr(
+            linsolve.Echelon, "add",
+            lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
+        )
+        warm = found(decompose(second, [g0, g1]))
+        assert inserted == []
+        membership._KEPT.clear()
+        cold = found(decompose(second, [g0, g1]))
+        assert inserted  # the emptied cache built its systems again
+        assert warm.coefficients == cold.coefficients
+        assert [str(c) for c in warm.coefficients] == ["-3*q2 + p1", "2/3*q2"]
+
+    def test_kept_unknowns_stay_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
+        membership._KEPT.clear()
+        solved = []
+        real = membership._try_degree
+        monkeypatch.setattr(
+            membership, "_try_degree",
+            lambda t, system: solved.append(system) or real(t, system),
+        )
+        searches = [
+            ("q1*p1*p2", ["p1", "p1^2"]),  # systems of 2, 8 and 20 unknowns
+            ("q2*p3", ["p3", "q2 + q3"]),
+            ("q1*p1*p2", ["p1", "p1^2"]),
+            ("q3^2*p2", ["p2"]),
+            ("q1*q2*p3 + p3", ["p3"]),
+        ]
+        for target, generators in searches:
+            decompose(poly(target, SPACE), [poly(g, SPACE) for g in generators])
+            kept = list(membership._KEPT.systems.values())
+            assert membership._KEPT.unknowns == sum(len(s.columns) for s in kept) <= 40
+            assert kept[-1] is solved[-1]  # the most recent system is kept
+        built = {id(system): len(system.columns) for system in solved}
+        assert sum(built.values()) > 40  # so some systems were evicted
+
+    def test_threads_share_the_kept_systems(self, monkeypatch):
+        # A small cap makes the threads evict each other's systems; without
+        # the cache's lock the unknown count loses updates in some runs.
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
+        rng = random.Random(5)
+        searches = []
+        for _ in range(12):
+            generators = [random_polynomial(rng, SPACE, 2, 2) for _ in range(2)]
+            multiplier = random_polynomial(rng, SPACE, 2, 1)
+            searches.append((multiplier * generators[0], generators))
+        membership._KEPT.clear()
+        expected = [decompose(t, g, degree_bound=1) for t, g in searches]
+        results = {}
+
+        def run(worker):
+            for _ in range(30):
+                results[worker] = [decompose(t, g, degree_bound=1) for t, g in searches]
+
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the cache too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[w] == expected for w in range(4))
+        kept = membership._KEPT.systems.values()
+        assert membership._KEPT.unknowns == sum(len(s.columns) for s in kept) <= 40
