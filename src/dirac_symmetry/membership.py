@@ -4,8 +4,8 @@
 ``target = sum_k f_k * generators[k]`` by solving an exact linear system.
 Its unknown for monomial m in f_k has the shifted generator m * g_k as its
 column, and ``linsolve.solve_sparse`` takes these columns and the target as
-they are.  Each generator g_k is scaled once per search by the lcm s_k of
-its denominators, and the target by its own lcm t, so every column is built
+they are.  Each generator g_k is scaled by the lcm s_k of its
+denominators, and the target by its own lcm t, so every column is built
 in integers; a solution h_k maps back to f_k = h_k * s_k / t.  The search
 runs degree by degree, so the certificate it returns has coefficients of
 the smallest achievable maximum degree.  A search whose systems would have
@@ -16,23 +16,23 @@ no search runs without limit.
 Monomials are packed into one int each, a fixed-width exponent field per
 identifier the search allows, so a shifted column is one integer addition
 per term; the packed ints order as the exponent tuples do, and elimination
-takes the same pivots.  A system depends only on the generators, the
-allowed identifiers, the degree and the field width, not on the target, so
-each is built once and kept with its echelon (``linsolve.Columns``);
-later targets are reduced against it.  Kept systems are evicted least
-recently used first once they hold more than ``MAX_UNKNOWNS`` unknowns in
-all.  The same columns in the same order give the same echelon and the same
-solution, so a kept system returns the certificate a fresh one would.
+takes the same pivots.  Each degree's system packs at the width its own
+columns need, and a degree whose columns cannot reach the target's degree
+is skipped, so a system depends only on the generators, the allowed
+identifiers and the degree.  Each is built once and kept with its echelon
+(``linsolve.Columns``); later targets are reduced against it.  The same
+columns in the same order give the same echelon and the same solution, so
+a kept system returns the certificate a fresh one would.
 
 When degree 0 fails, the target is first reduced modulo a reduced Groebner
 basis of the generators in the package's graded-lex order (Buchberger's
-algorithm with the Gebauer-Moeller criteria, memoised per generator tuple).
-A nonzero normal form proves non-membership at every degree, and the
-``NotFound`` it returns is ``exact``.  A zero normal form goes on to the
-degree ladder, which finds the minimal-degree certificate.  The basis and
-the reduction have step budgets (``MAX_BASIS_STEPS``,
-``MAX_REDUCTION_STEPS``); when either runs out, the ladder alone decides and
-a negative answer means only "not representable within degree d".
+algorithm with the Gebauer-Moeller criteria).  A nonzero normal form proves
+non-membership at every degree, and the ``NotFound`` it returns is
+``exact``.  A zero normal form goes on to the degree ladder, which finds the
+minimal-degree certificate.  The basis and the reduction have step budgets
+(``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when either runs out, the
+ladder alone decides and a negative answer means only "not representable
+within degree d".
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement
 from math import comb
 from threading import Lock
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import SearchTooLargeError
-from .linsolve import Columns, Row, integer_scaled, solve_sparse
+from .linsolve import Columns, integer_scaled, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 
 
@@ -58,8 +57,9 @@ from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
 # system, bounds the work: with one identifier each degree adds only one
 # monomial, and a ladder towards a degree bound of a million would run for
 # hours.  The largest search of the benchmark workloads has 4845 unknowns in
-# all (880 in the test suite).  The kept systems hold no more unknowns in all
-# than one search may solve for.
+# all (880 in the test suite).  It also bounds ``_KEPT``: the kept systems and
+# bases are charged no more in all, a system its unknowns and a basis its
+# terms.
 MAX_UNKNOWNS = 50_000
 
 # Steps a Groebner basis may take, and steps the target's normal form may
@@ -317,19 +317,24 @@ def _buchberger(
     return tuple(sorted(reduced, key=lambda g: _grlex_key(g[0]), reverse=True))
 
 
-@lru_cache(maxsize=64)
 def _groebner_basis(
     generators: tuple[PhasePolynomial, ...],
 ) -> tuple[_Monic, ...] | None:
-    """Memoised reduced Groebner basis of the generators, or None when it
-    would take more than ``MAX_BASIS_STEPS`` steps.  Polynomials are
+    """Reduced Groebner basis of the generators, kept in ``_KEPT``, or None
+    when it would take more than ``MAX_BASIS_STEPS`` steps.  Polynomials are
     immutable and cache their hash, so the tuple is the key."""
+    return _KEPT.get((generators,), _build_basis, generators)
+
+
+def _build_basis(
+    generators: tuple[PhasePolynomial, ...],
+) -> tuple[tuple[_Monic, ...] | None, int]:
     try:
-        return _buchberger(
-            [g.terms for g in generators if g], _Steps(MAX_BASIS_STEPS)
-        )
+        basis = _buchberger([g.terms for g in generators if g], _Steps(MAX_BASIS_STEPS))
     except _OutOfSteps:
-        return None
+        return None, 1
+    # Charged its terms, and at least 1, so the cap bounds how many are kept.
+    return basis, max(1, sum(1 + len(tail) for _, tail in basis))
 
 
 def _normal_form(
@@ -357,7 +362,7 @@ def _normal_form(
 
 
 # ----------------------------------------------------------------------
-# Macaulay systems over packed monomials, kept across searches
+# Macaulay systems over packed monomials
 # ----------------------------------------------------------------------
 _Fields = tuple[tuple[int, int], ...]
 
@@ -395,92 +400,92 @@ def _monomials_up_to(fields: _Fields, degree: int) -> list[int]:
     ]
 
 
-class _Module(NamedTuple):
-    """The generators of a search, each g_k scaled by s_k and packed."""
-
-    scales: tuple[int, ...]
-    generators: tuple[Row, ...]
-
-
 class _System(NamedTuple):
     """One degree's Macaulay system: unknown ``k * len(monomials) + i`` is
     the coefficient of ``monomials[i]`` in h_k, and its column is the
-    shifted generator ``monomials[i] * module.generators[k]``."""
+    shifted generator ``monomials[i] * s_k * g_k``, with s_k from
+    ``scales``.  Monomials are packed in ``fields`` of ``width`` bits."""
 
     columns: Columns
     monomials: list[int]
-    module: _Module
+    fields: _Fields
+    width: int
+    scales: tuple[int, ...]
 
 
-class _KeptSystems:
-    """Built systems by (generators, allowed identifiers, degree, field
-    width), least recently used first, with at most ``MAX_UNKNOWNS``
-    unknowns in all: about the memory one search at the cap takes anyway.
-    A lock keeps the order and the count consistent across threads."""
+def _build_system(
+    generators: tuple[PhasePolynomial, ...], allowed: tuple[int, ...], degree: int
+) -> tuple[_System, int]:
+    """The system and its charge in ``_KEPT``, its unknowns."""
+    # No exponent of a column reaches 2**width (see _fields).
+    width = max(degree + max(g.total_degree() for g in generators), 1).bit_length()
+    fields = _fields(allowed, width)
+    monomials = _monomials_up_to(fields, degree)
+    # Integer terms: generator k scaled by s_k, packed once for all its columns.
+    scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
+    packed = [{_pack(mon, fields): c for mon, c in g.items()} for g in scaled]
+    columns = Columns(
+        ({mon + gmon: c for gmon, c in gen.items()}, unknown)
+        for k, gen in enumerate(packed)
+        for unknown, mon in enumerate(monomials, k * len(monomials))
+    )
+    return _System(columns, monomials, fields, width, scales), len(columns)
+
+
+# ----------------------------------------------------------------------
+# Bases and systems kept across searches
+# ----------------------------------------------------------------------
+class _Kept:
+    """Groebner bases by generators and Macaulay systems by (generators,
+    allowed identifiers, degree), least recently used first.  Each entry is
+    charged what it holds, a system its unknowns and a basis its terms, and
+    the charges stay within ``MAX_UNKNOWNS`` in all: about the memory one
+    search at the cap takes anyway.  A lock keeps the order and the total
+    consistent across threads."""
 
     def __init__(self):
-        self.systems: OrderedDict[tuple, _System] = OrderedDict()
-        self.unknowns = 0
+        self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.charge = 0
         self.lock = Lock()
 
-    def get(self, key: tuple) -> _System | None:
+    def get(self, key: tuple, build: Callable[..., tuple[object, int]], *args):
+        """The value kept under `key`; when there is none, ``build(*args)``
+        returns it with its charge, and it is kept."""
         with self.lock:
-            system = self.systems.get(key)
-            if system is not None:
-                self.systems.move_to_end(key)
-            return system
-
-    def put(self, key: tuple, system: _System) -> None:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry[0]
+        value, charge = build(*args)
         with self.lock:
-            if key in self.systems:  # built meanwhile in another thread
-                return
-            self.systems[key] = system
-            self.unknowns += len(system.columns)
-            while self.unknowns > MAX_UNKNOWNS:
-                _, old = self.systems.popitem(last=False)
-                self.unknowns -= len(old.columns)
+            if key not in self.entries:  # else built meanwhile in another thread
+                self.entries[key] = value, charge
+                self.charge += charge
+                while self.charge > MAX_UNKNOWNS:
+                    _, (_, old) = self.entries.popitem(last=False)
+                    self.charge -= old
+        return value
 
     def clear(self) -> None:
         with self.lock:
-            self.systems.clear()
-            self.unknowns = 0
+            self.entries.clear()
+            self.charge = 0
 
 
-_KEPT = _KeptSystems()
-
-
-def _build_system(module: _Module, monomials: list[int]) -> _System:
-    n_mons = len(monomials)
-    columns = Columns(
-        ({mon + gmon: c for gmon, c in gen.items()}, unknown)
-        for k, gen in enumerate(module.generators)
-        for unknown, mon in enumerate(monomials, k * n_mons)
-    )
-    return _System(columns, monomials, module)
-
-
-def _try_degree(target: Row, system: _System) -> dict[int, Fraction] | None:
-    """Solve ``target = sum_k h_k * generators[k]`` in the system's
-    unknowns, all polynomials given by packed integer terms."""
-    return solve_sparse(system.columns, target)
+_KEPT = _Kept()
 
 
 def _certificate(
-    space: PhaseSpace,
-    solution: dict[int, Fraction],
-    system: _System,
-    fields: _Fields,
-    width: int,
-    target_scale: int,
+    space: PhaseSpace, solution: dict[int, Fraction], system: _System, target_scale: int
 ) -> tuple[PhasePolynomial, ...]:
     """The coefficients f_k = h_k * s_k / t of a solution h of the system
     over the generators scaled by s_k and the target scaled by t; only the
     solution's nonzero unknowns are visited."""
-    monomials, scales = system.monomials, system.module.scales
+    monomials, scales = system.monomials, system.scales
     terms: list[dict[Exponents, Fraction]] = [{} for _ in scales]
     for col, value in solution.items():
         k, i = divmod(col, len(monomials))
-        mon = _unpack(monomials[i], fields, width, space.n_identifiers)
+        mon = _unpack(monomials[i], system.fields, system.width, space.n_identifiers)
         terms[k][mon] = value * Fraction(scales[k], target_scale)
     return tuple(PhasePolynomial(space, t) for t in terms)
 
@@ -525,13 +530,9 @@ def decompose(
         allowed |= gen.used_indices()
     allowed_order = tuple(sorted(allowed))
     max_useful = degree_bound if allowed_order else 0
-    # No exponent of the target or of a column reaches 2**width (see _fields).
-    top = degree_bound + max(g.total_degree() for g in generators)
-    width = max(target.total_degree(), top, 1).bit_length()
-    fields = _fields(allowed_order, width)
+    top = max(g.total_degree() for g in generators)
+    target_degree = target.total_degree()
     target_scale, target_terms = integer_scaled(target.terms)
-    target_terms = {_pack(mon, fields): c for mon, c in target_terms.items()}
-    module = None
     unknowns = 0
     for degree in range(max_useful + 1):
         # Between degrees 0 and 1: most certificates are constant and need
@@ -546,23 +547,17 @@ def decompose(
                 f"over {len(allowed_order)} identifiers), above the limit of "
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
-        key = (generators, allowed_order, degree, width)
-        system = _KEPT.get(key)
-        if system is None:
-            if module is None:
-                # Integer terms for every degree: generator k scaled by s_k.
-                scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
-                module = _Module(scales, tuple(
-                    {_pack(mon, fields): c for mon, c in g.items()} for g in scaled
-                ))
-            system = _build_system(module, _monomials_up_to(fields, degree))
-            _KEPT.put(key, system)
-        module = system.module
-        solution = _try_degree(target_terms, system)
+        if degree + top < target_degree:
+            continue  # no column reaches the target's degree
+        system = _KEPT.get(
+            (generators, allowed_order, degree),
+            _build_system, generators, allowed_order, degree,
+        )
+        # The target's exponents are within its degree, so they fit the fields.
+        packed = {_pack(mon, system.fields): c for mon, c in target_terms.items()}
+        solution = solve_sparse(system.columns, packed)
         if solution is not None:
-            coefficients = _certificate(
-                space, solution, system, fields, width, target_scale
-            )
+            coefficients = _certificate(space, solution, system, target_scale)
             result = IdealDecomposition(target, generators, coefficients, degree_bound)
             if not result.verify():  # soundness guard, must never trip
                 raise RuntimeError(

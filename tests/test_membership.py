@@ -106,46 +106,83 @@ class TestDecompose:
         assert outcome.coefficients == (poly("1", SPACE), poly("0", SPACE))
 
 
+def record_solved(monkeypatch) -> list[linsolve.Columns]:
+    """The columns of every system ``decompose`` solves, in order."""
+    solved = []
+    real = membership.solve_sparse
+    monkeypatch.setattr(
+        membership, "solve_sparse",
+        lambda columns, target: solved.append(columns) or real(columns, target),
+    )
+    return solved
+
+
+def record_insertions(monkeypatch) -> list[int]:
+    """One entry per row inserted into any echelon."""
+    inserted = []
+    real = linsolve.Echelon.add
+    monkeypatch.setattr(
+        linsolve.Echelon, "add",
+        lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
+    )
+    return inserted
+
+
+def assert_charged_within(cap: int) -> None:
+    kept = membership._KEPT
+    assert kept.charge == sum(charge for _, charge in kept.entries.values()) <= cap
+
+
+@pytest.fixture
+def empty_cache():
+    membership._KEPT.clear()
+    yield
+    membership._KEPT.clear()
+
+
 class TestSizeCap:
     # q1^9*p1*p2 = (q1^9*p2) * p1 needs a coefficient of degree 10, so the
     # ladder runs over the identifiers q1, p1, p2 until the cap stops it;
     # degree d has C(3 + d, d) monomials per generator: 1, 4, 10, 20, 35, ...
     TARGET = "q1^9*p1*p2"
 
-    def test_refused_before_building_the_degree_over_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "target, bound, basis_steps, solved",
+        [
+            # Only the columns of degree 9 and up reach the target's degree
+            # 11, so no degree below the cap is solved.
+            (TARGET, None, membership.MAX_BASIS_STEPS, []),
+            # q1*p2 is no member, but without a basis the ladder decides;
+            # 70 unknowns in all: at the cap, not over it.
+            ("q1*p2", 10, 0, [2, 8, 20, 40]),
+        ],
+    )
+    def test_refused_before_building_the_degree_over_the_cap(
+        self, monkeypatch, empty_cache, target, bound, basis_steps, solved
+    ):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
-        built = []
-        real = membership._try_degree
-        monkeypatch.setattr(
-            membership,
-            "_try_degree",
-            lambda t, system: built.append(len(system.columns)) or real(t, system),
-        )
+        monkeypatch.setattr(membership, "MAX_BASIS_STEPS", basis_steps)
+        built = record_solved(monkeypatch)
         generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
         with pytest.raises(SearchTooLargeError) as info:
-            decompose(poly(self.TARGET, SPACE), generators)
-        assert built == [2, 8, 20, 40]  # 70 in all: at the cap, not over it
+            decompose(poly(target, SPACE), generators, degree_bound=bound)
+        assert [len(columns) for columns in built] == solved
         message = str(info.value)
         assert "up to coefficient degree 4" in message
         assert "140 unknowns" in message and "limit of 70" in message
 
     def test_non_member_over_the_cap_is_answered_exactly(self, monkeypatch):
-        # q1^9*p2 is no multiple of p1: after degree 0 its nonzero normal
-        # form settles it, and no system over the cap is ever sized.
+        # q1^9*p2 is no multiple of p1: after degree 0, which no column
+        # reaches, its nonzero normal form settles it, and no system over
+        # the cap is ever sized.
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
-        built = []
-        real = membership._try_degree
-        monkeypatch.setattr(
-            membership,
-            "_try_degree",
-            lambda t, system: built.append(len(system.columns)) or real(t, system),
-        )
+        built = record_solved(monkeypatch)
         generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
         outcome = decompose(poly("q1^9*p2", SPACE), generators)
         assert isinstance(outcome, NotFound) and outcome.exact
         assert outcome.degree_bound == 12
         assert outcome.message == "not representable within degree bound 12"
-        assert built == [2]
+        assert built == []
 
     def test_bound_within_the_cap_is_a_bounded_negative(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 15)
@@ -385,17 +422,13 @@ class TestIntegerSystems:
         monkeypatch.setattr(membership, "solve_sparse", recording)
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
-        assert sizes == [(5, 17, 17), (80, 256, 272), (680, 1964, 2312)]
+        # Degrees 0 and 1 are skipped: their columns cannot reach degree 4.
+        assert sizes == [(680, 1964, 2312)]
 
     def test_certificates_match_on_a_warm_cache(self, monkeypatch):
         membership._KEPT.clear()
         self.test_certificates_match_the_dense_rational_reference()
-        inserted = []
-        real = linsolve.Echelon.add
-        monkeypatch.setattr(
-            linsolve.Echelon, "add",
-            lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
-        )
+        inserted = record_insertions(monkeypatch)
         self.test_certificates_match_the_dense_rational_reference()
         assert inserted == []  # every system came from the cache
 
@@ -460,8 +493,8 @@ class TestPackedMonomials:
         ],
     )
     def test_target_degree_above_the_columns(self, target, generators, bound, expected, exact):
-        # deg target > degree bound + max generator degree: the field width
-        # follows the target, so no exponent of it aliases another field.
+        # deg target > degree bound + max generator degree: no system is
+        # solved, so no exponent of the target aliases another field.
         outcome = decompose(
             poly(target, SPACE), [poly(g, SPACE) for g in generators], degree_bound=bound
         )
@@ -480,12 +513,7 @@ class TestKeptSystems:
         second = poly("p1 - 3*q2", SPACE) * g0 + poly("2/3*q2", SPACE) * g1
         membership._KEPT.clear()
         found(decompose(first, [g0, g1]))
-        inserted = []
-        real = linsolve.Echelon.add
-        monkeypatch.setattr(
-            linsolve.Echelon, "add",
-            lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
-        )
+        inserted = record_insertions(monkeypatch)
         warm = found(decompose(second, [g0, g1]))
         assert inserted == []
         membership._KEPT.clear()
@@ -494,17 +522,24 @@ class TestKeptSystems:
         assert warm.coefficients == cold.coefficients
         assert [str(c) for c in warm.coefficients] == ["-3*q2 + p1", "2/3*q2"]
 
+    def test_a_larger_bound_reuses_the_systems(self, monkeypatch):
+        # Degree 1 packs at the width its own columns need, whatever the
+        # bound, so the search at bound 2 finds it kept.
+        g0, g1 = (poly(g, SPACE) for g in self.GENERATORS)
+        target = poly("q2*(q1*p1 - 1) + p1*p2^2", SPACE)
+        membership._KEPT.clear()
+        found(decompose(target, [g0, g1], degree_bound=1))
+        inserted = record_insertions(monkeypatch)
+        outcome = found(decompose(target, [g0, g1], degree_bound=2))
+        assert inserted == []
+        assert [str(c) for c in outcome.coefficients] == ["q2", "p1"]
+
     def test_kept_unknowns_stay_within_the_cap(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
         membership._KEPT.clear()
-        solved = []
-        real = membership._try_degree
-        monkeypatch.setattr(
-            membership, "_try_degree",
-            lambda t, system: solved.append(system) or real(t, system),
-        )
+        solved = record_solved(monkeypatch)
         searches = [
-            ("q1*p1*p2", ["p1", "p1^2"]),  # systems of 2, 8 and 20 unknowns
+            ("q1*p1*p2", ["p1", "p1^2"]),  # systems of 8 and 20 unknowns
             ("q2*p3", ["p3", "q2 + q3"]),
             ("q1*p1*p2", ["p1", "p1^2"]),
             ("q3^2*p2", ["p2"]),
@@ -512,15 +547,43 @@ class TestKeptSystems:
         ]
         for target, generators in searches:
             decompose(poly(target, SPACE), [poly(g, SPACE) for g in generators])
-            kept = list(membership._KEPT.systems.values())
-            assert membership._KEPT.unknowns == sum(len(s.columns) for s in kept) <= 40
+            assert_charged_within(40)
+            kept = [
+                value.columns for value, _ in membership._KEPT.entries.values()
+                if isinstance(value, membership._System)
+            ]
             assert kept[-1] is solved[-1]  # the most recent system is kept
-        built = {id(system): len(system.columns) for system in solved}
+        built = {id(columns): len(columns) for columns in solved}
         assert sum(built.values()) > 40  # so some systems were evicted
+
+    def test_bases_share_the_bound(self, monkeypatch, empty_cache):
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
+        built = []
+        real = membership._buchberger
+        monkeypatch.setattr(
+            membership, "_buchberger", lambda g, steps: built.append(g) or real(g, steps)
+        )
+        gens = tuple(poly(g, SPACE) for g in self.GENERATORS)
+        searches = [
+            ("q1", gens),  # an exact non-member: its basis is kept
+            ("q1", gens),
+            ("q1*p1*p2", (poly("p1", SPACE), poly("p1^2", SPACE))),
+            ("q2*p3", (poly("p3", SPACE), poly("q2 + q3", SPACE))),
+        ]
+        for target, generators in searches:
+            decompose(poly(target, SPACE), generators)
+            assert_charged_within(40)
+            if generators is gens:  # charged its terms: q1*p1, -1 and p2^2
+                assert membership._KEPT.entries[(gens,)][1] == 3
+        assert (gens,) not in membership._KEPT.entries  # evicted by the systems
+        normal_form = membership._normal_form(poly("q1", SPACE), gens)
+        assert PhasePolynomial(SPACE, normal_form) == poly("q1", SPACE)
+        assert_charged_within(40)
+        assert built.count([g.terms for g in gens]) == 2
 
     def test_threads_share_the_kept_systems(self, monkeypatch):
         # A small cap makes the threads evict each other's systems; without
-        # the cache's lock the unknown count loses updates in some runs.
+        # the cache's lock the charge count loses updates in some runs.
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
         rng = random.Random(5)
         searches = []
@@ -548,5 +611,4 @@ class TestKeptSystems:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all(results[w] == expected for w in range(4))
-        kept = membership._KEPT.systems.values()
-        assert membership._KEPT.unknowns == sum(len(s.columns) for s in kept) <= 40
+        assert_charged_within(40)

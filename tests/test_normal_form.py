@@ -148,7 +148,7 @@ class TestDecomposeVerdicts:
 
 class TestBudgets:
     def test_tiny_basis_budget_falls_back_to_the_ladder(self, monkeypatch):
-        membership._groebner_basis.cache_clear()
+        membership._KEPT.clear()
         monkeypatch.setattr(membership, "MAX_BASIS_STEPS", 1)
         try:
             space = PhaseSpace(1)
@@ -161,7 +161,7 @@ class TestBudgets:
             member = decompose(poly("q1^2 - p1", space), gens, degree_bound=2)
             assert isinstance(member, IdealDecomposition) and member.verify()
         finally:
-            membership._groebner_basis.cache_clear()
+            membership._KEPT.clear()
 
     def test_tiny_reduction_budget_falls_back_to_the_ladder(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_REDUCTION_STEPS", 2)
@@ -173,7 +173,7 @@ class TestBudgets:
         assert isinstance(small, NotFound) and small.exact
 
     def test_exhausted_basis_is_memoised(self, monkeypatch):
-        membership._groebner_basis.cache_clear()
+        membership._KEPT.clear()
         monkeypatch.setattr(membership, "MAX_BASIS_STEPS", 1)
         calls = []
         real = membership._buchberger
@@ -187,7 +187,7 @@ class TestBudgets:
                 assert membership._normal_form(poly("q1", space), gens) is None
             assert calls == [1]
         finally:
-            membership._groebner_basis.cache_clear()
+            membership._KEPT.clear()
 
 
 def test_exactness_leaves_reports_unchanged():
