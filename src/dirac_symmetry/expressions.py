@@ -12,15 +12,25 @@ Grammar (whitespace insignificant):
 The printer (``str(PhasePolynomial)``) emits this grammar exactly.  As a
 convenience the parser additionally accepts one leading '+' or '-' before the
 first term of an expression; printed output never relies on it.
+
+A term is built as one monomial: its rationals, identifiers and their powers
+fold into one coefficient and one exponent list, and only parenthesised
+groups are multiplied as polynomials.  A whole sum collects its terms in one
+dict and hands it to the kernel's trusted constructor ``phase._adopt``, whose
+invariant it keeps: a fresh dict whose values are all nonzero ``Fraction``s.
+A rational literal raised to a power is refused, as ``PhasePolynomial``
+powers are, when ``phase.check_power`` estimates its size past
+``phase.MAX_COEFFICIENT_BITS``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import ParseError, UndeclaredIdentifierError
-from .phase import Exponents, PhasePolynomial, PhaseSpace
+from .phase import _ONE, Exponents, PhasePolynomial, PhaseSpace, _adopt, check_power
 
 # Deepest parenthesis nesting accepted: each level costs four frames of
 # recursive descent, so this stays far below the interpreter's limit.
@@ -89,81 +99,106 @@ class _Parser:
                 negate = True
         # The terms of the whole sum go into one dictionary, so a sum of n
         # terms costs O(n), not the O(n^2) of adding polynomials one by one;
-        # the constructor drops the coefficients that cancelled.
+        # the coefficients that cancelled are dropped once, at the end.
         terms: dict[Exponents, Fraction] = {}
+        get = terms.get
         while True:
-            for mon, coeff in self.term().terms.items():
-                terms[mon] = terms.get(mon, 0) + (-coeff if negate else coeff)
+            for mon, coeff in self.term().items():
+                if negate:
+                    coeff = -coeff
+                old = get(mon)
+                terms[mon] = coeff if old is None else old + coeff
             token = self.peek()
             if token.kind == "op" and token.text in "+-":
                 self.advance()
                 negate = token.text == "-"
             else:
-                return PhasePolynomial(self.space, terms)
+                return _adopt(self.space, {m: c for m, c in terms.items() if c})
 
-    def term(self) -> PhasePolynomial:
-        poly = self.factor()
+    # term := factor ('*' factor)*
+    def term(self) -> Mapping[Exponents, Fraction]:
+        """The terms of one product, each coefficient a nonzero Fraction.
+
+        Rationals, identifiers and their powers fold into one coefficient and
+        one exponent list; only parenthesised groups are multiplied as
+        polynomials, in the order they come.
+        """
+        coeff = _ONE
+        exps = [0] * self.space.n_identifiers
+        group = None
         while True:
+            token = self.peek()
+            if token.kind == "op" and token.text == "(":
+                factor = self.group()
+                group = factor if group is None else group * factor
+            elif token.kind == "ident":
+                self.advance()
+                if not self.space.has_identifier(token.text):
+                    raise UndeclaredIdentifierError(
+                        f"undeclared identifier {token.text!r}", token.position
+                    )
+                exps[self.space.index(token.text)] += self.exponent()
+            elif token.kind == "number" or (token.kind == "op" and token.text == "-"):
+                value = self.rational()
+                exponent = self.exponent()
+                if exponent != 1:
+                    check_power((value,), exponent)
+                    value = value**exponent
+                coeff *= value
+            else:
+                raise ParseError(
+                    f"expected a rational, identifier or '(', got {token.text!r}"
+                    if token.kind != "end"
+                    else "unexpected end of expression",
+                    token.position,
+                )
             token = self.peek()
             if token.kind == "op" and token.text == "*":
                 self.advance()
-                poly = poly * self.factor()
             else:
-                return poly
+                break
+        monomial = {tuple(exps): coeff} if coeff else {}
+        if group is None:
+            return monomial
+        return (group * _adopt(self.space, monomial)).terms
 
-    def factor(self) -> PhasePolynomial:
-        poly = self.atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            exp_token = self.peek()
-            if exp_token.kind != "number":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal",
-                    exp_token.position,
-                )
-            self.advance()
-            poly = poly ** _integer(exp_token)
-        return poly
+    # '(' expr ')' ('^' uint)?
+    def group(self) -> PhasePolynomial:
+        token = self.advance()
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING}", token.position
+            )
+        self.depth += 1
+        poly = self.expression()
+        self.depth -= 1
+        self.expect_op(")")
+        exponent = self.exponent()
+        return poly if exponent == 1 else poly**exponent
 
-    def atom(self) -> PhasePolynomial:
+    # ('^' uint)?
+    def exponent(self) -> int:
         token = self.peek()
-        if token.kind == "op" and token.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", token.position
-                )
-            self.advance()
-            self.depth += 1
-            poly = self.expression()
-            self.depth -= 1
-            self.expect_op(")")
-            return poly
-        if token.kind == "op" and token.text == "-":
-            nxt = self.tokens[self.cursor + 1]
-            if nxt.kind != "number":
+        if token.kind != "op" or token.text != "^":
+            return 1
+        self.advance()
+        exp_token = self.peek()
+        if exp_token.kind != "number":
+            raise ParseError(
+                "exponent must be a non-negative integer literal", exp_token.position
+            )
+        self.advance()
+        return _integer(exp_token)
+
+    # rational := '-'? int ('/' uint)?
+    def rational(self) -> Fraction:
+        token = self.advance()
+        negative = token.kind == "op"  # the '-' of a negative literal
+        if negative:
+            if self.peek().kind != "number":
                 raise ParseError("expected a rational after '-'", token.position)
-            self.advance()
-            return self.rational(negative=True)
-        if token.kind == "number":
-            return self.rational(negative=False)
-        if token.kind == "ident":
-            self.advance()
-            if not self.space.has_identifier(token.text):
-                raise UndeclaredIdentifierError(
-                    f"undeclared identifier {token.text!r}", token.position
-                )
-            return PhasePolynomial.variable(self.space, token.text)
-        raise ParseError(
-            f"expected a rational, identifier or '(', got {token.text!r}"
-            if token.kind != "end"
-            else "unexpected end of expression",
-            token.position,
-        )
-
-    def rational(self, negative: bool) -> PhasePolynomial:
-        num_token = self.advance()
-        numerator = _integer(num_token)
+            token = self.advance()
+        numerator = _integer(token)
         if negative:
             numerator = -numerator
         denominator = 1
@@ -177,7 +212,7 @@ class _Parser:
             denominator = _integer(den_token)
             if denominator == 0:
                 raise ParseError("zero denominator", den_token.position)
-        return PhasePolynomial.constant(self.space, Fraction(numerator, denominator))
+        return Fraction(numerator, denominator)
 
 
 def _integer(token: _Token) -> int:

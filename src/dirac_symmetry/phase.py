@@ -5,13 +5,25 @@ coefficients.  The canonical term order is graded lexicographic over the
 declared identifier order (q1..qn, p1..pn, then parameters), which makes
 printing and leading-term extraction deterministic.  All values are
 immutable after construction and every operation is a pure function.
+
+Construction is trusted inside the kernel.  The public constructor
+``PhasePolynomial(space, terms)`` coerces every coefficient with
+``Fraction()`` and drops zeros, because callers pass ints.  Every kernel
+result (sums, products, scalings, derivatives, brackets, embeddings and the
+constant constructors) is built by ``_adopt(space, terms)`` instead, which
+keeps ``terms`` as it is.  Its invariant: ``terms`` is a fresh dict that no
+one else holds, and every value in it is a nonzero ``Fraction``.  Sums and
+brackets accumulate with ``dict.get`` and drop cancelled terms once, at the
+end.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Collection, Iterable, Mapping, Union
 
 from .errors import ProductTooLargeError, SpaceMismatchError
 
@@ -31,6 +43,11 @@ MAX_TERM_PAIRS = 100_000
 # million took 3.3 s of CPU and 336 MB (Python 3.11 on a 2-vCPU Xeon VM).
 # The test suite's largest space has 48.
 MAX_DOF = 10_000
+
+# Most bits a power may give its coefficients, by the estimate of
+# `check_power`.  8192 bits are 2467 decimal digits, below Python's limit of
+# 4300 digits for printing an integer; `2^15000` would pass that limit.
+MAX_COEFFICIENT_BITS = 8192
 
 
 class PhaseSpace:
@@ -97,6 +114,8 @@ class PhaseSpace:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PhaseSpace):
             return NotImplemented
         return self.n_dof == other.n_dof and self.parameters == other.parameters
@@ -116,10 +135,13 @@ class PhasePolynomial:
     """Sparse exact polynomial over the rationals on one phase space.
 
     Treat instances as immutable: all arithmetic returns new objects and the
-    term mapping is never mutated after construction.
+    term mapping is never mutated after construction.  The hash, the total
+    degree and the used identifier positions are computed on first use and
+    kept in the slots ``_hash``, ``_degree`` and ``_used``, which stay unset
+    until then.
     """
 
-    __slots__ = ("space", "terms", "_hash")
+    __slots__ = ("space", "terms", "_hash", "_degree", "_used")
 
     def __init__(self, space: PhaseSpace, terms: Mapping[Exponents, RationalLike]):
         cleaned: dict[Exponents, Fraction] = {}
@@ -129,7 +151,6 @@ class PhasePolynomial:
                 cleaned[monomial] = coeff
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PhasePolynomial is immutable")
@@ -139,18 +160,19 @@ class PhasePolynomial:
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, space: PhaseSpace) -> "PhasePolynomial":
-        return cls(space, {})
+        return _adopt(space, {})
 
     @classmethod
     def constant(cls, space: PhaseSpace, value: RationalLike) -> "PhasePolynomial":
-        return cls(space, {(0,) * space.n_identifiers: Fraction(value)})
+        value = Fraction(value)
+        return _adopt(space, {(0,) * space.n_identifiers: value} if value else {})
 
     @classmethod
     def variable(cls, space: PhaseSpace, name: str) -> "PhasePolynomial":
         idx = space.index(name)
         exps = [0] * space.n_identifiers
         exps[idx] = 1
-        return cls(space, {tuple(exps): Fraction(1)})
+        return _adopt(space, {tuple(exps): _ONE})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -163,9 +185,12 @@ class PhasePolynomial:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        try:
+            return self._degree
+        except AttributeError:
+            degree = max(map(sum, self.terms), default=-1)
+            object.__setattr__(self, "_degree", degree)
+            return degree
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial; ValueError if non-constant."""
@@ -173,19 +198,24 @@ class PhasePolynomial:
         for monomial in self.terms:
             if monomial != zero_mon:
                 raise ValueError(f"polynomial {self} is not constant")
-        return self.terms.get(zero_mon, Fraction(0))
+        return self.terms.get(zero_mon, _ZERO)
 
     def used_indices(self) -> frozenset[int]:
         """Identifier positions with a nonzero exponent somewhere."""
-        used = set()
-        for monomial in self.terms:
-            for idx, exp in enumerate(monomial):
-                if exp:
-                    used.add(idx)
-        return frozenset(used)
+        try:
+            return self._used
+        except AttributeError:
+            used = set()
+            for monomial in self.terms:
+                for idx, exp in enumerate(monomial):
+                    if exp:
+                        used.add(idx)
+            used = frozenset(used)
+            object.__setattr__(self, "_used", used)
+            return used
 
     def coefficient(self, monomial: Exponents) -> Fraction:
-        return self.terms.get(monomial, Fraction(0))
+        return self.terms.get(monomial, _ZERO)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -201,13 +231,18 @@ class PhasePolynomial:
         if isinstance(other, PhasePolynomial):
             self._check_space(other)
             result = dict(self.terms)
+            get = result.get
             for monomial, coeff in other.terms.items():
-                new = result.get(monomial, Fraction(0)) + coeff
-                if new:
-                    result[monomial] = new
+                old = get(monomial)
+                if old is None:
+                    result[monomial] = coeff
                 else:
-                    result.pop(monomial, None)
-            return PhasePolynomial(self.space, result)
+                    new = old + coeff
+                    if new:
+                        result[monomial] = new
+                    else:
+                        del result[monomial]
+            return _adopt(self.space, result)
         if isinstance(other, (int, Fraction)):
             return self + PhasePolynomial.constant(self.space, other)
         return NotImplemented
@@ -215,9 +250,7 @@ class PhasePolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePolynomial(
-            self.space, {m: -c for m, c in self.terms.items()}
-        )
+        return _adopt(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (PhasePolynomial, int, Fraction)):
@@ -234,15 +267,18 @@ class PhasePolynomial:
             self._check_space(other)
             _check_term_pairs("product", self, other)
             result: dict[Exponents, Fraction] = {}
+            get = result.get
+            merged = False
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    prod = tuple(a + b for a, b in zip(m1, m2))
-                    new = result.get(prod, Fraction(0)) + c1 * c2
-                    if new:
-                        result[prod] = new
+                    prod = tuple(map(add, m1, m2))
+                    old = get(prod)
+                    if old is None:
+                        result[prod] = c1 * c2
                     else:
-                        del result[prod]
-            return PhasePolynomial(self.space, result)
+                        result[prod] = old + c1 * c2
+                        merged = True
+            return _adopt(self.space, _nonzero(result) if merged else result)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -252,14 +288,13 @@ class PhasePolynomial:
     def scale(self, factor: RationalLike) -> "PhasePolynomial":
         factor = Fraction(factor)
         if not factor:
-            return PhasePolynomial.zero(self.space)
-        return PhasePolynomial(
-            self.space, {m: c * factor for m, c in self.terms.items()}
-        )
+            return _adopt(self.space, {})
+        return _adopt(self.space, {m: c * factor for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "PhasePolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        check_power(self.terms.values(), exponent)
         result = PhasePolynomial.constant(self.space, 1)
         base = self
         n = exponent
@@ -287,7 +322,7 @@ class PhasePolynomial:
                 lowered = list(monomial)
                 lowered[idx] = exp - 1
                 result[tuple(lowered)] = coeff * exp
-        return PhasePolynomial(self.space, result)
+        return _adopt(self.space, result)
 
     # ------------------------------------------------------------------
     # space embedding
@@ -301,7 +336,7 @@ class PhasePolynomial:
                 f"{target!r} does not extend {self.space!r}"
             )
         pad = (0,) * (target.n_identifiers - self.space.n_identifiers)
-        return PhasePolynomial(target, {m + pad: c for m, c in self.terms.items()})
+        return _adopt(target, {m + pad: c for m, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # equality / hashing / printing
@@ -314,11 +349,12 @@ class PhasePolynomial:
         return NotImplemented
 
     def __hash__(self):
-        cached = self._hash
-        if cached is None:
+        try:
+            return self._hash
+        except AttributeError:
             cached = hash((self.space, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", cached)
-        return cached
+            return cached
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lexicographic order."""
@@ -363,6 +399,48 @@ class PhasePolynomial:
         return f"PhasePolynomial({self})"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _adopt(space: PhaseSpace, terms: dict[Exponents, Fraction]) -> PhasePolynomial:
+    """The kernel's trusted constructor: keep `terms` as the new polynomial's.
+
+    `terms` must be a fresh dict that no one else holds, and every value in it
+    a nonzero ``Fraction``; nothing is copied, coerced or checked.
+    """
+    poly = _new(PhasePolynomial)
+    _set(poly, "space", space)
+    _set(poly, "terms", terms)
+    return poly
+
+
+def _nonzero(terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+    return {m: c for m, c in terms.items() if c}
+
+
+def check_power(coefficients: Collection[Fraction], exponent: int) -> None:
+    """Refuse a power whose coefficients could pass ``MAX_COEFFICIENT_BITS``.
+
+    The estimate of their bit length is exponent * log2(t * c) for t terms
+    whose largest numerator or denominator is c.  For integer coefficients it
+    is a bound: a coefficient of f^k sums at most t^k products of k
+    coefficients.  An exponent of 0 or 1 builds nothing new.
+    """
+    if exponent < 2 or not coefficients:
+        return
+    largest = max(max(abs(c.numerator), c.denominator) for c in coefficients)
+    bits = exponent * math.log2(len(coefficients) * largest)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ProductTooLargeError(
+            f"power {exponent} of a {len(coefficients)}-term polynomial could "
+            f"build coefficients of {math.ceil(bits)} bits, over the limit of "
+            f"{MAX_COEFFICIENT_BITS}"
+        )
+
+
 def _check_term_pairs(operation: str, f: PhasePolynomial, g: PhasePolynomial) -> None:
     pairs = len(f.terms) * len(g.terms)
     if pairs > MAX_TERM_PAIRS:
@@ -389,15 +467,22 @@ def poisson(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     _check_term_pairs("bracket", f, g)
     n = f.space.n_dof
     accum: dict[Exponents, Fraction] = {}
+    get = accum.get
+    merged = False
     for m1, c1 in f.terms.items():
         pairs = [i for i in range(n) if m1[i] or m1[n + i]]
         for m2, c2 in g.terms.items():
             for i in pairs:
                 weight = m1[i] * m2[n + i] - m1[n + i] * m2[i]
                 if weight:  # then q_i and p_i both divide m1*m2
-                    lowered = [a + b for a, b in zip(m1, m2)]
+                    lowered = list(map(add, m1, m2))
                     lowered[i] -= 1
                     lowered[n + i] -= 1
                     key = tuple(lowered)
-                    accum[key] = accum.get(key, 0) + weight * c1 * c2
-    return PhasePolynomial(f.space, accum)
+                    old = get(key)
+                    if old is None:
+                        accum[key] = c1 * c2 * weight
+                    else:
+                        accum[key] = old + c1 * c2 * weight
+                        merged = True
+    return _adopt(f.space, _nonzero(accum) if merged else accum)

@@ -281,6 +281,41 @@ class TestErrorExitCodes:
         assert err.startswith("error: invalid input: [system] hamiltonian: product of a 715-term")
         assert f"511225 term pairs, over the limit of {phase.MAX_TERM_PAIRS}" in err
 
+    @pytest.mark.parametrize(
+        "hamiltonian, bits",
+        [("2^15000*q1*p1", 15000), ("(2*q1)^20000*p1", 20000), ("2^10000000000", 10**10)],
+    )
+    def test_coefficient_blow_up_is_invalid_input(self, capsys, tmp_path, hamiltonian, bits):
+        # These exited 5 once the coefficient passed Python's 4300-digit
+        # printing limit, or ran out of memory.  A power of 2 has one bit
+        # per unit of its exponent.
+        path = tmp_path / "power.model"
+        path.write_text(f"[system]\nn_dof = 1\nhamiltonian = {hamiltonian}\n", encoding="utf-8")
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: invalid input: [system] hamiltonian: power {bits} of a 1-term "
+            f"polynomial could build coefficients of {bits} bits, over the limit of "
+            f"{phase.MAX_COEFFICIENT_BITS}\n"
+        )
+
+    def test_oversized_model_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "big.model"
+        path.write_text("[system]\nn_dof = 1\nhamiltonian = q1*p1" + " + q1" * 300000 + "\n")
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: invalid input: model file {path} is larger than 1048576 bytes\n"
+
+    def test_non_utf8_model_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(b"[system]\nn_dof = 1\nhamiltonian = q1*p1 \xff\n")
+        code, out, err = run(capsys, "chain", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: invalid input: model file {path} is not UTF-8 text:")
+
     def test_oversized_bracket_is_invalid_input(self, capsys, tmp_path, monkeypatch):
         # Parsing forms one-term products only; {P1, H} pairs 2 x 2 terms.
         monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 3)

@@ -1,0 +1,227 @@
+"""The expression parser: its error branches and its agreement with sympy.
+
+``ERRORS`` pins the exception type, message and position of every error
+branch of ``parse_polynomial``, as the parser reported them before terms were
+built as single monomials; the parser's speed may change, what it reports on
+bad input may not.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from dirac_symmetry import (
+    ParseError,
+    PhasePolynomial,
+    PhaseSpace,
+    ProductTooLargeError,
+    UndeclaredIdentifierError,
+    parse_polynomial,
+)
+
+
+SPACE = PhaseSpace(2, ("E", "m"))
+SYMBOLS = {name: sp.Symbol(name) for name in SPACE.identifiers}
+
+# (text, exception type, message without its position suffix, position)
+ERRORS = [
+    ('q1*-q2', ParseError, "expected a rational after '-'", 3),
+    ('2^', ParseError, 'exponent must be a non-negative integer literal', 2),
+    ('q1^x', ParseError, 'exponent must be a non-negative integer literal', 3),
+    ('2*q9', UndeclaredIdentifierError, "undeclared identifier 'q9'", 2),
+    ('q1*(p1', ParseError, "expected ')'", 6),
+    ('-(q1', ParseError, "expected ')'", 4),
+    ('1/0', ParseError, 'zero denominator', 2),
+    ('q1 + * p1', ParseError, "expected a rational, identifier or '(', got '*'", 5),
+    ('q1 $ p1', ParseError, "unexpected character '$'", 3),
+    ('', ParseError, 'unexpected end of expression', 0),
+    ('   ', ParseError, 'unexpected end of expression', 3),
+    ('q1 +', ParseError, 'unexpected end of expression', 4),
+    ('q1^-2', ParseError, 'exponent must be a non-negative integer literal', 3),
+    ('q1^(2)', ParseError, 'exponent must be a non-negative integer literal', 3),
+    ('1/q1', ParseError, 'expected an unsigned denominator', 2),
+    ('1/', ParseError, 'expected an unsigned denominator', 2),
+    ('q1 p1', ParseError, "unexpected trailing input 'p1'", 3),
+    ('q1)', ParseError, "unexpected trailing input ')'", 2),
+    ('(q1)(p1)', ParseError, "unexpected trailing input '('", 4),
+    ('q1^2^3', ParseError, "unexpected trailing input '^'", 4),
+    ('--q1', ParseError, "expected a rational after '-'", 0),
+    ('- -3', ParseError, "expected a rational after '-'", 0),
+    ('3/-2', ParseError, 'expected an unsigned denominator', 2),
+    ('q1*', ParseError, 'unexpected end of expression', 3),
+    ('*q1', ParseError, "expected a rational, identifier or '(', got '*'", 0),
+    ('+', ParseError, 'unexpected end of expression', 1),
+    ('-', ParseError, "expected a rational after '-'", 0),
+    ('(', ParseError, 'unexpected end of expression', 1),
+    (')', ParseError, "expected a rational, identifier or '(', got ')'", 0),
+    ('()', ParseError, "expected a rational, identifier or '(', got ')'", 1),
+    ('q1/2', ParseError, "unexpected trailing input '/'", 2),
+    ('2/3/4', ParseError, "unexpected trailing input '/'", 3),
+    ('E2', UndeclaredIdentifierError, "undeclared identifier 'E2'", 0),
+    ('q0', UndeclaredIdentifierError, "undeclared identifier 'q0'", 0),
+    ('2 3', ParseError, "unexpected trailing input '3'", 2),
+    ('q1^2 3', ParseError, "unexpected trailing input '3'", 5),
+    ('(q1 + p1', ParseError, "expected ')'", 8),
+    ('((q1)', ParseError, "expected ')'", 5),
+    ('q1 ^ x', ParseError, 'exponent must be a non-negative integer literal', 5),
+    ('1/0*q9', ParseError, 'zero denominator', 2),
+    ('q9*1/0', UndeclaredIdentifierError, "undeclared identifier 'q9'", 0),
+    ('-q1^', ParseError, 'exponent must be a non-negative integer literal', 4),
+    ('-(', ParseError, 'unexpected end of expression', 2),
+    ('p1*(q1 + q9)', UndeclaredIdentifierError, "undeclared identifier 'q9'", 9),
+    ('2*(q1 - -)', ParseError, "expected a rational after '-'", 8),
+    ('q1*p1^', ParseError, 'exponent must be a non-negative integer literal', 6),
+    ('2^q1', ParseError, 'exponent must be a non-negative integer literal', 2),
+    ('2/3^x', ParseError, 'exponent must be a non-negative integer literal', 4),
+    ('-3/0', ParseError, 'zero denominator', 3),
+    ('q1 + 2*(3 + )', ParseError, "expected a rational, identifier or '(', got ')'", 12),
+    ('m*m^ ', ParseError, 'exponent must be a non-negative integer literal', 5),
+    ('q1**2', ParseError, "expected a rational, identifier or '(', got '*'", 3),
+    ('q1^^2', ParseError, 'exponent must be a non-negative integer literal', 3),
+    ('q1 - + p1', ParseError, "expected a rational, identifier or '(', got '+'", 5),
+    ('+-q1', ParseError, "expected a rational after '-'", 1),
+    ('q1*+2', ParseError, "expected a rational, identifier or '(', got '+'", 3),
+    ('(q1)^', ParseError, 'exponent must be a non-negative integer literal', 5),
+    ('(q1)^p1', ParseError, 'exponent must be a non-negative integer literal', 5),
+    ('2*((q1)', ParseError, "expected ')'", 7),
+    ("q1 + 1/" + "3" * 4400, ParseError, 'numeric literal of 4400 digits is too long', 7),
+    ("q1 + " + "7" * 5001 + "*p1", ParseError, 'numeric literal of 5001 digits is too long', 5),
+    ("q1^" + "2" * 5001, ParseError, 'numeric literal of 5001 digits is too long', 3),
+    ("(" * 101 + "q1" + ")" * 101, ParseError, 'parentheses nested deeper than 100', 100),
+    ("-(" * 101 + "q1" + ")" * 101, ParseError, 'parentheses nested deeper than 100', 201),
+    ('q1é', ParseError, "unexpected character 'é'", 2),
+    ('q1 # p1', ParseError, "unexpected character '#'", 3),
+    ('q1;p1', ParseError, "unexpected character ';'", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, kind, message, position", ERRORS, ids=[repr(case[0])[:32] for case in ERRORS]
+)
+def test_error_branch_is_pinned(text, kind, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, SPACE)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+class TestLiteralPowers:
+    def test_refused_before_computing(self):
+        for text, bits in (
+            ("2^15000*q1*p1", 15000),
+            ("(2*q1)^20000*p1", 20000),
+            ("2^10000000000", 10000000000),
+            ("q1 + 2/3^9000", 14265),
+        ):
+            with pytest.raises(ProductTooLargeError, match=f"coefficients of {bits} bits"):
+                parse_polynomial(text, SPACE)
+
+    def test_accepted_up_to_the_limit(self):
+        assert parse_polynomial("2^8192", SPACE) == PhasePolynomial.constant(SPACE, 2**8192)
+        with pytest.raises(ProductTooLargeError, match="over the limit of 8192"):
+            parse_polynomial("2^8193", SPACE)
+        assert parse_polynomial("q1^1000000", SPACE).total_degree() == 1_000_000
+        literal = "7" * 4300
+        assert parse_polynomial(f"{literal}*q1", SPACE).terms == {
+            (1, 0, 0, 0, 0, 0): Fraction(int(literal))
+        }
+        assert parse_polynomial("-1^10000000000 + 0^10000000000", SPACE) == 1
+
+    def test_a_term_is_one_monomial(self):
+        parsed = parse_polynomial("2*q1^2*-3/2*p1*q1*m^0", SPACE)
+        assert parsed.terms == {(3, 0, 1, 0, 0, 0): Fraction(-3)}
+        assert parse_polynomial("0*q1*(q1 + p1)^2", SPACE).terms == {}
+        assert parse_polynomial("q1*(q1 + p1)*2*(q1 - p1)", SPACE) == parse_polynomial(
+            "2*q1^3 - 2*q1*p1^2", SPACE
+        )
+
+
+# Random expression trees.  An atom is (text, sympy value, kind), a factor
+# adds its exponent.  A leading '-' before a literal belongs to that literal,
+# so "-3^2" is (-3)^2: the value is built from the tree, not read from the text.
+def _rational_atom(parts):
+    numerator, denominator, negative = parts
+    text = f"{numerator}" if denominator is None else f"{numerator}/{denominator}"
+    value = sp.Rational(numerator, denominator or 1)
+    if negative:
+        return f"-{text}", -value, "negative"
+    return text, value, "number"
+
+
+_RATIONAL = st.tuples(
+    st.integers(0, 12), st.sampled_from([None, 1, 2, 3, 6]), st.booleans()
+).map(_rational_atom)
+_IDENTIFIER = st.sampled_from(SPACE.identifiers).map(
+    lambda name: (name, SYMBOLS[name], "identifier")
+)
+
+
+def _power(parts):
+    (text, value, kind), exponent = parts
+    if exponent is None:
+        return text, value, kind, 1
+    return f"{text}^{exponent}", value, kind, exponent
+
+
+def _term_value(factors, negate_literal=False):
+    value = sp.Integer(1)
+    for position, (_, base, _, exponent) in enumerate(factors):
+        if position == 0 and negate_literal:
+            base = -base
+        value *= base**exponent
+    return value
+
+
+def _expression(parts):
+    lead, first, rest = parts
+    kind = first[0][2]
+    if lead == "-" and kind == "negative":
+        lead = ""  # "- -3" is not in the grammar
+    text = lead + "*".join(f[0] for f in first)
+    if lead == "-" and kind == "number":
+        value = _term_value(first, negate_literal=True)
+    else:
+        value = -_term_value(first) if lead == "-" else _term_value(first)
+    for sign, factors in rest:
+        text += f" {sign} " + "*".join(f[0] for f in factors)
+        value += _term_value(factors) if sign == "+" else -_term_value(factors)
+    return text, value
+
+
+def _expressions(group=st.nothing()):
+    # Groups take at most a square, so nested powers stay small for sympy.
+    factor = st.one_of(
+        st.tuples(st.one_of(_RATIONAL, _IDENTIFIER), st.sampled_from([None, 0, 1, 2, 3])),
+        st.tuples(group, st.sampled_from([None, 0, 1, 2])),
+    ).map(_power)
+    term = st.lists(factor, min_size=1, max_size=3)
+    rest = st.lists(st.tuples(st.sampled_from("+-"), term), max_size=2)
+    return st.tuples(st.sampled_from(["", "+", "-"]), term, rest).map(_expression)
+
+
+EXPRESSIONS = st.recursive(
+    _expressions(),
+    lambda inner: _expressions(inner.map(lambda e: (f"({e[0]})", e[1], "group"))),
+    max_leaves=5,
+)
+GENERATORS = [SYMBOLS[name] for name in SPACE.identifiers]
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(EXPRESSIONS)
+def test_random_expressions_parse_to_the_sympy_expansion(expression):
+    text, value = expression
+    parsed = parse_polynomial(text, SPACE)
+    assert all(type(c) is Fraction and c for c in parsed.terms.values())
+    assert sp.Poly.from_dict(
+        {m: sp.Rational(c.numerator, c.denominator) for m, c in parsed.terms.items()},
+        *GENERATORS,
+    ) == sp.Poly(value, *GENERATORS), text
+    printed = str(parsed)
+    assert parse_polynomial(printed, SPACE) == parsed
+    assert str(parse_polynomial(printed, SPACE)) == printed

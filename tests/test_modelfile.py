@@ -5,6 +5,8 @@ from dirac_symmetry import (
     ModelFileError,
     parse_model_text,
 )
+from dirac_symmetry import modelfile
+from dirac_symmetry.modelfile import load_model_file
 
 from conftest import poly
 
@@ -141,3 +143,65 @@ class TestRejections:
             parse_model_text(base + "on_shell_energy = yes\n")
         with pytest.raises(ModelFileError):
             parse_model_text(base + "coefficient_mode = exotic\n")
+
+
+class TestSizeCap:
+    def test_default_cap(self):
+        assert modelfile.MAX_MODEL_BYTES == 1 << 20
+
+    def test_file_at_the_cap_loads_and_one_byte_more_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "valid.model"
+        path.write_bytes(VALID.encode("utf-8"))
+        monkeypatch.setattr(modelfile, "MAX_MODEL_BYTES", len(VALID))
+        assert load_model_file(path).system.primary_names == ("P1",)
+        monkeypatch.setattr(modelfile, "MAX_MODEL_BYTES", len(VALID) - 1)
+        with pytest.raises(ModelFileError, match=f"larger than {len(VALID) - 1} bytes"):
+            load_model_file(path)
+
+    def test_file_past_the_first_read_loads_whole(self, tmp_path):
+        text = VALID + ("#" * 99 + "\n") * 1000 + "[generators.late]\nL1 = q2*p2\n"
+        path = tmp_path / "long.model"
+        path.write_bytes(text.encode("utf-8"))
+        assert len(text) > 1 << 16
+        assert load_model_file(path) == parse_model_text(text)
+        assert "late" in load_model_file(path).generator_sets
+
+    @pytest.mark.parametrize("cap", [100, 70000])
+    def test_reads_at_most_one_byte_past_the_cap(self, tmp_path, monkeypatch, cap):
+        path = tmp_path / "huge.model"
+        path.write_bytes(b"#" * 100000)
+        monkeypatch.setattr(modelfile, "MAX_MODEL_BYTES", cap)
+        sizes = []
+        real_open = open
+
+        class Spy:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def read(self, size=-1):
+                sizes.append(size)
+                return self.handle.read(size)
+
+        monkeypatch.setattr(modelfile, "open", lambda *a: Spy(real_open(*a)), raising=False)
+        with pytest.raises(ModelFileError, match=f"larger than {cap} bytes"):
+            load_model_file(path)
+        assert sum(sizes) == cap + 1
+
+    def test_text_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(modelfile, "MAX_MODEL_BYTES", len(VALID) - 1)
+        with pytest.raises(ModelFileError, match="over the limit of"):
+            parse_model_text(VALID)
+
+    def test_newlines_and_encoding_as_text_mode(self, tmp_path):
+        path = tmp_path / "crlf.model"
+        path.write_bytes(VALID.replace("\n", "\r\n").encode("utf-8"))
+        assert load_model_file(path) == parse_model_text(VALID)
+        path.write_bytes(b"[system]\nn_dof = 1\nhamiltonian = q1*p1 \xff\n")
+        with pytest.raises(ModelFileError, match="is not UTF-8 text"):
+            load_model_file(path)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dirac_symmetry import (
@@ -335,6 +335,82 @@ class TestBracketLaws:
             + poisson(h, poisson(f, g))
         )
         assert total.is_zero()
+
+
+def _invariant_holds(f: PhasePolynomial) -> bool:
+    """Only nonzero Fractions, and memoised queries equal to a fresh count."""
+    fresh_degree = max((sum(m) for m in f.terms), default=-1)
+    fresh_used = {i for m in f.terms for i, e in enumerate(m) if e}
+    return (
+        all(type(c) is Fraction and c != 0 for c in f.terms.values())
+        and f.total_degree() == fresh_degree
+        and f.total_degree() == fresh_degree  # the memoised value
+        and f.used_indices() == fresh_used
+        and f.used_indices() == fresh_used
+    )
+
+
+class TestKernelInvariants:
+    """Every kernel result is built without re-coercion, so check what it holds."""
+
+    @seed(20261018)
+    @settings(max_examples=80)
+    @given(POLYS3, POLYS3, SCALARS)
+    def test_results_hold_nonzero_fractions(self, f, g, r):
+        ext = f.space.extend(("v1",))
+        results = [
+            f + g, f - g, f - f, g + (-g), f * g, f * (g - g), -f,
+            f.scale(r), f.scale(0), f.partial("q1"), f.partial("E"),
+            f.in_space(ext), poisson(f, g), poisson(f, f), poisson(f, f * f),
+            f**0, f**1, f**2, (f - g) ** 3, f + 2, 3 - f, f * Fraction(1, 2),
+        ]
+        for result in results:
+            assert _invariant_holds(result)
+
+    def test_cancelling_results(self):
+        f = poly("q1 + p1", SPACE2)
+        product = f * poly("q1 - p1", SPACE2)
+        assert product.terms == {(2, 0, 0, 0, 0): 1, (0, 0, 2, 0, 0): -1}
+        assert _invariant_holds(product)
+        # The four pairs of {f, f} land twice on q1*p1 and twice on q2*p2,
+        # with opposite signs: merged sums that cancel to zero.
+        f = poly("q1*p2 + q2*p1", SPACE2)
+        bracket = poisson(f, f)
+        assert bracket.terms == {} and _invariant_holds(bracket)
+        # Merged terms of a bracket that partly cancel.
+        g = poly("q1^2*p1 + q1*p1^2", SPACE2)
+        assert _invariant_holds(poisson(g, poly("q1*p1", SPACE2)))
+        assert _invariant_holds(poly("q1 - q1", SPACE2))
+
+    def test_public_constructor_still_coerces(self):
+        f = PhasePolynomial(SPACE2, {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): 0})
+        assert f.terms == {(1, 0, 0, 0, 0): Fraction(2)}
+        assert _invariant_holds(f)
+        assert PhasePolynomial.constant(SPACE2, 0).terms == {}
+
+
+class TestCoefficientCap:
+    def test_power_bound_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(phase, "MAX_COEFFICIENT_BITS", 16)
+        two_q1 = poly("2*q1", SPACE2)
+        assert two_q1**16 == poly(f"{2**16}*q1^16", SPACE2)
+        with pytest.raises(
+            ProductTooLargeError,
+            match="power 17 of a 1-term polynomial could build coefficients "
+            "of 17 bits, over the limit of 16",
+        ):
+            two_q1**17
+        # Two terms with coefficient 1: log2(2) = 1 bit per factor.
+        assert len((poly("q1 + p1", SPACE2) ** 16).terms) == 17
+        with pytest.raises(ProductTooLargeError, match="power 17 of a 2-term"):
+            poly("q1 + p1", SPACE2) ** 17
+
+    def test_default_limit(self):
+        assert phase.MAX_COEFFICIENT_BITS == 8192
+        assert (poly("q1", SPACE2) ** 1_000_000).total_degree() == 1_000_000
+        assert poly("-1", SPACE2) ** 10**10 == poly("1", SPACE2)
+        with pytest.raises(ProductTooLargeError, match="20000 bits"):
+            poly("2*q1", SPACE2) ** 20000
 
 
 class TestRoundTrip:
