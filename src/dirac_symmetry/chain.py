@@ -284,11 +284,8 @@ def generate_chain(
     phase-variable support signals an inconsistent system.
     """
     span = RationalSpan()
-    for poly in system.primaries:
-        if span.add(poly.terms) is None:  # pragma: no cover - caught in __post_init__
-            raise DependentPrimariesError(
-                "primary constraints are linearly dependent over the rationals"
-            )
+    for poly in system.primaries:  # independent: ConstrainedSystem checks it
+        span.add(poly.terms)
 
     def next_level(sources, source_names):
         found = []

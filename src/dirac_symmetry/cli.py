@@ -19,6 +19,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import report as rpt
@@ -60,6 +61,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# Built once per process, on the first call of ``main``, not at import.
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="dirac-symmetry",

@@ -36,31 +36,20 @@ from .phase import _ONE, Exponents, PhasePolynomial, PhaseSpace, _adopt, check_p
 # recursive descent, so this stays far below the interpreter's limit.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<number>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-)
+# A token is a digit run (str.isdigit), a name (str.isidentifier) or one
+# operator character.  Whitespace matches nothing, so the scan steps over
+# it, and the last group catches any other character.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]|(\S)")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "position")
-
-    def __init__(self, kind: str, text: str, position: int):
-        self.kind = kind
-        self.text = text
-        self.position = position
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The (text, position) of every token, ending with ("", len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append(_Token(match.lastgroup, match.group(), pos))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastindex:
+            raise ParseError(f"unexpected character {match[0]!r}", match.start())
+        tokens.append((match[0], match.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -71,31 +60,20 @@ class _Parser:
         self.cursor = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, int]:
         return self.tokens[self.cursor]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.cursor]
-        self.cursor += 1
-        return token
-
-    def expect_op(self, op: str) -> _Token:
-        token = self.peek()
-        if token.kind != "op" or token.text != op:
-            raise ParseError(f"expected {op!r}", token.position)
-        return self.advance()
 
     # expr := ('+'|'-')? term (('+'|'-') term)*   -- leading sign is tolerated
     def expression(self) -> PhasePolynomial:
-        token = self.peek()
+        text = self.peek()[0]
         negate = False
-        if token.kind == "op" and token.text == "+":
-            self.advance()
-        elif token.kind == "op" and token.text == "-":
+        if text == "+":
+            self.cursor += 1
+        elif text == "-":
             # A '-' before digits already belongs to the rational literal.
-            nxt = self.tokens[self.cursor + 1]
-            if nxt.kind == "ident" or (nxt.kind == "op" and nxt.text == "("):
-                self.advance()
+            following = self.tokens[self.cursor + 1][0]
+            if following == "(" or following.isidentifier():
+                self.cursor += 1
                 negate = True
         # The terms of the whole sum go into one dictionary, so a sum of n
         # terms costs O(n), not the O(n^2) of adding polynomials one by one;
@@ -108,12 +86,11 @@ class _Parser:
                     coeff = -coeff
                 old = get(mon)
                 terms[mon] = coeff if old is None else old + coeff
-            token = self.peek()
-            if token.kind == "op" and token.text in "+-":
-                self.advance()
-                negate = token.text == "-"
-            else:
+            text = self.peek()[0]
+            if text != "+" and text != "-":
                 return _adopt(self.space, {m: c for m, c in terms.items() if c})
+            self.cursor += 1
+            negate = text == "-"
 
     # term := factor ('*' factor)*
     def term(self) -> Mapping[Exponents, Fraction]:
@@ -127,18 +104,18 @@ class _Parser:
         exps = [0] * self.space.n_identifiers
         group = None
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.text == "(":
+            text, position = self.peek()
+            if text == "(":
                 factor = self.group()
                 group = factor if group is None else group * factor
-            elif token.kind == "ident":
-                self.advance()
-                if not self.space.has_identifier(token.text):
+            elif text.isidentifier():
+                self.cursor += 1
+                if not self.space.has_identifier(text):
                     raise UndeclaredIdentifierError(
-                        f"undeclared identifier {token.text!r}", token.position
+                        f"undeclared identifier {text!r}", position
                     )
-                exps[self.space.index(token.text)] += self.exponent()
-            elif token.kind == "number" or (token.kind == "op" and token.text == "-"):
+                exps[self.space.index(text)] += self.exponent()
+            elif text.isdigit() or text == "-":
                 value = self.rational()
                 exponent = self.exponent()
                 if exponent != 1:
@@ -147,16 +124,14 @@ class _Parser:
                 coeff *= value
             else:
                 raise ParseError(
-                    f"expected a rational, identifier or '(', got {token.text!r}"
-                    if token.kind != "end"
+                    f"expected a rational, identifier or '(', got {text!r}"
+                    if text
                     else "unexpected end of expression",
-                    token.position,
+                    position,
                 )
-            token = self.peek()
-            if token.kind == "op" and token.text == "*":
-                self.advance()
-            else:
+            if self.peek()[0] != "*":
                 break
+            self.cursor += 1
         monomial = {tuple(exps): coeff} if coeff else {}
         if group is None:
             return monomial
@@ -164,72 +139,66 @@ class _Parser:
 
     # '(' expr ')' ('^' uint)?
     def group(self) -> PhasePolynomial:
-        token = self.advance()
         if self.depth == MAX_NESTING:
             raise ParseError(
-                f"parentheses nested deeper than {MAX_NESTING}", token.position
+                f"parentheses nested deeper than {MAX_NESTING}", self.peek()[1]
             )
+        self.cursor += 1
         self.depth += 1
         poly = self.expression()
         self.depth -= 1
-        self.expect_op(")")
+        text, position = self.peek()
+        if text != ")":
+            raise ParseError("expected ')'", position)
+        self.cursor += 1
         exponent = self.exponent()
         return poly if exponent == 1 else poly**exponent
 
     # ('^' uint)?
     def exponent(self) -> int:
-        token = self.peek()
-        if token.kind != "op" or token.text != "^":
+        if self.peek()[0] != "^":
             return 1
-        self.advance()
-        exp_token = self.peek()
-        if exp_token.kind != "number":
-            raise ParseError(
-                "exponent must be a non-negative integer literal", exp_token.position
-            )
-        self.advance()
-        return _integer(exp_token)
+        self.cursor += 1
+        return self.unsigned("exponent must be a non-negative integer literal")
 
     # rational := '-'? int ('/' uint)?
     def rational(self) -> Fraction:
-        token = self.advance()
-        negative = token.kind == "op"  # the '-' of a negative literal
-        if negative:
-            if self.peek().kind != "number":
-                raise ParseError("expected a rational after '-'", token.position)
-            token = self.advance()
-        numerator = _integer(token)
+        sign, position = self.peek()
+        negative = sign == "-"
+        self.cursor += negative
+        numerator = self.unsigned("expected a rational after '-'", position)
         if negative:
             numerator = -numerator
-        denominator = 1
-        token = self.peek()
-        if token.kind == "op" and token.text == "/":
-            self.advance()
-            den_token = self.peek()
-            if den_token.kind != "number":
-                raise ParseError("expected an unsigned denominator", den_token.position)
-            self.advance()
-            denominator = _integer(den_token)
-            if denominator == 0:
-                raise ParseError("zero denominator", den_token.position)
+        if self.peek()[0] != "/":
+            return Fraction(numerator)
+        self.cursor += 1
+        position = self.peek()[1]
+        denominator = self.unsigned("expected an unsigned denominator")
+        if not denominator:
+            raise ParseError("zero denominator", position)
         return Fraction(numerator, denominator)
 
-
-def _integer(token: _Token) -> int:
-    # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
-    try:
-        return int(token.text)
-    except ValueError:
-        raise ParseError(
-            f"numeric literal of {len(token.text)} digits is too long", token.position
-        ) from None
+    def unsigned(self, message: str, position: int | None = None) -> int:
+        """Read an unsigned integer literal, or raise `message` at `position`
+        (by default the offending token's)."""
+        text, at = self.peek()
+        if not text.isdigit():
+            raise ParseError(message, at if position is None else position)
+        self.cursor += 1
+        # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(
+                f"numeric literal of {len(text)} digits is too long", at
+            ) from None
 
 
 def parse_polynomial(text: str, space: PhaseSpace) -> PhasePolynomial:
     """Parse expression text into a canonical-form polynomial on `space`."""
     parser = _Parser(text, space)
     poly = parser.expression()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.position)
+    tail, position = parser.peek()
+    if tail:
+        raise ParseError(f"unexpected trailing input {tail!r}", position)
     return poly

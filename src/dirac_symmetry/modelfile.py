@@ -145,15 +145,11 @@ def parse_model_text(text: str) -> ModelFile:
     except ValueError as exc:
         raise ModelFileError(f"[primaries]: {exc}") from exc
 
-    declared_secondaries = (
-        _parse_named_expressions(parser, "secondaries", space)
-        if parser.has_section("secondaries")
+    declared_secondaries, declared_tertiaries = (
+        _parse_named_expressions(parser, section, space)
+        if parser.has_section(section)
         else None
-    )
-    declared_tertiaries = (
-        _parse_named_expressions(parser, "tertiaries", space)
-        if parser.has_section("tertiaries")
-        else None
+        for section in ("secondaries", "tertiaries")
     )
 
     generator_sets: dict[str, GeneratorSet] = {}

@@ -213,10 +213,9 @@ def check_counts(
     if not level_report.level_preserving:
         return CountsReport(False, {level: None for level in LEVELS}, False)
     ranks: dict[str, int | None] = {}
-    preserved = True
     for level in LEVELS:
         rows = level_report.matrices[level]
-        rank = rational_rank(
+        ranks[level] = rational_rank(
             {
                 (target_idx, monomial): value
                 for target_idx, coeff in enumerate(row or ())
@@ -224,10 +223,7 @@ def check_counts(
             }
             for row in rows
         )
-        ranks[level] = rank
-        if rank > len(rows):  # pragma: no cover - impossible, rank <= row count
-            preserved = False
-    return CountsReport(True, ranks, preserved)
+    return CountsReport(True, ranks, True)
 
 
 # ----------------------------------------------------------------------

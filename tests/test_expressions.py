@@ -19,6 +19,7 @@ from dirac_symmetry import (
     PhaseSpace,
     ProductTooLargeError,
     UndeclaredIdentifierError,
+    parse_model_text,
     parse_polynomial,
 )
 
@@ -107,6 +108,42 @@ def test_error_branch_is_pinned(text, kind, message, position):
     assert type(err.value) is kind
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+# (text, printed value): whitespace of every kind separates tokens and is
+# never one, and a '-' binds to the digits after it.  Pinned before the
+# tokenizer became one regular-expression scan.
+TOKEN_EDGES = [
+    ("q1\t+\tp1", "q1 + p1"),
+    ("q1\n*\np1", "q1*p1"),
+    ("q1\f-\fm", "q1 - m"),
+    ("2\u00a0*\u00a0q1", "2*q1"),
+    ("q1\u2003^\u20032", "q1^2"),
+    ("\t q1 \n", "q1"),
+    ("- 2*q1", "-2*q1"),
+    ("q1 - -2", "q1 + 2"),
+    ("q1*(-2)", "-2*q1"),
+    ("2 / 3 * q1", "2/3*q1"),
+]
+
+
+@pytest.mark.parametrize("text, printed", TOKEN_EDGES, ids=[repr(t) for t, _ in TOKEN_EDGES])
+def test_token_edge_parses(text, printed):
+    assert str(parse_polynomial(text, SPACE)) == printed
+
+
+def test_nul_is_an_unexpected_character():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("q1\x00", SPACE)
+    assert str(err.value) == "unexpected character '\\x00' (at position 2)"
+    assert err.value.position == 2
+
+
+def test_model_value_continued_on_an_indented_line_is_one_expression():
+    model = parse_model_text(
+        "[system]\nn_dof = 2\nparameters = E\nhamiltonian = q1*p2\n    + q2*p1\n\t- 3*E\n"
+    )
+    assert str(model.system.h_d) == "q1*p2 + q2*p1 - 3*E"
 
 
 class TestLiteralPowers:
