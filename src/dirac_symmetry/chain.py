@@ -155,28 +155,24 @@ class ConstraintChain:
         return names, polys
 
 
-def _split_constant_decomposition(
-    coefficients: Sequence[PhasePolynomial], counts: tuple[int, int, int]
-) -> tuple[tuple[PhasePolynomial, ...], ...]:
-    n_p, n_s, n_t = counts
-    return (
-        tuple(coefficients[:n_p]),
-        tuple(coefficients[n_p : n_p + n_s]),
-        tuple(coefficients[n_p + n_s : n_p + n_s + n_t]),
-    )
-
-
 def _build_chain(
     system: ConstrainedSystem,
     secondaries: Sequence[PhasePolynomial],
     tertiaries: Sequence[PhasePolynomial],
     secondary_names: Sequence[str],
     tertiary_names: Sequence[str],
+    brackets: tuple[tuple[PhasePolynomial, ...], ...],
     degree_bound: int | None,
 ) -> ConstraintChain:
+    """Tabulate each level's brackets {constraint, H_d}, given in ``brackets``.
+
+    Every table row is a slice of one constant-mode certificate, which
+    ``decompose`` has re-expanded exactly before returning it.
+    """
     h_d = system.h_d
     all_constraints = tuple(system.primaries) + tuple(secondaries) + tuple(tertiaries)
-    counts = (len(system.primaries), len(secondaries), len(tertiaries))
+    n_p, n_s = len(system.primaries), len(secondaries)
+    primary_brackets, secondary_brackets, tertiary_brackets = brackets
 
     def exact_split(bracket: PhasePolynomial, source: str):
         outcome = decompose(bracket, all_constraints, mode=CoefficientMode.CONSTANT)
@@ -184,11 +180,12 @@ def _build_chain(
             raise RuntimeError(
                 f"internal error: bracket of {source} left the constraint span"
             )
-        return _split_constant_decomposition(outcome.coefficients, counts)
-
-    primary_brackets = tuple(poisson(p, h_d) for p in system.primaries)
-    secondary_brackets = tuple(poisson(s, h_d) for s in secondaries)
-    tertiary_brackets = tuple(poisson(t, h_d) for t in tertiaries)
+        coefficients = outcome.coefficients
+        return (
+            coefficients[:n_p],
+            coefficients[n_p : n_p + n_s],
+            coefficients[n_p + n_s :],
+        )
 
     spill_p, table_a, table_b = [], [], []
     for name, bracket in zip(system.primary_names, primary_brackets):
@@ -219,7 +216,7 @@ def _build_chain(
     strict = all(
         all(c.is_zero() for c in row) for row in spill_p
     ) and all(all(c.is_zero() for c in row) for row in spill_s)
-    chain = ConstraintChain(
+    return ConstraintChain(
         system=system,
         secondaries=tuple(secondaries),
         tertiaries=tuple(tertiaries),
@@ -234,42 +231,10 @@ def _build_chain(
         primary_spill=tuple(spill_p),
         secondary_spill=tuple(spill_s),
         tertiary_closure=tuple(closures),
-        ordering_ok=counts[0] >= counts[1] >= counts[2],
+        ordering_ok=n_p >= n_s >= len(tertiaries),
         strict_level_form=strict,
         degree_bound=degree_bound,
     )
-    _assert_reexpansion(chain)
-    return chain
-
-
-def _assert_reexpansion(chain: ConstraintChain) -> None:
-    """Every recorded bracket relation must re-expand exactly."""
-    zero = PhasePolynomial.zero(chain.space)
-
-    def recombine(rows, polys):
-        return [
-            sum((c * phi for c, phi in zip(row, polys)), zero) for row in rows
-        ]
-
-    for bracket, on_p, on_s, on_t in zip(
-        chain.primary_brackets,
-        recombine(chain.primary_spill, chain.primaries),
-        recombine(chain.primary_to_secondary, chain.secondaries),
-        recombine(chain.primary_to_tertiary, chain.tertiaries),
-    ):
-        if bracket != on_p + on_s + on_t:
-            raise RuntimeError("internal error: primary bracket table mismatch")
-    ps = chain.primaries + chain.secondaries
-    for bracket, on_ps, on_t in zip(
-        chain.secondary_brackets,
-        recombine(chain.secondary_spill, ps),
-        recombine(chain.secondary_to_tertiary, chain.tertiaries),
-    ):
-        if bracket != on_ps + on_t:
-            raise RuntimeError("internal error: secondary bracket table mismatch")
-    for cert in chain.tertiary_closure:
-        if not cert.verify():
-            raise RuntimeError("internal error: tertiary closure certificate invalid")
 
 
 def generate_chain(
@@ -277,37 +242,41 @@ def generate_chain(
 ) -> ConstraintChain:
     """Generate the secondary and tertiary constraints from the primaries.
 
-    Each bracket {constraint, H_d} is reduced against the rational span of
-    every constraint known so far; a nonzero residual is normalized (leading
-    graded-lex coefficient +1) and becomes a constraint of the next level, so
-    duplicates are removed as soon as they appear.  A residual with no
-    phase-variable support signals an inconsistent system.
+    Each bracket {constraint, H_d} is computed once and reduced against the
+    rational span of every constraint known so far; a nonzero residual is
+    normalized (leading graded-lex coefficient +1) and becomes a constraint
+    of the next level, so duplicates are removed as soon as they appear.  A
+    residual with no phase-variable support signals an inconsistent system.
     """
     span = RationalSpan()
     for poly in system.primaries:  # independent: ConstrainedSystem checks it
         span.add(poly.terms)
 
-    def next_level(sources, source_names):
-        found = []
+    def next_level(sources, source_names, reduce=span.add):
+        brackets, found = [], []
         for poly, name in zip(sources, source_names):
-            residual = span.add(poisson(poly, system.h_d).terms)
-            if residual is not None:
+            brackets.append(poisson(poly, system.h_d))
+            residual = reduce(brackets[-1].terms)
+            if residual:
                 found.append(_consistent_residual(system.space, residual, name))
-        return found
+        return tuple(brackets), found
 
-    secondaries = next_level(system.primaries, system.primary_names)
+    primary_brackets, secondaries = next_level(system.primaries, system.primary_names)
     secondary_names = tuple(f"S{i}" for i in range(1, len(secondaries) + 1))
-    tertiaries = next_level(secondaries, secondary_names)
+    secondary_brackets, tertiaries = next_level(secondaries, secondary_names)
     tertiary_names = tuple(f"T{i}" for i in range(1, len(tertiaries) + 1))
 
     # Anything past the third level is outside the supported theory; detect it
     # on the raw span before the (more permissive) weak-closure test runs.
-    for name, poly in zip(tertiary_names, tertiaries):
-        residual = span.reduce(poisson(poly, system.h_d).terms)
-        if residual:
-            _consistent_residual(system.space, residual, name)
+    tertiary_brackets, _ = next_level(tertiaries, tertiary_names, span.reduce)
     return _build_chain(
-        system, secondaries, tertiaries, secondary_names, tertiary_names, degree_bound
+        system,
+        secondaries,
+        tertiaries,
+        secondary_names,
+        tertiary_names,
+        (primary_brackets, secondary_brackets, tertiary_brackets),
+        degree_bound,
     )
 
 
@@ -316,8 +285,9 @@ def recombine_level(
 ) -> ConstraintChain:
     """Replace one level's basis by an invertible rational recombination.
 
-    Rebuilds every decomposition table against the new basis; used to check
-    that verdicts are basis-independent within a level.
+    Rebuilds every decomposition table against the new basis, recomputing
+    only the replaced level's brackets; used to check that verdicts are
+    basis-independent within a level.
     """
     old = chain.level_polys(level)
     n = len(old)
@@ -334,12 +304,17 @@ def recombine_level(
         system = ConstrainedSystem(
             chain.space, system.h_d, new_polys, chain.primary_names
         )
+    brackets = [
+        chain.primary_brackets, chain.secondary_brackets, chain.tertiary_brackets
+    ]
+    brackets[LEVELS.index(level)] = tuple(poisson(p, system.h_d) for p in new_polys)
     return _build_chain(
         system,
         new_polys if level == "secondary" else chain.secondaries,
         new_polys if level == "tertiary" else chain.tertiaries,
         chain.secondary_names,
         chain.tertiary_names,
+        tuple(brackets),
         chain.degree_bound,
     )
 

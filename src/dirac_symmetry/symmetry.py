@@ -198,7 +198,12 @@ def check_level_preservation(
 class CountsReport:
     applicable: bool
     ranks: dict[str, int | None]
-    counts_preserved: bool
+
+    @property
+    def counts_preserved(self) -> bool:
+        """Counts are preserved wherever the check applies: level
+        preservation bounds every rank by its level count."""
+        return self.applicable
 
 
 def check_counts(
@@ -211,7 +216,7 @@ def check_counts(
     not-applicable otherwise.
     """
     if not level_report.level_preserving:
-        return CountsReport(False, {level: None for level in LEVELS}, False)
+        return CountsReport(False, {level: None for level in LEVELS})
     ranks: dict[str, int | None] = {}
     for level in LEVELS:
         rows = level_report.matrices[level]
@@ -223,7 +228,7 @@ def check_counts(
             }
             for row in rows
         )
-    return CountsReport(True, ranks, True)
+    return CountsReport(True, ranks)
 
 
 # ----------------------------------------------------------------------

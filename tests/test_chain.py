@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import dirac_symmetry.chain as chain_module
 from dirac_symmetry import (
+    SHIPPED_MODELS,
     ChainBeyondTertiaryError,
     ConstrainedSystem,
     DependentPrimariesError,
@@ -15,6 +17,7 @@ from dirac_symmetry import (
     generate_chain,
     poisson,
     recombine_level,
+    three_level_chain,
     weak_equals,
 )
 
@@ -27,6 +30,42 @@ def cascade_system():
     space = PhaseSpace(3)
     h_d = poly("q1*p2 + q2*p3", space)
     return ConstrainedSystem(space, h_d, (poly("p1", space),), ("P1",))
+
+
+def assert_relations_reexpand(chain):
+    """Recompute every bracket {constraint, H_d} and re-expand its recorded
+    relation: each table row, spill included, and each tertiary certificate."""
+    h_d = chain.system.h_d
+
+    def expand(row, polys):
+        assert len(row) == len(polys)
+        total = poly("0", chain.space)
+        for coeff, phi in zip(row, polys):
+            total = total + coeff * phi
+        return total
+
+    for i, primary in enumerate(chain.primaries):
+        expected = poisson(primary, h_d)
+        assert chain.primary_brackets[i] == expected
+        assert expected == (
+            expand(chain.primary_spill[i], chain.primaries)
+            + expand(chain.primary_to_secondary[i], chain.secondaries)
+            + expand(chain.primary_to_tertiary[i], chain.tertiaries)
+        )
+    for j, secondary in enumerate(chain.secondaries):
+        expected = poisson(secondary, h_d)
+        assert chain.secondary_brackets[j] == expected
+        assert expected == (
+            expand(chain.secondary_spill[j], chain.primaries + chain.secondaries)
+            + expand(chain.secondary_to_tertiary[j], chain.tertiaries)
+        )
+    assert len(chain.tertiary_closure) == len(chain.tertiaries)
+    for k, tertiary in enumerate(chain.tertiaries):
+        expected = poisson(tertiary, h_d)
+        assert chain.tertiary_brackets[k] == expected
+        certificate = chain.tertiary_closure[k]
+        assert certificate.target == expected
+        assert certificate.expand() == expected
 
 
 class TestGenerateChain:
@@ -42,28 +81,33 @@ class TestGenerateChain:
         assert chain.strict_level_form
 
     def test_relations_reexpand_exactly(self):
-        chain = generate_chain(cascade_system())
-        h_d = chain.system.h_d
-        for i, primary in enumerate(chain.primaries):
-            expected = poisson(primary, h_d)
-            total = poly("0", chain.space)
-            for coeff, phi in zip(chain.primary_spill[i], chain.primaries):
-                total = total + coeff * phi
-            for coeff, phi in zip(chain.primary_to_secondary[i], chain.secondaries):
-                total = total + coeff * phi
-            for coeff, phi in zip(chain.primary_to_tertiary[i], chain.tertiaries):
-                total = total + coeff * phi
-            assert total == expected
-        for j, secondary in enumerate(chain.secondaries):
-            expected = poisson(secondary, h_d)
-            total = poly("0", chain.space)
-            for coeff, phi in zip(
-                chain.secondary_spill[j], chain.primaries + chain.secondaries
-            ):
-                total = total + coeff * phi
-            for coeff, phi in zip(chain.secondary_to_tertiary[j], chain.tertiaries):
-                total = total + coeff * phi
-            assert total == expected
+        assert_relations_reexpand(generate_chain(cascade_system()))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    def test_shipped_relations_reexpand_exactly(self, name):
+        assert_relations_reexpand(generate_chain(SHIPPED_MODELS[name]().system))
+
+    @pytest.mark.parametrize(
+        "model, calls",
+        [(three_level_chain, 3), (lambda: em_modes(5), 10)],
+        ids=["three_level_chain", "em_modes_5"],
+    )
+    def test_each_bracket_and_relation_computed_once(self, monkeypatch, model, calls):
+        counts = {"poisson": 0, "decompose": 0}
+
+        def counting(name):
+            original = getattr(chain_module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(chain_module, name, counting(name))
+        generate_chain(model().system)
+        assert counts == {"poisson": calls, "decompose": calls}
 
     def test_cyclic_coordinate_stops_immediately(self):
         space = PhaseSpace(2)
@@ -137,13 +181,23 @@ class TestGenerateChain:
 
 
 class TestRecombineLevel:
-    def test_recombined_tables_still_reexpand(self):
-        chain = generate_chain(cascade_system())
-        matrix = [[F(-7, 3)]]
+    @pytest.mark.parametrize(
+        "system, matrix",
+        [
+            (cascade_system, [[F(-7, 3)]]),
+            (lambda: em_modes(2).system, [[F(2), F(-1)], [F(1, 3), F(5)]]),
+        ],
+        ids=["cascade", "em_modes_2"],
+    )
+    def test_recombined_tables_still_reexpand(self, system, matrix):
+        chain = generate_chain(system())
         for level in ("primary", "secondary", "tertiary"):
-            recombined = recombine_level(chain, level, matrix)
+            size = len(chain.level_polys(level))
+            square = [row[:size] for row in matrix[:size]]
+            recombined = recombine_level(chain, level, square)
             assert recombined.counts == chain.counts
             assert recombined.ordering_ok == chain.ordering_ok
+            assert_relations_reexpand(recombined)
 
     def test_singular_matrix_rejected(self):
         chain = generate_chain(em_modes(2).system)

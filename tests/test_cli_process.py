@@ -48,3 +48,19 @@ def test_help_exits_zero():
     result = _run("--help")
     assert result.returncode == 0
     assert result.stdout.startswith(b"usage: dirac-symmetry")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S skips site hooks, which may import third-party modules of their own.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import dirac_symmetry, dirac_symmetry.cli; "
+        "print(sorted({name.partition('.')[0] for name in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'dirac_symmetry', '__main__'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
