@@ -20,7 +20,10 @@ dict and hands it to the kernel's trusted constructor ``phase._adopt``, whose
 invariant it keeps: a fresh dict whose values are all nonzero ``Fraction``s.
 A rational literal raised to a power is refused, as ``PhasePolynomial``
 powers are, when ``phase.check_power`` estimates its size past
-``phase.MAX_COEFFICIENT_BITS``.
+``phase.MAX_COEFFICIENT_BITS``.  A product the parser forms (a second
+literal folded into a term's coefficient, or a product of parenthesised
+groups) is refused by ``phase.check_coefficients`` when its coefficients
+pass that limit; a single literal is taken as written.
 """
 
 from __future__ import annotations
@@ -30,7 +33,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ParseError, UndeclaredIdentifierError
-from .phase import _ONE, Exponents, PhasePolynomial, PhaseSpace, _adopt, check_power
+from .phase import (
+    _ONE,
+    Exponents,
+    PhasePolynomial,
+    PhaseSpace,
+    _adopt,
+    check_coefficients,
+    check_power,
+)
 
 # Deepest parenthesis nesting accepted: each level costs four frames of
 # recursive descent, so this stays far below the interpreter's limit.
@@ -107,7 +118,10 @@ class _Parser:
             text, position = self.peek()
             if text == "(":
                 factor = self.group()
-                group = factor if group is None else group * factor
+                if group is not None:
+                    factor = group * factor
+                    check_coefficients(factor.terms.values())
+                group = factor
             elif text.isidentifier():
                 self.cursor += 1
                 if not self.space.has_identifier(text):
@@ -121,7 +135,11 @@ class _Parser:
                 if exponent != 1:
                     check_power((value,), exponent)
                     value = value**exponent
-                coeff *= value
+                if coeff is _ONE:
+                    coeff = value
+                else:
+                    coeff *= value
+                    check_coefficients((coeff,))
             else:
                 raise ParseError(
                     f"expected a rational, identifier or '(', got {text!r}"
@@ -135,7 +153,10 @@ class _Parser:
         monomial = {tuple(exps): coeff} if coeff else {}
         if group is None:
             return monomial
-        return (group * _adopt(self.space, monomial)).terms
+        product = (group * _adopt(self.space, monomial)).terms
+        if coeff is not _ONE:
+            check_coefficients(product.values())
+        return product
 
     # '(' expr ')' ('^' uint)?
     def group(self) -> PhasePolynomial:

@@ -441,6 +441,23 @@ def check_power(coefficients: Collection[Fraction], exponent: int) -> None:
         )
 
 
+def check_coefficients(coefficients: Iterable[Fraction]) -> None:
+    """Refuse a product whose coefficients pass ``MAX_COEFFICIENT_BITS``.
+
+    A coefficient passes it when log2 of its numerator or denominator does,
+    the measure ``check_power`` estimates.
+    """
+    largest = max(
+        (max(abs(c.numerator), c.denominator) for c in coefficients), default=1
+    )
+    bits = math.log2(largest)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ProductTooLargeError(
+            f"product builds coefficients of {math.ceil(bits)} bits, over the "
+            f"limit of {MAX_COEFFICIENT_BITS}"
+        )
+
+
 def _check_term_pairs(operation: str, f: PhasePolynomial, g: PhasePolynomial) -> None:
     pairs = len(f.terms) * len(g.terms)
     if pairs > MAX_TERM_PAIRS:

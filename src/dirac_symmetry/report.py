@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from fractions import Fraction
 from typing import Sequence
 
 from .chain import LEVELS, ConstraintChain, FirstClassReport, TotalHamiltonian
+from .errors import ProductTooLargeError
 from .membership import IdealDecomposition, NotFound
 from .phase import PhasePolynomial
 from .symmetry import NotClosed, StructureConstants, SymmetryVerdict, VerdictClass
@@ -54,6 +57,18 @@ def _verdict_mark(ok: bool, good: str = "ok", bad: str = "FAIL") -> str:
     return _good(good) if ok else _bad(bad)
 
 
+def _text(value: PhasePolynomial | Fraction) -> str:
+    """The printed form of a polynomial or rational: the one place reports
+    turn coefficients into text."""
+    try:
+        return str(value)
+    except ValueError:  # Python refuses to print an int this long
+        raise ProductTooLargeError(
+            f"a computed coefficient has more digits than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer"
+        ) from None
+
+
 # ----------------------------------------------------------------------
 # certificates
 # ----------------------------------------------------------------------
@@ -68,7 +83,7 @@ def certificate_dict(
             "message": outcome.message,
         }
     coefficients = {
-        name: str(coeff)
+        name: _text(coeff)
         for name, coeff in zip(generator_names, outcome.coefficients)
         if not coeff.is_zero()
     }
@@ -96,7 +111,7 @@ def _space_dict(chain: ConstraintChain) -> dict:
 def _levels_dict(chain: ConstraintChain) -> dict:
     return {
         level: [
-            {"name": name, "constraint": str(poly)}
+            {"name": name, "constraint": _text(poly)}
             for name, poly in zip(chain.level_names(level), chain.level_polys(level))
         ]
         for level in LEVELS
@@ -104,7 +119,7 @@ def _levels_dict(chain: ConstraintChain) -> dict:
 
 
 def _table_dict(rows: Sequence[Sequence[PhasePolynomial]]) -> list[list[str]]:
-    return [[str(entry) for entry in row] for row in rows]
+    return [[_text(entry) for entry in row] for row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +135,7 @@ def chain_report(
         "command": "chain",
         "file": file_label,
         "space": _space_dict(chain),
-        "h_d": str(chain.system.h_d),
+        "h_d": _text(chain.system.h_d),
         "degree_bound": chain.degree_bound,
         "reduction_policy": (
             "new residuals are de-duplicated immediately against the rational "
@@ -144,7 +159,7 @@ def chain_report(
         "tertiary_closure": [
             {
                 "name": name,
-                "bracket": str(bracket),
+                "bracket": _text(bracket),
                 "certificate": certificate_dict(cert, ideal_names),
             }
             for name, bracket, cert in zip(
@@ -254,8 +269,8 @@ def total_hamiltonian_report(
             "n_dof": total.space.n_dof,
             "parameters": list(total.space.parameters),
         },
-        "h_d": str(chain.system.h_d),
-        "h_tot": str(total.h_tot),
+        "h_d": _text(chain.system.h_d),
+        "h_tot": _text(total.h_tot),
         "multipliers": {
             "primary": list(v_names),
             "secondary": list(u_names),
@@ -297,7 +312,7 @@ def first_class_report(
             {
                 "a": pair.name_a,
                 "b": pair.name_b,
-                "bracket": str(pair.bracket),
+                "bracket": _text(pair.bracket),
                 "first_class": pair.first_class,
                 "certificate": certificate_dict(pair.certificate, ideal_names),
             }
@@ -337,7 +352,7 @@ def _closure_dict(closure: StructureConstants | NotClosed) -> dict:
         return {
             "closed": False,
             "failing_pair": list(closure.pair),
-            "bracket": str(closure.bracket),
+            "bracket": _text(closure.bracket),
             "field_dependent_close": closure.field_dependent_close,
         }
     return {
@@ -351,7 +366,7 @@ def _closure_dict(closure: StructureConstants | NotClosed) -> dict:
                 "k": closure.names[k],
                 "i": closure.names[i],
                 "j": closure.names[j],
-                "value": str(value),
+                "value": _text(value),
             }
             for k, i, j, value in closure.nonzero
         ],
@@ -372,7 +387,7 @@ def symmetry_report(
             entry = {
                 "level": image.level,
                 "constraint": image.name,
-                "image": str(image.image),
+                "image": _text(image.image),
                 "within_level": certificate_dict(
                     image.within_level, chain.level_names(image.level)
                 ),
@@ -385,9 +400,9 @@ def symmetry_report(
         generators.append(
             {
                 "name": gv.name,
-                "generator": str(gv.generator),
+                "generator": _text(gv.generator),
                 "commutation": gv.commutation_class.value,
-                "bracket_with_h_d": str(gv.bracket_with_h_d),
+                "bracket_with_h_d": _text(gv.bracket_with_h_d),
                 "commutation_certificate": certificate_dict(
                     gv.commutation_certificate, ideal_names
                 ),
@@ -398,7 +413,7 @@ def symmetry_report(
                         "source": m.source_name,
                         "target_level": m.target_level,
                         "target": m.target_name,
-                        "coefficient": str(m.coefficient),
+                        "coefficient": _text(m.coefficient),
                     }
                     for m in gv.level_report.mixing
                 ],

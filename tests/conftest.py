@@ -68,3 +68,34 @@ def polynomial_strategy(space: PhaseSpace, max_degree: int = 3, max_terms: int =
     return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda pairs: PhasePolynomial(space, dict(pairs))
     )
+
+
+# Text a mutation may insert into a line, or insert as a line of its own:
+# the characters the model-file reader gives meaning to, whitespace that is
+# not a space, and lines that open, repeat or break sections.
+MUTATION_TOKENS = ("#", " #", "=", "[", "]", " ", "\t", "\x0c", "\xa0", "\r", "\u2028")
+MUTATION_LINES = ("", "[DEFAULT]", "[system]", "[primaries]", "[generators.g]",
+                  "x = 1", " = x", "#", "]", "[x] y")
+
+
+def mutate_model_text(text: str, rng: random.Random, edits: int) -> str:
+    """`text` after `edits` random line edits: drop, duplicate, indent or
+    dedent a line, insert a token into a line, or insert a line."""
+    lines = text.split("\n")
+    for _ in range(edits):
+        at = rng.randrange(len(lines))
+        edit = rng.randrange(6)
+        if edit == 0 and len(lines) > 1:
+            del lines[at]
+        elif edit == 1:
+            lines.insert(at, lines[at])
+        elif edit == 2:
+            lines[at] = rng.choice(("  ", "\t", " ")) + lines[at]
+        elif edit == 3:
+            lines[at] = lines[at].lstrip()
+        elif edit == 4:
+            cut = rng.randrange(len(lines[at]) + 1)
+            lines[at] = lines[at][:cut] + rng.choice(MUTATION_TOKENS) + lines[at][cut:]
+        else:
+            lines.insert(at, rng.choice(MUTATION_LINES))
+    return "\n".join(lines)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,6 +300,57 @@ class TestErrorExitCodes:
             f"polynomial could build coefficients of {bits} bits, over the limit of "
             f"{phase.MAX_COEFFICIENT_BITS}\n"
         )
+
+    def test_product_of_literal_powers_is_invalid_input(self, capsys, tmp_path):
+        # Each power is within the limit, their product is not; it exited 5
+        # when the report printed the coefficient.
+        path = tmp_path / "product.model"
+        path.write_text("[system]\nn_dof = 1\nhamiltonian = 2^8000*2^8000*q1*p1\n", encoding="utf-8")
+        code, out, err = run(capsys, "chain", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: invalid input: [system] hamiltonian: product builds coefficients "
+            f"of 16000 bits, over the limit of {phase.MAX_COEFFICIENT_BITS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, argv",
+        [
+            # {P, H_d} = -2^16000*p2^2, a secondary constraint the chain prints.
+            ("[system]\nn_dof = 2\nhamiltonian = 2^8000*q1*p2^2 + q2*p1\n"
+             "[primaries]\nP = 2^8000*p1\n", ["chain"]),
+            # {A, B} = 2^16000 = 2^16000*C, a structure constant.
+            ("[system]\nn_dof = 2\nhamiltonian = q2*p2\n"
+             "[generators.g]\nA = 2^8000*q1\nB = 2^8000*p1\nC = 1\n",
+             ["structure-constants", "--set", "g"]),
+        ],
+    )
+    def test_computed_coefficient_past_the_print_limit_is_invalid_input(
+        self, capsys, tmp_path, model, argv
+    ):
+        path = tmp_path / "computed.model"
+        path.write_text(model, encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: invalid input: a computed coefficient has more digits than "
+            f"Python's limit of {sys.get_int_max_str_digits()} for printing an integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("[DEFAULT]\nn_dof = 1\n[system]\nhamiltonian = q1*p1\n[primaries]\nP1 = p1\n",
+             "unknown section [DEFAULT]"),
+            ("[system] trailing\nn_dof = 1\nhamiltonian = q1*p1\n",
+             "model file syntax error: line 1: text after the ']' of a section header"),
+        ],
+    )
+    def test_what_configparser_accepted_is_invalid_input(self, capsys, tmp_path, model, message):
+        path = tmp_path / "loose.model"
+        path.write_text(model, encoding="utf-8")
+        code, out, err = run(capsys, "chain", str(path))
+        assert (code, out, err) == (3, "", f"error: invalid input: {message}\n")
 
     def test_oversized_model_file_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "big.model"

@@ -64,3 +64,16 @@ def test_runtime_imports_only_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_configparser():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import dirac_symmetry.cli; print('configparser' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -168,6 +168,26 @@ class TestLiteralPowers:
         }
         assert parse_polynomial("-1^10000000000 + 0^10000000000", SPACE) == 1
 
+    def test_products_past_the_limit_are_refused(self):
+        for text in (
+            "2^8000*2^8000*q1*p1",
+            "2^8000*q1*2^8000",
+            "(2^8000*q1)*(2^8000 + p1)",
+            "2^8000*(2^8000*q1 + p1)",
+            "(q1 + p1)*2/3^5000*1/3^5000",
+        ):
+            with pytest.raises(ProductTooLargeError, match="product builds coefficients of"):
+                parse_polynomial(text, SPACE)
+
+    def test_products_up_to_the_limit_and_single_factors_are_accepted(self):
+        assert parse_polynomial("2^4096*2^4096*q1", SPACE).terms == {
+            (1, 0, 0, 0, 0, 0): Fraction(2**8192)
+        }
+        # A literal alone may be longer: it prints within Python's limit.
+        literal = "7" * 4300
+        for text in (f"({literal}*q1)", f"({literal})*q1", f"q1*({literal})"):
+            assert parse_polynomial(text, SPACE) == parse_polynomial(f"{literal}*q1", SPACE)
+
     def test_a_term_is_one_monomial(self):
         parsed = parse_polynomial("2*q1^2*-3/2*p1*q1*m^0", SPACE)
         assert parsed.terms == {(3, 0, 1, 0, 0, 0): Fraction(-3)}

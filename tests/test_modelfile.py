@@ -1,3 +1,11 @@
+import ast
+import configparser
+import json
+import random
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from dirac_symmetry import (
@@ -8,7 +16,9 @@ from dirac_symmetry import (
 from dirac_symmetry import modelfile
 from dirac_symmetry.modelfile import load_model_file
 
-from conftest import poly
+from conftest import mutate_model_text, poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 VALID = """\
 # a three-level cascade
@@ -205,3 +215,149 @@ class TestSizeCap:
         path.write_bytes(b"[system]\nn_dof = 1\nhamiltonian = q1*p1 \xff\n")
         with pytest.raises(ModelFileError, match="is not UTF-8 text"):
             load_model_file(path)
+
+
+def read(text: str) -> dict[str, dict[str, str]]:
+    return modelfile._read_sections(text)
+
+
+class TestLineRules:
+    def test_value_starts_after_the_first_equals(self):
+        assert read("[s]\nk = a = b\nj=\n") == {"s": {"k": "a = b", "j": ""}}
+
+    def test_comments_start_a_line_or_follow_whitespace(self):
+        text = "# head\n[s] # note\nk = a#b # c\n  # indented\nj = 1\t#2\n"
+        assert read(text) == {"s": {"k": "a#b", "j": "1"}}
+
+    def test_deeper_lines_continue_the_value(self):
+        text = "[s]\nk = a\n  b\n\n\t c\n# skipped\n  d\n\n\nj = e\n"
+        assert read(text) == {"s": {"k": "a\nb\n\nc\nd", "j": "e"}}
+
+    def test_continuation_is_relative_to_the_key_line(self):
+        text = "[s]\n  k = a\n  j = b\n   [c]\ni = d\n f = g\n"
+        assert read(text) == {"s": {"k": "a", "j": "b\n[c]", "i": "d\nf = g"}}
+
+    def test_names_keep_case_and_lose_surrounding_whitespace(self):
+        text = "[s]\n  Key\t =  v  \nkey=w\n[ t ]\nx = 1\n"
+        assert read(text) == {"s": {"Key": "v", "key": "w"}, " t ": {"x": "1"}}
+
+    def test_lines_split_at_newlines_only(self):
+        assert read("[s]\nk = a\rb\x0c\u2028\n") == {"s": {"k": "a\rb"}}
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("[s]\nk = 1\n[s]\n", 3, "section [s] appears twice"),
+            ("[s]\nk = 1\n  more\nk = 2\n", 4, "key 'k' appears twice in [s]"),
+            ("# head\nk = 1\n", 2, "entry before the first [section] header"),
+            ("[s]\nno equals sign\n", 2, "expected a 'name = value' line"),
+            ("[s]\n = v\n", 2, "expected a 'name = value' line"),
+            ("[]\n", 1, "entry before the first [section] header"),
+            ("[DEFAULT]\n[DEFAULT]\n", 2, "section [DEFAULT] appears twice"),
+        ],
+    )
+    def test_syntax_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text(text)
+        assert str(err.value) == f"model file syntax error: line {line}: {message}"
+
+
+class TestDeliberateDifferencesFromConfigparser:
+    def test_default_is_an_unknown_section(self):
+        # configparser copied DEFAULT keys into every section: this model ran
+        # `chain` with a phantom primary constraint "n_dof = 1".
+        with pytest.raises(ModelFileError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_model_text(
+                "[DEFAULT]\nn_dof = 1\n[system]\nhamiltonian = q1*p1\n"
+                "[primaries]\nP1 = p1\n"
+            )
+
+    def test_text_after_a_header_is_a_syntax_error(self):
+        # configparser read this header as [system].
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text("[system]\nn_dof = 1\nhamiltonian = p1\n[options] x\n")
+        assert str(err.value) == (
+            "model file syntax error: line 4: text after the ']' of a section header"
+        )
+
+
+def model_texts_in_tests() -> list[str]:
+    """Every model text the tests hold: string literals with a section
+    header, and the models of the extra-branch pins."""
+    texts = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.search(r"^\[\w", node.value, re.MULTILINE):
+                    texts.append(node.value)
+    extra = json.loads((Path(__file__).parent / "data" / "cli_extra_branches.json").read_text())
+    return texts + list(extra["models"].values())
+
+
+SHIPPED = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "models").glob("*.model"))]
+# A comment as configparser finds one: '#' at the start or after whitespace.
+COMMENT = re.compile(r"(?:^|(?<=\s))#.*")
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """The oracle: configparser with the settings the model reader replaced.
+    Its DEFAULT section is renamed to a name no header can hold, so that
+    ``[DEFAULT]`` is an ordinary section, as it is for the reader."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",),
+        comment_prefixes=("#",),
+        inline_comment_prefixes=("#",),
+        strict=True,
+        interpolation=None,
+        default_section="\n",
+    )
+    parser.optionxform = str
+    parser.read_string(text)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def compare_with_configparser(text: str) -> str:
+    """Check the reader against the oracle on `text`; say which case held."""
+    try:
+        expected = configparser_sections(text)
+    except configparser.Error:
+        with pytest.raises(ModelFileError, match=r"^model file syntax error: line \d+: "):
+            read(text)
+        return "both refuse"
+    try:
+        sections = read(text)
+    except ModelFileError as exc:
+        # The one refusal configparser does not make: text after the ']' of
+        # a header, which it ignored.
+        match = re.fullmatch(
+            r"model file syntax error: line (\d+): text after the '\]' of a section header",
+            str(exc),
+        )
+        assert match, exc
+        line = COMMENT.sub("", text.split("\n")[int(match[1]) - 1], count=1).strip()
+        header = configparser.ConfigParser.SECTCRE.match(line)
+        assert header and header.end() < len(line), line
+        return "text after a header"
+    assert [(name, list(entries.items())) for name, entries in sections.items()] == [
+        (name, list(entries.items())) for name, entries in expected.items()
+    ]
+    return "same entries"
+
+
+class TestAgainstConfigparser:
+    def test_every_model_text_reads_as_configparser_read_it(self):
+        texts = SHIPPED + model_texts_in_tests()
+        assert len(texts) > 50
+        outcomes = Counter(compare_with_configparser(text) for text in texts)
+        assert outcomes["same entries"] >= len(SHIPPED)
+
+    def test_mutated_models(self):
+        rng = random.Random(20260)
+        outcomes = Counter(
+            compare_with_configparser(mutate_model_text(text, rng, rng.randint(1, 4)))
+            for text in SHIPPED
+            for _ in range(80)
+        )
+        # The corpus reaches every case, each many times.
+        assert min(outcomes[case] for case in (
+            "same entries", "both refuse", "text after a header")) >= 10, outcomes
