@@ -34,15 +34,6 @@ from .membership import (
     default_degree_bound,
     weak_equals,
 )
-from .models import (
-    ExpectedBehavior,
-    ModelDescriptor,
-    SHIPPED_MODELS,
-    central_oscillator,
-    em_modes,
-    export_model_file,
-    three_level_chain,
-)
 from .modelfile import ModelFile, ModelOptions, load_model_file, parse_model_text
 from .phase import PhasePolynomial, PhaseSpace, poisson
 from .symmetry import (
@@ -60,6 +51,33 @@ from .symmetry import (
 )
 
 __version__ = "0.1.0"
+
+# Names of ``models``, which is imported on first use of one of them, or of
+# the submodule itself (PEP 562 ``__getattr__``): the command line needs none.
+_MODELS_NAMES = (
+    "ExpectedBehavior",
+    "ModelDescriptor",
+    "SHIPPED_MODELS",
+    "central_oscillator",
+    "em_modes",
+    "export_model_file",
+    "three_level_chain",
+)
+
+
+def __getattr__(name: str):
+    if name != "models" and name not in _MODELS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    models = importlib.import_module(f"{__name__}.models")
+    globals().update((n, getattr(models, n)) for n in _MODELS_NAMES)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_MODELS_NAMES})
+
 
 __all__ = [
     "ChainBeyondTertiaryError",

@@ -9,9 +9,8 @@ tertiary bracket that is not weakly zero raises ``ChainBeyondTertiaryError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ChainBeyondTertiaryError,
@@ -26,7 +25,7 @@ from .membership import (
     NotFound,
     decompose,
 )
-from .phase import PhasePolynomial, PhaseSpace, poisson
+from .phase import PhasePolynomial, PhaseSpace, _Frozen, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
 
@@ -46,39 +45,42 @@ def _consistent_residual(space: PhaseSpace, residual, source: str) -> PhasePolyn
     return candidate
 
 
-@dataclass(frozen=True)
-class ConstrainedSystem:
+class ConstrainedSystem(_Frozen):
     """Dynamical Hamiltonian plus the declared primary constraints."""
 
-    space: PhaseSpace
-    h_d: PhasePolynomial
-    primaries: tuple[PhasePolynomial, ...]
-    primary_names: tuple[str, ...] = ()
+    __slots__ = ("space", "h_d", "primaries", "primary_names")
+    _compared = _shown = __slots__
 
-    def __post_init__(self):
-        if self.h_d.space != self.space:
+    def __init__(
+        self,
+        space: PhaseSpace,
+        h_d: PhasePolynomial,
+        primaries: tuple[PhasePolynomial, ...],
+        primary_names: tuple[str, ...] = (),
+    ):
+        if h_d.space != space:
             raise ValueError("H_d must live on the system's phase space")
-        names = self.primary_names or tuple(
-            f"P{i}" for i in range(1, len(self.primaries) + 1)
-        )
-        if len(names) != len(self.primaries):
+        names = primary_names or tuple(f"P{i}" for i in range(1, len(primaries) + 1))
+        if len(names) != len(primaries):
             raise ValueError("one name per primary constraint required")
         if len(set(names)) != len(names):
             raise ValueError("primary constraint names must be unique")
-        object.__setattr__(self, "primary_names", names)
-        for poly in self.primaries:
-            if poly.space != self.space:
+        for poly in primaries:
+            if poly.space != space:
                 raise ValueError("primary constraints must share the phase space")
             if poly.is_zero():
                 raise DependentPrimariesError("zero polynomial among primaries")
-        if rational_rank(p.terms for p in self.primaries) != len(self.primaries):
+        if rational_rank(p.terms for p in primaries) != len(primaries):
             raise DependentPrimariesError(
                 "primary constraints are linearly dependent over the rationals"
             )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "h_d", h_d)
+        object.__setattr__(self, "primaries", primaries)
+        object.__setattr__(self, "primary_names", names)
 
 
-@dataclass(frozen=True)
-class ConstraintChain:
+class ConstraintChain(NamedTuple):
     """Three-level constraint hierarchy with bracket-decomposition tables.
 
     ``primary_to_secondary[i][l]`` is the coefficient of secondary l in
@@ -319,8 +321,7 @@ def recombine_level(
     )
 
 
-@dataclass(frozen=True)
-class TotalHamiltonian:
+class TotalHamiltonian(NamedTuple):
     """H_d plus multiplier-weighted constraints on an extended phase space."""
 
     space: PhaseSpace
@@ -367,8 +368,7 @@ def assemble_total_hamiltonian(
     return TotalHamiltonian(ext, h_tot, (v_names, u_names, w_names), certificate)
 
 
-@dataclass(frozen=True)
-class PairBracketCheck:
+class PairBracketCheck(NamedTuple):
     """One pairwise constraint bracket tested against the on-shell module."""
 
     name_a: str
@@ -378,8 +378,7 @@ class PairBracketCheck:
     certificate: IdealDecomposition | NotFound
 
 
-@dataclass(frozen=True)
-class FirstClassReport:
+class FirstClassReport(NamedTuple):
     pairs: tuple[PairBracketCheck, ...]
     all_first_class: bool
     include_energy: bool

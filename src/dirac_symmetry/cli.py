@@ -175,15 +175,16 @@ def _require_set(model: ModelFile, set_name: str | None):
     return model.generator_sets[set_name]
 
 
-# Each command returns (report, text view, exit code); it looks the report
-# functions up on ``rpt`` when it runs.
+# Each command returns (report, text view, exit code), the view a function of
+# no arguments that ``rpt.render`` calls only for --format=text; it looks the
+# report functions up on ``rpt`` when it runs.
 def _chain(args, model: ModelFile, degree_bound, include_energy, mode):
     """generate the primary/secondary/tertiary constraint hierarchy"""
     chain = generate_chain(model.system, degree_bound)
     declared = _compare_declared_levels(chain, model)
     report = rpt.chain_report(chain, args.file, declared)
     code = EXIT_FINDING if declared is not None and not declared["match"] else EXIT_OK
-    return report, rpt.chain_text(report), code
+    return report, lambda: rpt.chain_text(report), code
 
 
 def _total_hamiltonian(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -191,7 +192,7 @@ def _total_hamiltonian(args, model: ModelFile, degree_bound, include_energy, mod
     chain = generate_chain(model.system, degree_bound)
     total = assemble_total_hamiltonian(model.system, chain)
     report = rpt.total_hamiltonian_report(chain, total, args.file)
-    return report, rpt.total_hamiltonian_text(report), EXIT_OK
+    return report, lambda: rpt.total_hamiltonian_text(report), EXIT_OK
 
 
 def _first_class(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -201,7 +202,7 @@ def _first_class(args, model: ModelFile, degree_bound, include_energy, mode):
     report = rpt.first_class_report(chain, result, args.file)
     module_names, _ = chain.on_shell_generators(include_energy)
     code = EXIT_OK if report["all_first_class"] else EXIT_FINDING
-    return report, rpt.first_class_text(report, module_names), code
+    return report, lambda: rpt.first_class_text(report, module_names), code
 
 
 def _check_symmetry(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -213,7 +214,7 @@ def _check_symmetry(args, model: ModelFile, degree_bound, include_energy, mode):
     )
     report = rpt.symmetry_report(chain, verdict, args.set_name, args.file)
     code = EXIT_OK if report["overall"] in rpt.PASSING_VERDICTS else EXIT_FINDING
-    return report, rpt.symmetry_text(report), code
+    return report, lambda: rpt.symmetry_text(report), code
 
 
 def _structure_constants(args, model: ModelFile, degree_bound, include_energy, mode):
@@ -222,7 +223,7 @@ def _structure_constants(args, model: ModelFile, degree_bound, include_energy, m
     closure = closure_and_structure_constants(gen_set, degree_bound)
     report = rpt.structure_constants_report(closure, args.set_name, args.file)
     code = EXIT_OK if report["closure"]["closed"] else EXIT_FINDING
-    return report, rpt.structure_constants_text(report), code
+    return report, lambda: rpt.structure_constants_text(report), code
 
 
 COMMANDS = {
@@ -237,8 +238,8 @@ COMMANDS = {
 def _run(args) -> int:
     model = load_model_file(args.file)
     options = _resolve_options(args, model)
-    report, text, code = COMMANDS[args.command](args, model, *options)
-    sys.stdout.write(rpt.render(report, text, args.format))
+    report, text_view, code = COMMANDS[args.command](args, model, *options)
+    sys.stdout.write(rpt.render(report, text_view, args.format))
     return code
 
 

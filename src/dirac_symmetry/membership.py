@@ -111,8 +111,7 @@ class IdealDecomposition:
         return all(c.is_zero() for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(NamedTuple):
     """Negative decomposition result.
 
     ``exact`` is True when non-membership is proven: the target's normal

@@ -50,8 +50,8 @@ into every other section, and a header with text after its ``]``, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .chain import ConstrainedSystem
 from .errors import DiracSymmetryError, ModelFileError
@@ -69,8 +69,7 @@ _OPTION_KEYS = {"degree_bound", "on_shell_energy", "coefficient_mode"}
 MAX_MODEL_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class ModelOptions:
+class ModelOptions(NamedTuple):
     """Per-file defaults; None means "not set" (CLI flags or built-ins apply)."""
 
     degree_bound: int | None = None
@@ -78,8 +77,7 @@ class ModelOptions:
     coefficient_mode: CoefficientMode | None = None
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     system: ConstrainedSystem
     generator_sets: dict[str, GeneratorSet]
     declared_secondaries: tuple[tuple[str, PhasePolynomial], ...] | None

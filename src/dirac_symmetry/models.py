@@ -9,17 +9,16 @@ library.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .chain import ConstrainedSystem
 from .phase import PhasePolynomial, PhaseSpace
 from .symmetry import GeneratorSet, VerdictClass
 
 
-@dataclass(frozen=True)
-class ExpectedBehavior:
+class ExpectedBehavior(NamedTuple):
     """Pinned pipeline outcomes used by the self-test suite."""
 
     counts: tuple[int, int, int]
@@ -29,13 +28,13 @@ class ExpectedBehavior:
     abelian_sets: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(NamedTuple):
     name: str
     system: ConstrainedSystem
     generator_sets: Mapping[str, GeneratorSet]
     expected: ExpectedBehavior
-    variable_legend: Mapping[str, str] = field(default_factory=dict)
+    # one shared empty default, which no one can write to
+    variable_legend: Mapping[str, str] = MappingProxyType({})
 
 
 def _q(space: PhaseSpace, i: int) -> PhasePolynomial:

@@ -50,6 +50,41 @@ MAX_DOF = 10_000
 MAX_COEFFICIENT_BITS = 8192
 
 
+class _Frozen:
+    """Base of the immutable classes that validate or derive their fields.
+
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``.  Two instances of one class
+    are equal, and hash alike, when the fields named in ``_compared`` are;
+    ``repr`` shows the fields named in ``_shown``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
 class PhaseSpace:
     """Canonical pairs q1..qn, p1..pn plus inert scalar parameters.
 

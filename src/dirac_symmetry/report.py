@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chain import LEVELS, ConstraintChain, FirstClassReport, TotalHamiltonian
 from .errors import ProductTooLargeError
@@ -553,7 +553,9 @@ def structure_constants_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(report: dict, text: str, fmt: str) -> str:
+def render(report: dict, text_view: Callable[[], str], fmt: str) -> str:
+    """The output in ``fmt``: the report as JSON, or its text view, which is
+    built only then."""
     if fmt == "structured":
         return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    return text
+    return text_view()

@@ -10,14 +10,14 @@ negative answer is qualified by the degree bound of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chain import LEVELS, ConstrainedSystem, ConstraintChain
 from .linsolve import rational_rank
 from .membership import CoefficientMode, IdealDecomposition, NotFound, decompose
-from .phase import PhasePolynomial, poisson
+from .phase import PhasePolynomial, _Frozen, poisson
 
 
 class CommutationClass(Enum):
@@ -41,28 +41,29 @@ _STRENGTH = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Frozen):
     """Ordered, named, rationally independent generator polynomials."""
 
-    names: tuple[str, ...]
-    generators: tuple[PhasePolynomial, ...]
+    __slots__ = ("names", "generators")
+    _compared = _shown = __slots__
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, names: tuple[str, ...], generators: tuple[PhasePolynomial, ...]):
+        if not generators:
             raise ValueError("generator set must be nonempty")
-        if len(self.names) != len(self.generators):
+        if len(names) != len(generators):
             raise ValueError("one name per generator required")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        space = self.generators[0].space
-        for poly in self.generators:
+        space = generators[0].space
+        for poly in generators:
             if poly.space != space:
                 raise ValueError("generators must share one phase space")
             if poly.is_zero():
                 raise ValueError("zero polynomial among generators")
-        if rational_rank(p.terms for p in self.generators) != len(self.generators):
+        if rational_rank(p.terms for p in generators) != len(generators):
             raise ValueError("generators are linearly dependent over the rationals")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "generators", generators)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -96,8 +97,7 @@ def check_dynamical_symmetry(
 # ----------------------------------------------------------------------
 # level preservation
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ConstraintImage:
+class ConstraintImage(NamedTuple):
     """Action of a generator on one constraint."""
 
     level: str
@@ -108,8 +108,7 @@ class ConstraintImage:
     across_levels: IdealDecomposition | NotFound | None
 
 
-@dataclass(frozen=True)
-class MixingFinding:
+class MixingFinding(NamedTuple):
     """A constraint whose image needs other levels to decompose."""
 
     source_level: str
@@ -119,8 +118,7 @@ class MixingFinding:
     coefficient: PhasePolynomial
 
 
-@dataclass(frozen=True)
-class LevelPreservationReport:
+class LevelPreservationReport(NamedTuple):
     images: tuple[ConstraintImage, ...]
     level_preserving: bool
     mixing: tuple[MixingFinding, ...]
@@ -194,8 +192,7 @@ def check_level_preservation(
 # ----------------------------------------------------------------------
 # count preservation
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CountsReport:
+class CountsReport(NamedTuple):
     applicable: bool
     ranks: dict[str, int | None]
 
@@ -234,29 +231,31 @@ def check_counts(
 # ----------------------------------------------------------------------
 # closure and structure constants
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(_Frozen):
     """Constant tensor C[k][i][j] with {A_i, A_j} = sum_k C[k][i][j] A_k.
 
     The nonzero entries are collected once, on construction, into
     ``nonzero`` as (k, i, j, value) in (k, i, j) order.  The Lie-law guards
     then run over that list, so they cost in proportion to the nonzero
     entries rather than n^5, and store their results in ``antisymmetric``
-    and ``jacobi``.  Both stay exact checks on any tensor.
+    and ``jacobi``.  Both stay exact checks on any tensor.  Two instances
+    are equal when their names and tensors are.
     """
 
-    names: tuple[str, ...]
-    tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    nonzero: tuple[tuple[int, int, int, Fraction], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    antisymmetric: bool = field(init=False, compare=False)
-    jacobi: bool = field(init=False, compare=False)
+    __slots__ = ("names", "tensor", "nonzero", "antisymmetric", "jacobi")
+    _compared = ("names", "tensor")
+    _shown = ("names", "tensor", "antisymmetric", "jacobi")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        tensor: tuple[tuple[tuple[Fraction, ...], ...], ...],
+    ):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "tensor", tensor)
         nonzero = tuple(
             (k, i, j, value)
-            for k, plane in enumerate(self.tensor)
+            for k, plane in enumerate(tensor)
             for i, row in enumerate(plane)
             for j, value in enumerate(row)
             if value
@@ -294,8 +293,7 @@ class StructureConstants:
         return not self.nonzero
 
 
-@dataclass(frozen=True)
-class NotClosed:
+class NotClosed(NamedTuple):
     """First failing pair of a constant-coefficient closure search."""
 
     pair: tuple[str, str]
@@ -348,8 +346,7 @@ def closure_and_structure_constants(
 # ----------------------------------------------------------------------
 # aggregate classification
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GeneratorVerdict:
+class GeneratorVerdict(NamedTuple):
     name: str
     generator: PhasePolynomial
     commutation_class: CommutationClass
@@ -360,8 +357,7 @@ class GeneratorVerdict:
     verdict: VerdictClass
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     generator_verdicts: tuple[GeneratorVerdict, ...]
     closure: StructureConstants | NotClosed
     overall: VerdictClass

@@ -50,30 +50,51 @@ def test_help_exits_zero():
     assert result.stdout.startswith(b"usage: dirac-symmetry")
 
 
-def test_runtime_imports_only_the_standard_library():
-    # -S skips site hooks, which may import third-party modules of their own.
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "import dirac_symmetry, dirac_symmetry.cli; "
-        "print(sorted({name.partition('.')[0] for name in sys.modules}"
-        " - set(sys.stdlib_module_names) - {'dirac_symmetry', '__main__'}))"
-    )
+def _probe(statement: str) -> str:
+    """The stdout of ``statement`` run in a fresh ``python -S`` after importing
+    the package and its command line; -S skips site hooks, which may import
+    modules of their own."""
     result = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         f"import dirac_symmetry, dirac_symmetry.cli; {statement}",
+         str(ROOT / "src")],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_runtime_imports_only_the_standard_library():
+    assert _probe(
+        "print(sorted({name.partition('.')[0] for name in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'dirac_symmetry', '__main__'}))"
+    ) == "[]"
 
 
 def test_cli_import_does_not_load_configparser():
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "import dirac_symmetry.cli; print('configparser' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert _probe("print('configparser' in sys.modules)") == "False"
+
+
+def test_cli_import_does_not_load_the_shipped_models():
+    assert _probe("print('dirac_symmetry.models' in sys.modules)") == "False"
+
+
+def test_model_names_load_on_first_use():
+    assert _probe(
+        "listed = set(dirac_symmetry.__all__) <= set(dir(dirac_symmetry)); "
+        "loaded = 'dirac_symmetry.models' in sys.modules; "
+        "from dirac_symmetry import em_modes; "
+        "print(listed, loaded, em_modes.__module__, "
+        "dirac_symmetry.SHIPPED_MODELS is dirac_symmetry.models.SHIPPED_MODELS)"
+    ) == "True False dirac_symmetry.models True"
+
+
+def test_only_ideal_decomposition_is_a_dataclass():
+    # Creating a dataclass costs about 1 ms of import time; the other records
+    # are NamedTuples or slotted classes.
+    assert _probe(
+        "print(sorted({value.__name__ for name, module in list(sys.modules.items())"
+        " if name.startswith('dirac_symmetry') for value in vars(module).values()"
+        " if isinstance(value, type) and hasattr(value, '__dataclass_fields__')}))"
+    ) == "['IdealDecomposition']"

@@ -1,6 +1,6 @@
 """Text views are pure functions of the structured report.
 
-Two guarantees are tested here:
+Three guarantees are tested here:
 
 * Output branches that no shipped model reaches -- off-level spill tables,
   a generator mapping a constraint out of the constraint module, declared
@@ -12,6 +12,8 @@ Two guarantees are tested here:
 * For every text invocation, of the contract matrix and of those extra models,
   the text stdout equals the command's ``*_text`` view applied to the parsed
   stdout of its structured twin.  The two formats therefore cannot disagree.
+* A structured invocation of each command builds no text view and still
+  prints the contract's bytes.
 """
 
 import hashlib
@@ -93,3 +95,24 @@ def test_text_is_the_view_of_its_structured_twin(
     for color in ("0", "1"):
         monkeypatch.setenv("DIRAC_SYMMETRY_COLOR", color)
         assert run(capsys, invocation) == (code, text_view(report, invocation.split()[1]))
+
+
+def _no_text_view(*args):
+    raise AssertionError("a text view was built for --format=structured")
+
+
+@pytest.mark.parametrize(
+    "command", ["chain", "total-hamiltonian", "first-class", "check-symmetry",
+                "structure-constants"],
+)
+def test_structured_output_builds_no_text_view(command, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    for name in [*VIEWS.values(), "first_class_text"]:
+        monkeypatch.setattr(rpt, name, _no_text_view)
+    invocation = next(
+        i for i in sorted(CONTRACT)
+        if i.split()[0] == command and i.endswith("--format=structured")
+    )
+    code, out = run(capsys, invocation)
+    assert code == CONTRACT[invocation]["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONTRACT[invocation]["stdout_sha256"]
