@@ -22,8 +22,11 @@ A rational literal raised to a power is refused, as ``PhasePolynomial``
 powers are, when ``phase.check_power`` estimates its size past
 ``phase.MAX_COEFFICIENT_BITS``.  A product the parser forms (a second
 literal folded into a term's coefficient, or a product of parenthesised
-groups) is refused by ``phase.check_coefficients`` when its coefficients
-pass that limit; a single literal is taken as written.
+groups) is refused by ``phase.check_coefficients`` when it builds a
+coefficient past that limit that is larger than every coefficient of its
+factors.  The rule is one of value, not of form: a single literal is taken as
+written, and so is the same literal in parentheses times a monomial, as in
+``(X)*(q1)`` or ``(q1)*X``.
 """
 
 from __future__ import annotations
@@ -119,8 +122,13 @@ class _Parser:
             if text == "(":
                 factor = self.group()
                 if group is not None:
-                    factor = group * factor
-                    check_coefficients(factor.terms.values())
+                    product = group * factor
+                    check_coefficients(
+                        product.terms.values(),
+                        group.terms.values(),
+                        factor.terms.values(),
+                    )
+                    factor = product
                 group = factor
             elif text.isidentifier():
                 self.cursor += 1
@@ -138,8 +146,9 @@ class _Parser:
                 if coeff is _ONE:
                     coeff = value
                 else:
-                    coeff *= value
-                    check_coefficients((coeff,))
+                    folded = coeff * value
+                    check_coefficients((folded,), (coeff,), (value,))
+                    coeff = folded
             else:
                 raise ParseError(
                     f"expected a rational, identifier or '(', got {text!r}"
@@ -155,7 +164,7 @@ class _Parser:
             return monomial
         product = (group * _adopt(self.space, monomial)).terms
         if coeff is not _ONE:
-            check_coefficients(product.values())
+            check_coefficients(product.values(), group.terms.values(), (coeff,))
         return product
 
     # '(' expr ')' ('^' uint)?

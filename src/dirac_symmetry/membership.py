@@ -37,7 +37,6 @@ within degree d".
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,7 +48,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import SearchTooLargeError
 from .linsolve import Columns, integer_scaled, solve_sparse
-from .phase import Exponents, PhasePolynomial, PhaseSpace, _grlex_key
+from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt, _grlex_key
 
 
 # Unknowns (coefficient monomials x generators), summed over the degrees a
@@ -94,9 +93,18 @@ class IdealDecomposition:
     degree_bound: int
 
     def expand(self) -> PhasePolynomial:
+        """sum_k coefficients[k] * generators[k].  Only the nonzero
+        coefficients are multiplied and added; a zero one is still checked
+        against its generator's and the target's phase space, so a
+        certificate on a mismatched space raises ``SpaceMismatchError`` as a
+        dense sum would."""
         total = PhasePolynomial.zero(self.target.space)
         for coeff, gen in zip(self.coefficients, self.generators):
-            total = total + coeff * gen
+            if coeff:
+                total = total + coeff * gen
+            else:
+                coeff._check_space(gen)
+                total._check_space(coeff)
         return total
 
     def verify(self) -> bool:
@@ -440,10 +448,17 @@ class _Kept:
     charged what it holds, a system its unknowns and a basis its terms, and
     the charges stay within ``MAX_UNKNOWNS`` in all: about the memory one
     search at the cap takes anyway.  A lock keeps the order and the total
-    consistent across threads."""
+    consistent across threads.
+
+    The entries are a plain dict in insertion order, the least recently
+    used first.  A hit pops the entry and puts it back last under the
+    caller's key: one lookup, so equal but distinct generators are compared
+    term by term once (``OrderedDict`` would look the key up two or three
+    times), and the kept key becomes the caller's tuple, so the next search
+    with those generators compares by identity."""
 
     def __init__(self):
-        self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.entries: dict[tuple, tuple[object, int]] = {}
         self.charge = 0
         self.lock = Lock()
 
@@ -451,9 +466,10 @@ class _Kept:
         """The value kept under `key`; when there is none, ``build(*args)``
         returns it with its charge, and it is kept."""
         with self.lock:
-            entry = self.entries.get(key)
+            # One lookup: the entry goes back in last, under the caller's key.
+            entry = self.entries.pop(key, None)
             if entry is not None:
-                self.entries.move_to_end(key)
+                self.entries[key] = entry
                 return entry[0]
         value, charge = build(*args)
         with self.lock:
@@ -461,7 +477,7 @@ class _Kept:
                 self.entries[key] = value, charge
                 self.charge += charge
                 while self.charge > MAX_UNKNOWNS:
-                    _, (_, old) = self.entries.popitem(last=False)
+                    _, old = self.entries.pop(next(iter(self.entries)))
                     self.charge -= old
         return value
 
@@ -478,15 +494,19 @@ def _certificate(
     space: PhaseSpace, solution: dict[int, Fraction], system: _System, target_scale: int
 ) -> tuple[PhasePolynomial, ...]:
     """The coefficients f_k = h_k * s_k / t of a solution h of the system
-    over the generators scaled by s_k and the target scaled by t; only the
-    solution's nonzero unknowns are visited."""
+    over the generators scaled by s_k and the target scaled by t.  Only the
+    solution's nonzero unknowns are visited, each gives a distinct term with
+    a nonzero value, and every generator they miss gets one shared zero."""
     monomials, scales = system.monomials, system.scales
-    terms: list[dict[Exponents, Fraction]] = [{} for _ in scales]
+    terms: dict[int, dict[Exponents, Fraction]] = {}
     for col, value in solution.items():
         k, i = divmod(col, len(monomials))
         mon = _unpack(monomials[i], system.fields, system.width, space.n_identifiers)
-        terms[k][mon] = value * Fraction(scales[k], target_scale)
-    return tuple(PhasePolynomial(space, t) for t in terms)
+        terms.setdefault(k, {})[mon] = value * Fraction(scales[k], target_scale)
+    zero = PhasePolynomial.zero(space)
+    return tuple(
+        _adopt(space, terms[k]) if k in terms else zero for k in range(len(scales))
+    )
 
 
 def decompose(
@@ -517,9 +537,9 @@ def decompose(
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
 
     if target.is_zero():
-        zero = PhasePolynomial.zero(space)
         return IdealDecomposition(
-            target, generators, tuple(zero for _ in generators), degree_bound
+            target, generators, (PhasePolynomial.zero(space),) * len(generators),
+            degree_bound,
         )
     if not generators:  # the zero ideal
         return NotFound(degree_bound, mode, exact=True)

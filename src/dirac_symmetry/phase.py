@@ -466,8 +466,7 @@ def check_power(coefficients: Collection[Fraction], exponent: int) -> None:
     """
     if exponent < 2 or not coefficients:
         return
-    largest = max(max(abs(c.numerator), c.denominator) for c in coefficients)
-    bits = exponent * math.log2(len(coefficients) * largest)
+    bits = exponent * math.log2(len(coefficients) * _largest(coefficients))
     if bits > MAX_COEFFICIENT_BITS:
         raise ProductTooLargeError(
             f"power {exponent} of a {len(coefficients)}-term polynomial could "
@@ -476,17 +475,26 @@ def check_power(coefficients: Collection[Fraction], exponent: int) -> None:
         )
 
 
-def check_coefficients(coefficients: Iterable[Fraction]) -> None:
+def _largest(coefficients: Iterable[Fraction]) -> int:
+    """The largest numerator or denominator in absolute value; 1 for none."""
+    return max((max(abs(c.numerator), c.denominator) for c in coefficients), default=1)
+
+
+def check_coefficients(
+    coefficients: Iterable[Fraction], *factors: Iterable[Fraction]
+) -> None:
     """Refuse a product whose coefficients pass ``MAX_COEFFICIENT_BITS``.
 
     A coefficient passes it when log2 of its numerator or denominator does,
-    the measure ``check_power`` estimates.
+    the measure ``check_power`` estimates.  Given the coefficients of the
+    product's `factors`, the product is refused only when its largest
+    coefficient is also larger than every factor's: a product that builds
+    nothing larger than it was given is accepted, as a single literal is,
+    however its factors are written.
     """
-    largest = max(
-        (max(abs(c.numerator), c.denominator) for c in coefficients), default=1
-    )
+    largest = _largest(coefficients)
     bits = math.log2(largest)
-    if bits > MAX_COEFFICIENT_BITS:
+    if bits > MAX_COEFFICIENT_BITS and all(largest > _largest(f) for f in factors):
         raise ProductTooLargeError(
             f"product builds coefficients of {math.ceil(bits)} bits, over the "
             f"limit of {MAX_COEFFICIENT_BITS}"

@@ -317,6 +317,8 @@ def closure_and_structure_constants(
     for i in range(n):
         for j in range(i + 1, n):
             bracket = poisson(gen_set.generators[i], gen_set.generators[j])
+            if not bracket:
+                continue  # decomposes uniquely with zero constants: C stays 0
             outcome = decompose(
                 bracket, gen_set.generators, mode=CoefficientMode.CONSTANT
             )
@@ -330,9 +332,10 @@ def closure_and_structure_constants(
                     retry if closes else None,
                 )
             for k, coeff in enumerate(outcome.coefficients):
-                value = coeff.constant_value()
-                tensor[k][i][j] = value
-                tensor[k][j][i] = -value
+                if coeff:
+                    value = coeff.constant_value()
+                    tensor[k][i][j] = value
+                    tensor[k][j][i] = -value
     constants = StructureConstants(
         gen_set.names,
         tuple(tuple(tuple(row) for row in plane) for plane in tensor),

@@ -185,8 +185,23 @@ class TestLiteralPowers:
         }
         # A literal alone may be longer: it prints within Python's limit.
         literal = "7" * 4300
-        for text in (f"({literal}*q1)", f"({literal})*q1", f"q1*({literal})"):
+        for text in (
+            f"({literal}*q1)", f"({literal})*q1", f"q1*({literal})",
+            # The cap is a rule of value: a product that builds no coefficient
+            # larger than its factors hold is taken, however it is written.
+            f"({literal})*(q1)", f"(q1)*({literal})", f"(q1)*{literal}",
+            f"({literal})*(q1)*(1)", f"{literal}*1*q1", f"-1*-{literal}*q1",
+        ):
             assert parse_polynomial(text, SPACE) == parse_polynomial(f"{literal}*q1", SPACE)
+        for text in (f"({literal})*({literal})", f"{literal}*{literal}"):
+            with pytest.raises(
+                ProductTooLargeError,
+                match="^product builds coefficients of 28568 bits, over the limit of 8192$",
+            ):
+                parse_polynomial(text, SPACE)
+        for text in (f"({literal})*2*q1", f"(q1)*({literal})*(2)", f"{literal}*2*q1"):
+            with pytest.raises(ProductTooLargeError, match="coefficients of 14285 bits"):
+                parse_polynomial(text, SPACE)
 
     def test_a_term_is_one_monomial(self):
         parsed = parse_polynomial("2*q1^2*-3/2*p1*q1*m^0", SPACE)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -15,6 +16,7 @@ from dirac_symmetry import (
     PhasePolynomial,
     PhaseSpace,
     SearchTooLargeError,
+    SpaceMismatchError,
     decompose,
     default_degree_bound,
     em_modes,
@@ -104,6 +106,59 @@ class TestDecompose:
             )
         )
         assert outcome.coefficients == (poly("1", SPACE), poly("0", SPACE))
+
+
+class TestSparseCertificates:
+    """Certificates hold one shared zero for every generator they do not
+    use, and ``verify`` re-expands only the nonzero coefficients; tampering
+    with either kind is still caught."""
+
+    GENERATORS = ("p1", "p2", "q3")
+
+    def certificate(self) -> IdealDecomposition:
+        generators = [poly(g, SPACE) for g in self.GENERATORS]
+        outcome = found(decompose(poly("q1*p1", SPACE), generators, degree_bound=1))
+        assert outcome.coefficients == (poly("q1", SPACE), poly("0", SPACE), poly("0", SPACE))
+        return outcome
+
+    def tampered(self, outcome, k, coefficient) -> IdealDecomposition:
+        coefficients = list(outcome.coefficients)
+        coefficients[k] = coefficient
+        return dataclasses.replace(outcome, coefficients=tuple(coefficients))
+
+    def test_absent_coefficients_share_one_zero(self):
+        _, first, second = self.certificate().coefficients
+        assert first.is_zero() and first is second
+
+    def test_an_altered_nonzero_coefficient_fails(self):
+        outcome = self.certificate()
+        assert not self.tampered(outcome, 0, poly("2*q1", SPACE)).verify()
+        assert not self.tampered(outcome, 0, poly("0", SPACE)).verify()
+
+    def test_a_zero_coefficient_made_nonzero_fails(self):
+        outcome = self.certificate()
+        for k in (1, 2):
+            assert not self.tampered(outcome, k, poly("q2", SPACE)).verify()
+            assert not self.tampered(outcome, k, poly("1", SPACE)).verify()
+
+    def test_a_coefficient_on_another_space_raises(self):
+        outcome = self.certificate()
+        other = PhaseSpace(4)
+        for k in range(3):
+            for coefficient in (poly("0", other), poly("q1", other)):
+                # The message a dense sum gives: coefficient times generator.
+                with pytest.raises(SpaceMismatchError) as dense:
+                    coefficient * outcome.generators[k]
+                with pytest.raises(SpaceMismatchError) as sparse:
+                    self.tampered(outcome, k, coefficient).verify()
+                assert str(sparse.value) == str(dense.value)
+
+    def test_a_zero_target_has_one_zero_per_generator(self):
+        generators = [poly(g, SPACE) for g in self.GENERATORS]
+        outcome = found(decompose(PhasePolynomial.zero(SPACE), generators))
+        assert len(outcome.coefficients) == len(generators)
+        assert outcome.is_zero_certificate()
+        assert outcome.expand() == PhasePolynomial.zero(SPACE)
 
 
 def record_solved(monkeypatch) -> list[linsolve.Columns]:
@@ -580,6 +635,33 @@ class TestKeptSystems:
         assert PhasePolynomial(SPACE, normal_form) == poly("q1", SPACE)
         assert_charged_within(40)
         assert built.count([g.terms for g in gens]) == 2
+
+    def test_a_warm_hit_keeps_the_callers_generators(self, monkeypatch, empty_cache):
+        # A hit with equal but distinct generators compares them once and
+        # re-keys the entry to the caller's tuple, in the same place of the
+        # order and at the same charge; the next hit compares by identity.
+        generators = tuple(poly(g, SPACE) for g in self.GENERATORS)
+        target = poly("q2*(q1*p1 - 1) + p1*p2^2", SPACE)
+        found(decompose(target, generators))
+        order, charge = list(membership._KEPT.entries), membership._KEPT.charge
+        equal = tuple(poly(g, SPACE) for g in self.GENERATORS)
+        assert equal == generators and equal[0] is not generators[0]
+        found(decompose(target, equal))
+        assert list(membership._KEPT.entries) == order
+        assert all(key[0] is equal for key in membership._KEPT.entries)
+        assert membership._KEPT.charge == charge
+
+        compared = []
+        real = PhasePolynomial.__eq__
+        monkeypatch.setattr(
+            PhasePolynomial, "__eq__",
+            lambda self, other: compared.append(1) or real(self, other),
+        )
+        again = tuple(poly(g, SPACE) for g in self.GENERATORS)
+        basis = membership._groebner_basis(again)
+        assert len(compared) == len(again)  # one comparison per generator
+        assert membership._groebner_basis(again) is basis
+        assert len(compared) == len(again)  # the kept key is now `again`
 
     def test_threads_share_the_kept_systems(self, monkeypatch):
         # A small cap makes the threads evict each other's systems; without

@@ -24,6 +24,7 @@ from dirac_symmetry import (
     three_level_chain,
 )
 
+from dirac_symmetry import symmetry
 from conftest import poly
 
 F = Fraction
@@ -198,6 +199,40 @@ class TestClosure:
                         assert constants.tensor[k][i][j] == -1
                     else:
                         assert constants.tensor[k][i][j] == 0
+
+    @staticmethod
+    def record_decompose(monkeypatch) -> list:
+        """The target of every ``decompose`` call the closure makes."""
+        targets = []
+        real = symmetry.decompose
+        monkeypatch.setattr(
+            symmetry, "decompose",
+            lambda target, *args, **kwargs: targets.append(target)
+            or real(target, *args, **kwargs),
+        )
+        return targets
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_brackets_are_not_decomposed(self, monkeypatch, n):
+        targets = self.record_decompose(monkeypatch)
+        constants = closure_and_structure_constants(em_modes(n).generator_sets["gauge"])
+        assert targets == []
+        assert constants.is_abelian()
+        zero = ((0,) * (2 * n),) * (2 * n)
+        assert constants.tensor == (zero,) * (2 * n)
+
+    def test_only_nonzero_brackets_are_decomposed(self, monkeypatch):
+        targets = self.record_decompose(monkeypatch)
+        constants = closure_and_structure_constants(
+            central_oscillator().generator_sets["rotations"]
+        )
+        assert len(targets) == 3 and all(targets)
+        # {Lx, Ly} = Lz and its cyclic images, antisymmetrized.
+        assert constants.nonzero == (
+            (0, 1, 2, 1), (0, 2, 1, -1),
+            (1, 0, 2, -1), (1, 2, 0, 1),
+            (2, 0, 1, 1), (2, 1, 0, -1),
+        )
 
     def test_abelian_momenta(self):
         space = PhaseSpace(2)
