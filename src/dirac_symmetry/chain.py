@@ -1,8 +1,9 @@
 """Constraint-hierarchy generation and total-Hamiltonian assembly.
 
 Starting from the dynamical Hamiltonian and the primary constraints, each
-bracket {constraint, H_d} is reduced against the rational span of the
-constraints found so far; independent residuals become the next level.  The
+bracket {constraint, H_d} is split once over the tagged rational span of the
+constraints found so far: independent residuals become the next level, and
+the coordinates left by the split are the rows of the bracket tables.  The
 hierarchy is hard-capped at three levels (primary, secondary, tertiary); a
 tertiary bracket that is not weakly zero raises ``ChainBeyondTertiaryError``.
 """
@@ -19,13 +20,8 @@ from .errors import (
     ReservedParameterError,
 )
 from .linsolve import RationalSpan, rational_rank
-from .membership import (
-    CoefficientMode,
-    IdealDecomposition,
-    NotFound,
-    decompose,
-)
-from .phase import PhasePolynomial, PhaseSpace, _Frozen, poisson
+from .membership import IdealDecomposition, NotFound, decompose
+from .phase import PhasePolynomial, PhaseSpace, _Frozen, _grlex_key, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
 
@@ -151,60 +147,76 @@ class ConstraintChain(NamedTuple):
         names = self.all_names()
         polys = self.all_constraints()
         if include_energy:
-            energy = PhasePolynomial.variable(self.space, "E")
             names = names + ("H_d-E",)
-            polys = polys + (self.system.h_d - energy,)
+            polys = _on_shell_module(polys, self.system.h_d)
         return names, polys
+
+
+def _on_shell_module(
+    constraints: tuple[PhasePolynomial, ...], h_d: PhasePolynomial
+) -> tuple[PhasePolynomial, ...]:
+    """The constraints extended by the on-shell generator H_d - E."""
+    return constraints + (h_d - PhasePolynomial.variable(h_d.space, "E"),)
 
 
 def _build_chain(
     system: ConstrainedSystem,
-    secondaries: Sequence[PhasePolynomial],
-    tertiaries: Sequence[PhasePolynomial],
-    secondary_names: Sequence[str],
-    tertiary_names: Sequence[str],
-    brackets: tuple[tuple[PhasePolynomial, ...], ...],
     degree_bound: int | None,
+    given: Sequence[Sequence[PhasePolynomial]] | None = None,
 ) -> ConstraintChain:
-    """Tabulate each level's brackets {constraint, H_d}, given in ``brackets``.
-
-    Every table row is a slice of one constant-mode certificate, which
-    ``decompose`` has re-expanded exactly before returning it.
+    """The chain of `system`, splitting each bracket {constraint, H_d} once
+    over one ``RationalSpan`` tagged (level, index).  A nonzero primary or
+    secondary residual, normalized, is a constraint of the next level; the
+    coordinates left are the table rows, unique as the constraints are
+    independent.  ``given`` (a recombined chain's secondaries and tertiaries)
+    fixes the levels up front, and tertiary residuals go unchecked.
     """
-    h_d = system.h_d
-    all_constraints = tuple(system.primaries) + tuple(secondaries) + tuple(tertiaries)
-    n_p, n_s = len(system.primaries), len(secondaries)
-    primary_brackets, secondary_brackets, tertiary_brackets = brackets
+    space, h_d = system.space, system.h_d
+    levels = (list(system.primaries), *(list(polys) for polys in given or ((), ())))
+    names: tuple[list[str], ...] = (list(system.primary_names), [], [])
+    span = RationalSpan()
+    for depth, level in enumerate(levels):
+        for index, poly in enumerate(level):
+            span.add(poly.terms, (depth, index))
+    brackets: tuple[list[PhasePolynomial], ...] = ([], [], [])
+    coordinates = []
+    for depth, level in enumerate(levels):
+        for index, poly in enumerate(level):
+            if depth:
+                names[depth].append(f"{'ST'[depth - 1]}{index + 1}")
+            name = names[depth][index]
+            brackets[depth].append(poisson(poly, h_d))
+            residual, row = span.split(brackets[depth][-1].terms)
+            if residual and depth < 2:
+                scale = residual[max(residual, key=_grlex_key)]
+                found = _consistent_residual(
+                    space, {m: c / scale for m, c in residual.items()}, name
+                )
+                row[depth + 1, len(levels[depth + 1])] = scale
+                span.add(found.terms, (depth + 1, len(levels[depth + 1])))
+                levels[depth + 1].append(found)
+            elif residual and given is None:
+                # Anything past the third level is outside the supported
+                # theory; detect it on the raw span before the (more
+                # permissive) weak-closure test runs.
+                _consistent_residual(space, residual, name)
+            coordinates.append(row)
 
-    def exact_split(bracket: PhasePolynomial, source: str):
-        outcome = decompose(bracket, all_constraints, mode=CoefficientMode.CONSTANT)
-        if isinstance(outcome, NotFound):  # cannot happen for a generated chain
-            raise RuntimeError(
-                f"internal error: bracket of {source} left the constraint span"
-            )
-        coefficients = outcome.coefficients
-        return (
-            coefficients[:n_p],
-            coefficients[n_p : n_p + n_s],
-            coefficients[n_p + n_s :],
-        )
+    all_constraints = tuple(levels[0] + levels[1] + levels[2])
+    keys = [(d, i) for d, level in enumerate(levels) for i in range(len(level))]
+    zero = PhasePolynomial.zero(space)
+    rows = []
+    for name, bracket, row in zip(names[0] + names[1], brackets[0] + brackets[1], coordinates):
+        rows.append(tuple(
+            PhasePolynomial.constant(space, row[k]) if k in row else zero for k in keys
+        ))
+        # Each table row is re-expanded once; this guard must never trip.
+        if not IdealDecomposition(bracket, all_constraints, rows[-1], 0).verify():
+            raise RuntimeError(f"internal error: table row of {name} failed re-expansion")
 
-    spill_p, table_a, table_b = [], [], []
-    for name, bracket in zip(system.primary_names, primary_brackets):
-        on_p, on_s, on_t = exact_split(bracket, name)
-        spill_p.append(on_p)
-        table_a.append(on_s)
-        table_b.append(on_t)
-    spill_s, table_c = [], []
-    for name, bracket in zip(secondary_names, secondary_brackets):
-        on_p, on_s, on_t = exact_split(bracket, name)
-        spill_s.append(on_p + on_s)
-        table_c.append(on_t)
-
-    energy = PhasePolynomial.variable(system.space, "E")
-    closure_generators = all_constraints + (h_d - energy,)
+    closure_generators = _on_shell_module(all_constraints, h_d)
     closures = []
-    for name, bracket in zip(tertiary_names, tertiary_brackets):
+    for name, bracket in zip(names[2], brackets[2]):
         outcome = decompose(bracket, closure_generators, degree_bound)
         if isinstance(outcome, NotFound):
             raise ChainBeyondTertiaryError(
@@ -215,26 +227,27 @@ def _build_chain(
             )
         closures.append(outcome)
 
-    strict = all(
-        all(c.is_zero() for c in row) for row in spill_p
-    ) and all(all(c.is_zero() for c in row) for row in spill_s)
+    n_p, n_s, n_t = map(len, levels)
+    primary_rows, secondary_rows = rows[:n_p], rows[n_p:]
+    spill_p = tuple(row[:n_p] for row in primary_rows)
+    spill_s = tuple(row[: n_p + n_s] for row in secondary_rows)
     return ConstraintChain(
         system=system,
-        secondaries=tuple(secondaries),
-        tertiaries=tuple(tertiaries),
-        secondary_names=tuple(secondary_names),
-        tertiary_names=tuple(tertiary_names),
-        primary_brackets=primary_brackets,
-        secondary_brackets=secondary_brackets,
-        tertiary_brackets=tertiary_brackets,
-        primary_to_secondary=tuple(table_a),
-        primary_to_tertiary=tuple(table_b),
-        secondary_to_tertiary=tuple(table_c),
-        primary_spill=tuple(spill_p),
-        secondary_spill=tuple(spill_s),
+        secondaries=tuple(levels[1]),
+        tertiaries=tuple(levels[2]),
+        secondary_names=tuple(names[1]),
+        tertiary_names=tuple(names[2]),
+        primary_brackets=tuple(brackets[0]),
+        secondary_brackets=tuple(brackets[1]),
+        tertiary_brackets=tuple(brackets[2]),
+        primary_to_secondary=tuple(row[n_p : n_p + n_s] for row in primary_rows),
+        primary_to_tertiary=tuple(row[n_p + n_s :] for row in primary_rows),
+        secondary_to_tertiary=tuple(row[n_p + n_s :] for row in secondary_rows),
+        primary_spill=spill_p,
+        secondary_spill=spill_s,
         tertiary_closure=tuple(closures),
-        ordering_ok=n_p >= n_s >= len(tertiaries),
-        strict_level_form=strict,
+        ordering_ok=n_p >= n_s >= n_t,
+        strict_level_form=not any(any(row) for row in spill_p + spill_s),
         degree_bound=degree_bound,
     )
 
@@ -244,42 +257,13 @@ def generate_chain(
 ) -> ConstraintChain:
     """Generate the secondary and tertiary constraints from the primaries.
 
-    Each bracket {constraint, H_d} is computed once and reduced against the
+    Each bracket {constraint, H_d} is computed once and split over the
     rational span of every constraint known so far; a nonzero residual is
     normalized (leading graded-lex coefficient +1) and becomes a constraint
     of the next level, so duplicates are removed as soon as they appear.  A
     residual with no phase-variable support signals an inconsistent system.
     """
-    span = RationalSpan()
-    for poly in system.primaries:  # independent: ConstrainedSystem checks it
-        span.add(poly.terms)
-
-    def next_level(sources, source_names, reduce=span.add):
-        brackets, found = [], []
-        for poly, name in zip(sources, source_names):
-            brackets.append(poisson(poly, system.h_d))
-            residual = reduce(brackets[-1].terms)
-            if residual:
-                found.append(_consistent_residual(system.space, residual, name))
-        return tuple(brackets), found
-
-    primary_brackets, secondaries = next_level(system.primaries, system.primary_names)
-    secondary_names = tuple(f"S{i}" for i in range(1, len(secondaries) + 1))
-    secondary_brackets, tertiaries = next_level(secondaries, secondary_names)
-    tertiary_names = tuple(f"T{i}" for i in range(1, len(tertiaries) + 1))
-
-    # Anything past the third level is outside the supported theory; detect it
-    # on the raw span before the (more permissive) weak-closure test runs.
-    tertiary_brackets, _ = next_level(tertiaries, tertiary_names, span.reduce)
-    return _build_chain(
-        system,
-        secondaries,
-        tertiaries,
-        secondary_names,
-        tertiary_names,
-        (primary_brackets, secondary_brackets, tertiary_brackets),
-        degree_bound,
-    )
+    return _build_chain(system, degree_bound)
 
 
 def recombine_level(
@@ -287,9 +271,8 @@ def recombine_level(
 ) -> ConstraintChain:
     """Replace one level's basis by an invertible rational recombination.
 
-    Rebuilds every decomposition table against the new basis, recomputing
-    only the replaced level's brackets; used to check that verdicts are
-    basis-independent within a level.
+    Rebuilds the chain on the new basis, every bracket and table included;
+    used to check that verdicts are basis-independent within a level.
     """
     old = chain.level_polys(level)
     n = len(old)
@@ -302,23 +285,14 @@ def recombine_level(
         sum((Fraction(c) * phi for c, phi in zip(row, old)), zero) for row in matrix
     )
     system = chain.system
+    given = [chain.secondaries, chain.tertiaries]
     if level == "primary":
         system = ConstrainedSystem(
             chain.space, system.h_d, new_polys, chain.primary_names
         )
-    brackets = [
-        chain.primary_brackets, chain.secondary_brackets, chain.tertiary_brackets
-    ]
-    brackets[LEVELS.index(level)] = tuple(poisson(p, system.h_d) for p in new_polys)
-    return _build_chain(
-        system,
-        new_polys if level == "secondary" else chain.secondaries,
-        new_polys if level == "tertiary" else chain.tertiaries,
-        chain.secondary_names,
-        chain.tertiary_names,
-        tuple(brackets),
-        chain.degree_bound,
-    )
+    else:
+        given[LEVELS.index(level) - 1] = new_polys
+    return _build_chain(system, chain.degree_bound, given)
 
 
 class TotalHamiltonian(NamedTuple):

@@ -8,7 +8,8 @@ rational rows into integer ones.  The caller picks the pivot order: the
 smallest key for ``solve_sparse`` and ``rational_rank``, the graded-lex
 leading monomial for ``RationalSpan``.  No result depends on how
 elimination proceeds: a solution depends only on the order of the columns,
-a residual only on the pivot order, and a rank on neither.
+a residual only on the pivot order, and a rank on neither.  The tags a
+query keeps after ``RationalSpan`` reduced it are its coordinates.
 
 ``solve_sparse`` takes its columns as ``Columns``, a list that keeps the
 echelon of its columns once the first solve has built it; later targets
@@ -144,6 +145,8 @@ _grlex_lead = partial(max, key=_grlex_key)
 class RationalSpan:
     """Rational span of a set of polynomials, pivoting on graded-lex leads.
 
+    A polynomial added is tagged with the caller's key, or by default its
+    insertion position; a query is tagged None, which no pivot carries.
     Residuals are reduced on every pivot, so each is the canonical
     (pivot-free) representative of its coset, independent of insertion
     order.
@@ -151,20 +154,30 @@ class RationalSpan:
 
     def __init__(self):
         self._echelon = Echelon(_grlex_lead)
+        self._added = 0
 
     def __len__(self) -> int:
         return len(self._echelon.pivots)
 
-    def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        # The tag starts at the scale, so the row is always tags[None] * terms
-        # minus a combination of pivot rows.
+    def split(self, terms: Mapping[Exponents, Fraction]) -> tuple[dict, dict]:
+        """(residual, coordinates): terms = residual + sum of coordinates[key]
+        * (polynomial added as key), over the nonzero coordinates."""
+        # The row is always tags[None] * terms + sum of tags[key] * added[key].
         scale, row = integer_scaled(terms)
         row, tags, _ = self._echelon.reduce(row, {None: scale}, full=True)
-        return {m: Fraction(v, tags[None]) for m, v in row.items()}
+        scale = tags.pop(None)
+        residual = {m: Fraction(v, scale) for m, v in row.items()}
+        return residual, {key: Fraction(-t, scale) for key, t in tags.items()}
 
-    def add(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction] | None:
-        """Insert; returns the residual with leading coefficient 1, or None if dependent."""
-        row, _, lead = self._echelon.add(integer_scaled(terms)[1], {}, full=True)
+    def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+        return self.split(terms)[0]
+
+    def add(self, terms: Mapping[Exponents, Fraction], key: Hashable = None):
+        """Insert, tagged `key`; returns the residual with leading coefficient
+        1, or None if dependent."""
+        key, self._added = self._added if key is None else key, self._added + 1
+        scale, row = integer_scaled(terms)
+        row, _, lead = self._echelon.add(row, {key: scale}, full=True)
         if not row:
             return None
         return {m: Fraction(v, row[lead]) for m, v in row.items()}

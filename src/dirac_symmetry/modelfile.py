@@ -50,7 +50,7 @@ into every other section, and a header with text after its ``]``, such as
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import NamedTuple
 
 from .chain import ConstrainedSystem
@@ -272,7 +272,7 @@ def parse_model_text(text: str) -> ModelFile:
     )
 
 
-def load_model_file(path: str | Path) -> ModelFile:
+def load_model_file(path: str | os.PathLike[str]) -> ModelFile:
     # Read at most one byte past the cap, so an oversized file is never read
     # whole.  A first read of 64 KiB serves every ordinary model without
     # allocating a buffer the size of the cap.

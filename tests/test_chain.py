@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,15 @@ import dirac_symmetry.chain as chain_module
 from dirac_symmetry import (
     SHIPPED_MODELS,
     ChainBeyondTertiaryError,
+    CoefficientMode,
     ConstrainedSystem,
     DependentPrimariesError,
     InconsistentSystemError,
     PhaseSpace,
+    RationalSpan,
     ReservedParameterError,
     assemble_total_hamiltonian,
+    decompose,
     em_modes,
     first_class_check,
     generate_chain,
@@ -88,26 +92,30 @@ class TestGenerateChain:
         assert_relations_reexpand(generate_chain(SHIPPED_MODELS[name]().system))
 
     @pytest.mark.parametrize(
-        "model, calls",
-        [(three_level_chain, 3), (lambda: em_modes(5), 10)],
+        "model, brackets, closures",
+        [(three_level_chain, 3, 1), (lambda: em_modes(5), 10, 0)],
         ids=["three_level_chain", "em_modes_5"],
     )
-    def test_each_bracket_and_relation_computed_once(self, monkeypatch, model, calls):
-        counts = {"poisson": 0, "decompose": 0}
+    def test_each_bracket_computed_and_split_once(
+        self, monkeypatch, model, brackets, closures
+    ):
+        # decompose runs only for the weak closure of each tertiary.
+        counts = {"poisson": 0, "decompose": 0, "split": 0}
 
-        def counting(name):
-            original = getattr(chain_module, name)
+        def counting(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in counts:
-            monkeypatch.setattr(chain_module, name, counting(name))
+        counting(chain_module, "poisson")
+        counting(chain_module, "decompose")
+        counting(RationalSpan, "split")
         generate_chain(model().system)
-        assert counts == {"poisson": calls, "decompose": calls}
+        assert counts == {"poisson": brackets, "decompose": closures, "split": brackets}
 
     def test_cyclic_coordinate_stops_immediately(self):
         space = PhaseSpace(2)
@@ -151,6 +159,16 @@ class TestGenerateChain:
         )
         with pytest.raises(InconsistentSystemError) as err:
             generate_chain(system)
+        assert err.value.residual == poly("1", space)
+
+    def test_inconsistency_names_its_source(self):
+        space = PhaseSpace(2)
+        system = ConstrainedSystem(
+            space, poly("q2", space), (poly("p2", space), poly("p1", space)), ("A", "B")
+        )
+        with pytest.raises(InconsistentSystemError) as err:
+            generate_chain(system)
+        assert err.value.source == "A"
         assert err.value.residual == poly("1", space)
 
     def test_chain_beyond_tertiary(self):
@@ -208,6 +226,131 @@ class TestRecombineLevel:
         chain = generate_chain(cascade_system())
         with pytest.raises(ValueError):
             recombine_level(chain, "primary", [[F(1), F(0)]])
+
+
+def random_cascade(rng):
+    """H_d bilinear in q and p plus some p_i^2, and primaries linear in the
+    momenta, so every bracket is linear in the momenta; the levels, their
+    off-level spill and the depth vary with the seed."""
+    n = rng.randint(2, 4)
+    space = PhaseSpace(n)
+    terms = [
+        f"({rng.choice(['-2', '-1', '1', '2', '1/2'])})*q{i}*p{j}"
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if rng.random() < 0.35
+    ]
+    terms += [f"1/2*p{i}^2" for i in range(1, n + 1) if rng.random() < 0.3]
+    h_d = poly(" + ".join(terms) or "0", space)
+    primaries = [
+        poly(" + ".join(f"({rng.randint(-2, 2)})*p{k}" for k in range(1, n + 1)), space)
+        for _ in range(rng.randint(1, 2))
+    ]
+    primaries = [p for p in primaries if p]
+    names = tuple(f"P{i}" for i in range(1, len(primaries) + 1))
+    return ConstrainedSystem(space, h_d, tuple(primaries), names)
+
+
+def random_cascade_chains(seed, count):
+    rng = random.Random(seed)
+    chains = []
+    while len(chains) < count:
+        try:
+            chains.append(generate_chain(random_cascade(rng)))
+        except (DependentPrimariesError, ChainBeyondTertiaryError):
+            continue
+    return chains
+
+
+def random_recombinations(chain, rng):
+    """The chain with each nonempty level recombined by a random invertible
+    rational matrix."""
+    for level in ("primary", "secondary", "tertiary"):
+        size = len(chain.level_polys(level))
+        while size:
+            matrix = [
+                [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            try:
+                yield recombine_level(chain, level, matrix)
+                break
+            except ValueError:  # singular; draw again
+                continue
+
+
+def assert_tables_match_constant_decompose(chain):
+    """Every table row, spill included, equals the constant-mode certificate
+    of its bracket over all constraints, the unique one since the
+    constraints are rationally independent."""
+    constraints = chain.all_constraints()
+    rows = [
+        spill + to_s + to_t
+        for spill, to_s, to_t in zip(
+            chain.primary_spill, chain.primary_to_secondary, chain.primary_to_tertiary
+        )
+    ] + [
+        spill + to_t for spill, to_t in zip(chain.secondary_spill, chain.secondary_to_tertiary)
+    ]
+    brackets = chain.primary_brackets + chain.secondary_brackets
+    assert len(rows) == len(brackets)
+    for row, bracket in zip(rows, brackets):
+        oracle = decompose(bracket, constraints, mode=CoefficientMode.CONSTANT)
+        assert row == oracle.coefficients
+    assert chain.strict_level_form == all(
+        c.is_zero() for spill in chain.primary_spill + chain.secondary_spill for c in spill
+    )
+
+
+class TestTablesAgainstDecompose:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    def test_shipped_models(self, name):
+        chain = generate_chain(SHIPPED_MODELS[name]().system)
+        assert_tables_match_constant_decompose(chain)
+        for recombined in random_recombinations(chain, random.Random(name)):
+            assert_tables_match_constant_decompose(recombined)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_em_modes(self, n):
+        chain = generate_chain(em_modes(n).system)
+        assert_tables_match_constant_decompose(chain)
+        for recombined in random_recombinations(chain, random.Random(n)):
+            assert_tables_match_constant_decompose(recombined)
+
+    def test_random_cascades(self):
+        rng = random.Random(7)
+        chains = random_cascade_chains(2024, 100)
+        for chain in chains:
+            assert_tables_match_constant_decompose(chain)
+            for recombined in random_recombinations(chain, rng):
+                assert_tables_match_constant_decompose(recombined)
+        # The seeds cover off-level spill and all three levels.
+        assert sum(not chain.strict_level_form for chain in chains) >= 50
+        assert sum(bool(chain.tertiaries) for chain in chains) >= 10
+
+
+class TestReexpansionGuard:
+    @staticmethod
+    def tamper(monkeypatch):
+        original = RationalSpan.split
+
+        def wrong(self, terms):
+            residual, coordinates = original(self, terms)
+            return residual, {**coordinates, (0, 0): F(1)}
+
+        monkeypatch.setattr(RationalSpan, "split", wrong)
+
+    def test_wrong_coordinates_raise_an_internal_error(self, monkeypatch):
+        system = cascade_system()
+        self.tamper(monkeypatch)
+        with pytest.raises(RuntimeError, match="internal error: table row of P1"):
+            generate_chain(system)
+
+    def test_recombination_is_guarded_too(self, monkeypatch):
+        chain = generate_chain(em_modes(2).system)
+        self.tamper(monkeypatch)
+        with pytest.raises(RuntimeError, match="internal error"):
+            recombine_level(chain, "secondary", [[F(1), F(1)], [F(0), F(1)]])
 
 
 class TestTotalHamiltonian:

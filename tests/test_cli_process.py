@@ -76,6 +76,10 @@ def test_cli_import_does_not_load_configparser():
     assert _probe("print('configparser' in sys.modules)") == "False"
 
 
+def test_cli_import_does_not_load_pathlib():
+    assert _probe("print('pathlib' in sys.modules)") == "False"
+
+
 def test_cli_import_does_not_load_the_shipped_models():
     assert _probe("print('dirac_symmetry.models' in sys.modules)") == "False"
 

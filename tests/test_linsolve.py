@@ -227,3 +227,46 @@ class TestRationalSpan:
                     difference[m] = difference.get(m, 0) - c
                 assert rational_rank(basis + [difference]) == rational_rank(basis)
                 assert spans[0].reduce(residual) == residual
+
+    def test_split_untagged_keys_are_insertion_positions(self):
+        span = RationalSpan()
+        x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        span.add({x: F(2), y: F(4)})  # key 0
+        span.add({x: F(-1), y: F(-2)})  # key 1, dependent: no pivot
+        span.add({y: F(1, 3)})  # key 2
+        residual, coordinates = span.split({x: F(1), y: F(1), z: F(5)})
+        # x + y + 5z = 1/2 * (2x + 4y) - 3 * (1/3 y) + 5z
+        assert residual == {z: F(5)}
+        assert coordinates == {0: F(1, 2), 2: F(-3)}
+        assert None not in coordinates
+        assert span.reduce({x: F(1), y: F(1), z: F(5)}) == residual
+        assert span.split({}) == ({}, {})
+
+    def test_split_tagged_by_the_callers_keys(self):
+        span = RationalSpan()
+        x, y = (1, 0), (0, 1)
+        assert span.add({x: F(1), y: F(1)}, ("primary", 0)) == {x: F(1), y: F(1)}
+        assert span.add({y: F(-2)}, ("secondary", 0)) == {y: F(1)}
+        residual, coordinates = span.split({x: F(3), y: F(-1)})
+        # 3x - y = 3 * (x + y) + 2 * (-2y)
+        assert residual == {}
+        assert coordinates == {("primary", 0): F(3), ("secondary", 0): F(2)}
+
+    def test_split_re_expands_on_random_spans(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            inputs = random_rows(rng, rng.randint(1, 5), 6, keys=MONOMIALS)
+            keyed = rng.random() < 0.5
+            span = RationalSpan()
+            for position, row in enumerate(inputs):
+                span.add(row, f"g{position}" if keyed else None)
+            for query in random_rows(rng, 4, 6, keys=MONOMIALS):
+                residual, coordinates = span.split(query)
+                assert residual == span.reduce(query)
+                total = dict(residual)
+                for position, row in enumerate(inputs):
+                    c = coordinates.get(f"g{position}" if keyed else position, 0)
+                    for m, v in row.items():
+                        total[m] = total.get(m, 0) + c * v
+                # Over independent inputs these are the unique coordinates.
+                assert {m: v for m, v in total.items() if v} == query
