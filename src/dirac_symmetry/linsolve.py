@@ -172,12 +172,8 @@ class RationalSpan:
     def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
         return self.split(terms)[0]
 
-    def add(self, terms: Mapping[Exponents, Fraction], key: Hashable = None):
-        """Insert, tagged `key`; returns the residual with leading coefficient
-        1, or None if dependent."""
+    def add(self, terms: Mapping[Exponents, Fraction], key: Hashable = None) -> None:
+        """Insert, tagged `key`; a polynomial already in the span adds no pivot."""
         key, self._added = self._added if key is None else key, self._added + 1
         scale, row = integer_scaled(terms)
-        row, _, lead = self._echelon.add(row, {key: scale}, full=True)
-        if not row:
-            return None
-        return {m: Fraction(v, row[lead]) for m, v in row.items()}
+        self._echelon.add(row, {key: scale}, full=True)

@@ -24,15 +24,15 @@ identifiers and the degree.  Each is built once and kept with its echelon
 columns in the same order give the same echelon and the same solution, so
 a kept system returns the certificate a fresh one would.
 
-When degree 0 fails in POLYNOMIAL mode, at any bound, the target is
-reduced modulo a reduced Groebner basis of the generators in the package's
-graded-lex order (Buchberger's algorithm with the Gebauer-Moeller criteria).
-A nonzero normal form proves non-membership at every degree, and the
-``NotFound`` it returns is ``exact``.  A zero normal form goes on to the
-degree ladder, which finds the minimal-degree certificate.  The basis and
-the reduction have step budgets (``MAX_BASIS_STEPS``,
-``MAX_REDUCTION_STEPS``); when either runs out, the ladder alone decides
-and a negative answer means only "not representable within degree d".
+When degree 0 fails, the target is first reduced modulo a reduced Groebner
+basis of the generators in the package's graded-lex order (Buchberger's
+algorithm with the Gebauer-Moeller criteria).  A nonzero normal form proves
+non-membership at every degree, and the ``NotFound`` it returns is
+``exact``.  A zero normal form goes on to the degree ladder, which finds the
+minimal-degree certificate.  The basis and the reduction have step budgets
+(``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when either runs out, the
+ladder alone decides and a negative answer means only "not representable
+within degree d".
 """
 
 from __future__ import annotations
@@ -521,9 +521,8 @@ def decompose(
     achievable coefficient degree and is therefore stable under enlarging the
     bound.  Coefficients may involve every declared identifier, parameters
     included, except in CONSTANT mode where they are plain rationals.  When
-    degree 0 fails in POLYNOMIAL mode, at any bound, a nonzero Groebner
-    normal form ends the search with an exact ``NotFound`` (see
-    ``_normal_form``).
+    degree 0 fails in POLYNOMIAL mode, a nonzero Groebner normal form ends
+    the search with an exact ``NotFound`` (see ``_normal_form``).
     """
     space = target.space
     generators = tuple(generators)
@@ -555,6 +554,10 @@ def decompose(
     target_scale, target_terms = integer_scaled(target.terms)
     unknowns = 0
     for degree in range(max_useful + 1):
+        # Between degrees 0 and 1: most certificates are constant and need
+        # no basis, and a nonzero normal form settles a non-member exactly.
+        if degree == 1 and _normal_form(target, generators):
+            return NotFound(degree_bound, mode, exact=True)
         unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
         if unknowns > MAX_UNKNOWNS:
             raise SearchTooLargeError(
@@ -563,28 +566,23 @@ def decompose(
                 f"over {len(allowed_order)} identifiers), above the limit of "
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
-        if degree + top >= target_degree:  # else no column reaches the target
-            system = _KEPT.get(
-                (generators, allowed_order, degree),
-                _build_system, generators, allowed_order, degree,
-            )
-            # The target's exponents are within its degree, so they fit the fields.
-            packed = {_pack(mon, system.fields): c for mon, c in target_terms.items()}
-            solution = solve_sparse(system.columns, packed)
-            if solution is not None:
-                coefficients = _certificate(space, solution, system, target_scale)
-                result = IdealDecomposition(target, generators, coefficients, degree_bound)
-                if not result.verify():  # soundness guard, must never trip
-                    raise RuntimeError(
-                        "internal error: decomposition failed re-expansion check"
-                    )
-                return result
-        # Once degree 0 has failed, at any bound: most certificates are
-        # constant and need no basis, and a nonzero normal form is exact.
-        if degree == 0 and mode is CoefficientMode.POLYNOMIAL and _normal_form(
-            target, generators
-        ):
-            return NotFound(degree_bound, mode, exact=True)
+        if degree + top < target_degree:
+            continue  # no column reaches the target's degree
+        system = _KEPT.get(
+            (generators, allowed_order, degree),
+            _build_system, generators, allowed_order, degree,
+        )
+        # The target's exponents are within its degree, so they fit the fields.
+        packed = {_pack(mon, system.fields): c for mon, c in target_terms.items()}
+        solution = solve_sparse(system.columns, packed)
+        if solution is not None:
+            coefficients = _certificate(space, solution, system, target_scale)
+            result = IdealDecomposition(target, generators, coefficients, degree_bound)
+            if not result.verify():  # soundness guard, must never trip
+                raise RuntimeError(
+                    "internal error: decomposition failed re-expansion check"
+                )
+            return result
     return NotFound(degree_bound, mode)
 
 

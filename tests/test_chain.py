@@ -24,6 +24,7 @@ from dirac_symmetry import (
     three_level_chain,
     weak_equals,
 )
+from dirac_symmetry.phase import _grlex_key
 
 from conftest import poly
 
@@ -322,6 +323,9 @@ class TestTablesAgainstDecompose:
         chains = random_cascade_chains(2024, 100)
         for chain in chains:
             assert_tables_match_constant_decompose(chain)
+            # Generated constraints are normalized: leading coefficient +1.
+            for constraint in chain.secondaries + chain.tertiaries:
+                assert constraint.terms[max(constraint.terms, key=_grlex_key)] == 1
             for recombined in random_recombinations(chain, rng):
                 assert_tables_match_constant_decompose(recombined)
         # The seeds cover off-level spill and all three levels.

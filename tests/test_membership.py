@@ -538,14 +538,12 @@ class TestPackedMonomials:
         "target, generators, bound, expected, exact",
         [
             # p1^2 is no multiple of q1; a field one bit wide, wide enough
-            # for the columns alone, would pack p1^2 as q1.  The non-members
-            # are exact at bound 0 too: the normal form is consulted once
-            # degree 0 has failed.
-            ("p1^2", ["q1"], 0, None, True),
+            # for the columns alone, would pack p1^2 as q1.
+            ("p1^2", ["q1"], 0, None, False),
             ("q1*p1^4", ["q1"], 0, None, False),
             ("q1*p1^4", ["q1"], 4, ["p1^4"], None),
             ("q1^9*p1*p2", ["p1"], 2, None, False),
-            ("q3^7*p2 + p3", ["q1", "p3"], 0, None, True),
+            ("q3^7*p2 + p3", ["q1", "p3"], 0, None, False),
             ("q3^7*p2 + p3", ["q1", "p3"], 1, None, True),
         ],
     )

@@ -131,33 +131,6 @@ class TestDecomposeVerdicts:
             assert isinstance(outcome, NotFound) and outcome.exact
             assert outcome.message == f"not representable within degree bound {bound}"
 
-    def test_ladder_stopped_at_degree_zero_is_exact(self):
-        # The normal form is consulted once degree 0 has failed, even when the
-        # ladder ends there: at bound 0, or when no identifier is used.
-        space, gens = on_shell_ideal(2)
-        outcome = decompose(poly("q3*q4", space), gens, 0)
-        assert isinstance(outcome, NotFound) and outcome.exact
-        assert outcome.message == "not representable within degree bound 0"
-        constant = decompose(poly("1", space), [poly("0", space)], 5)
-        assert isinstance(constant, NotFound) and constant.exact
-        # A member without a constant certificate stays a bounded answer.
-        member = decompose(poly("q1*p1", space), [poly("p1", space)], 0)
-        assert isinstance(member, NotFound) and not member.exact
-
-    def test_constant_mode_builds_no_basis(self, monkeypatch):
-        calls = []
-        real = membership._groebner_basis
-        monkeypatch.setattr(
-            membership, "_groebner_basis", lambda g: calls.append(g) or real(g)
-        )
-        space, gens = on_shell_ideal(2)
-        target = poly("q3*q4", space)
-        outcome = decompose(target, gens, mode=membership.CoefficientMode.CONSTANT)
-        assert isinstance(outcome, NotFound) and not outcome.exact
-        assert calls == []
-        decompose(target, gens, 0)
-        assert calls == [tuple(gens)]
-
     def test_constant_mode_never_reduces(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the normal form was consulted")
