@@ -33,6 +33,17 @@ minimal-degree certificate.  The basis and the reduction have step budgets
 (``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when either runs out, the
 ladder alone decides and a negative answer means only "not representable
 within degree d".
+
+The basis and the normal form pack monomials too (``_Layout``), over every
+declared identifier: one field of whole bytes per identifier, the first one
+most significant, under a field holding the total degree, and the top bit
+of every field a guard bit that stays clear.  The ints then order as the
+graded-lex order does, a product is one addition, a divisibility test one
+subtraction and mask, and an lcm a field-wise max built from the same mask.
+Fields start one byte wide, or as wide as twice the generators' largest
+degree needs; a basis whose lcms outgrow them is built again in fields
+twice as wide, taking the same steps, and a target of higher degree is
+reduced against a copy of the basis packed wider.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import SearchTooLargeError
 from .linsolve import Columns, integer_scaled, solve_sparse
-from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt, _grlex_key
+from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt
 
 
 # Unknowns (coefficient monomials x generators), summed over the degrees a
@@ -66,12 +77,14 @@ MAX_UNKNOWNS = 50_000
 # step is one basis lead tested against a term of the polynomial being
 # reduced, one term of a shifted basis polynomial subtracted from it, one
 # pair or basis entry visited in the pair bookkeeping, or one lcm comparison
-# of the chain criterion.  Random ideals of four quintics in six variables
-# spend the basis budget in 0.019 to 0.023 s of CPU (Python 3.11 on a 2-vCPU
-# Xeon VM); the on-shell basis of em_modes(20), 41 generators over 161
-# identifiers, takes 8840 steps in 0.047 s.  Over the benchmark workloads
-# and the shipped models the largest basis takes 204 steps and the largest
-# normal form 117.
+# of the chain criterion.  On packed monomials a step costs about 0.5 to
+# 0.8 us of CPU whatever the number of identifiers (Python 3.11 on a shared
+# 2-vCPU x86_64 VM): random ideals of four quintics in six variables spend
+# the basis budget in 0.012 to 0.023 s, and the on-shell basis of
+# em_modes(20), 41 generators over 161 identifiers, takes 8840 steps in
+# 0.005 s (0.14 s on exponent tuples, on the same VM).  Over the benchmark
+# workloads (eight seeds, three batches each) and the shipped models the
+# largest basis takes 204 steps and the largest normal form 117.
 MAX_BASIS_STEPS = 20_000
 MAX_REDUCTION_STEPS = 20_000
 
@@ -151,16 +164,102 @@ def default_degree_bound(
 
 
 # ----------------------------------------------------------------------
-# Groebner basis and normal form
+# Groebner basis and normal form over packed monomials
 # ----------------------------------------------------------------------
-# A monic polynomial is kept as (lead monomial, tail), the tail being its
-# other terms as (monomial, coefficient) pairs.  Working polynomials are
-# term dictionaries.
-_Monic = tuple[Exponents, tuple[tuple[Exponents, Fraction], ...]]
+# A monomial is one int in a _Layout.  A monic polynomial is kept as (lead
+# monomial, tail), the tail being its other terms as (monomial, coefficient)
+# pairs.  Working polynomials are term dictionaries.
+_Monic = tuple[int, tuple[tuple[int, Fraction], ...]]
+
+
+class _Layout(NamedTuple):
+    """Packed monomials over ``n`` identifiers: one field of ``width`` bytes
+    per identifier, the first one most significant, under one more field
+    holding the total degree.  The top bit of every field is a guard bit that
+    stays clear, so every total degree must be below ``limit``.  Ints then
+    order as ``phase._grlex_key`` orders exponent tuples, a product is ``+``, a
+    quotient by a dividing monomial is ``-``, and `a` divides `b` exactly
+    when ``((b | guards) - a) & guards == guards``: no field borrows from the
+    next, and a field keeps its guard bit when b's exponent is at least a's."""
+
+    width: int
+    n: int
+    guards: int  # the guard bit of every field, the degree's included
+    values: int  # every bit of the identifier fields but their guards
+    shift: int  # bit offset of the degree field
+
+    @property
+    def limit(self) -> int:
+        return 1 << (8 * self.width - 1)
+
+    def pack(self, mon: Exponents) -> int:
+        if self.width == 1:
+            raw = bytes(mon)
+        else:
+            raw = b"".join(e.to_bytes(self.width, "big") for e in mon)
+        return int.from_bytes(raw, "big") | sum(mon) << self.shift
+
+    def unpack(self, packed: int) -> Exponents:
+        raw = packed.to_bytes(self.width * (self.n + 1), "big")
+        if self.width == 1:
+            return tuple(raw[1:])
+        return tuple(
+            int.from_bytes(raw[i:i + self.width], "big")
+            for i in range(self.width, len(raw), self.width)
+        )
+
+    def unpack_terms(self, terms: dict[int, Fraction]) -> dict[Exponents, Fraction]:
+        return {self.unpack(mon): coeff for mon, coeff in terms.items()}
+
+    def lcm(self, a: int, b: int) -> int:
+        """The field-wise max of a and b; its degree, the sum of its fields,
+        is their value modulo 2**(8 * width) - 1.  Raises ``_Wider`` when
+        that degree does not fit the layout."""
+        a &= self.values
+        b &= self.values
+        at_least = ((a | self.guards) - b) & self.guards  # where a's field >= b's
+        take = at_least - (at_least >> (8 * self.width - 1))
+        low = a & take | b & ~take
+        degree = low % ((1 << 8 * self.width) - 1)
+        if degree >= self.limit:
+            raise _Wider
+        return degree << self.shift | low
+
+
+def _layout(n: int, width: int) -> _Layout:
+    """The layout of `width`-byte fields over n identifiers.  Its masks are
+    repeated bytes, O(n) to build."""
+    guard = b"\x80" + bytes(width - 1)
+    value = b"\x7f" + b"\xff" * (width - 1)
+    return _Layout(
+        width, n, int.from_bytes(guard * (n + 1), "big"),
+        int.from_bytes(value * n, "big"), 8 * width * n,
+    )
+
+
+def _width(degree: int) -> int:
+    """The fewest bytes, 1, 2, 4, 8 or more, of a field that holds `degree`
+    below its guard bit."""
+    width = 1
+    while degree >> (8 * width - 1):
+        width *= 2
+    return width
+
+
+class _Basis(NamedTuple):
+    """A reduced Groebner basis, its monic polynomials in `layout` (None for
+    the zero ideal, which has no polynomial)."""
+
+    layout: _Layout | None
+    polys: tuple[_Monic, ...]
 
 
 class _OutOfSteps(Exception):
     """A Groebner step budget ran out."""
+
+
+class _Wider(Exception):
+    """An lcm's degree does not fit the layout's fields."""
 
 
 class _Steps:
@@ -173,51 +272,40 @@ class _Steps:
             raise _OutOfSteps
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _monic(terms: dict[Exponents, Fraction]) -> _Monic:
-    lead = max(terms, key=_grlex_key)
+def _monic(terms: dict[int, Fraction]) -> _Monic:
+    lead = max(terms)
     scale = terms[lead]
     return lead, tuple((m, c / scale) for m, c in terms.items() if m != lead)
 
 
-def _descending(mon: Exponents) -> tuple:
-    """Heap key: the graded-lex-largest monomial pops first."""
-    return -sum(mon), tuple(-e for e in mon), mon
-
-
 def _reduce(
-    terms: dict[Exponents, Fraction], basis: Sequence[_Monic], steps: _Steps
-) -> dict[Exponents, Fraction]:
-    """Full normal form of `terms` modulo the monic `basis`: every term that
-    a basis lead divides is cancelled, leading terms first.  Each basis lead
-    tested against a term taken up and each term subtracted is a step."""
+    terms: dict[int, Fraction], basis: Sequence[_Monic], guards: int, steps: _Steps
+) -> dict[int, Fraction]:
+    """Full normal form of `terms` modulo the monic `basis`, all packed in a
+    layout with these `guards`: every term that a basis lead divides is
+    cancelled, leading terms first.  Each basis lead tested against a term
+    taken up and each term subtracted is a step."""
     terms = dict(terms)
-    heap = [_descending(m) for m in terms]
+    heap = [-m for m in terms]  # the largest monomial pops first
     heapify(heap)
-    remainder: dict[Exponents, Fraction] = {}
+    remainder: dict[int, Fraction] = {}
     while heap:
-        mon = heappop(heap)[2]
+        mon = -heappop(heap)
         coeff = terms.pop(mon, None)
         if coeff is None:  # cancelled, or a second entry of a taken-up term
             continue
+        probe = mon | guards
         for tested, (lead, tail) in enumerate(basis, 1):
-            if _divides(lead, mon):
+            if (probe - lead) & guards == guards:
                 steps.spend(tested + len(tail))
-                shift = tuple(a - b for a, b in zip(mon, lead))
+                shift = mon - lead
                 for tmon, tcoeff in tail:
-                    key = tuple(a + b for a, b in zip(tmon, shift))
+                    key = tmon + shift
                     delta = coeff * tcoeff
                     old = terms.get(key)
                     if old is None:
                         terms[key] = -delta
-                        heappush(heap, _descending(key))
+                        heappush(heap, -key)
                     elif old != delta:
                         terms[key] = old - delta
                     else:
@@ -229,15 +317,14 @@ def _reduce(
     return remainder
 
 
-def _s_polynomial(f: _Monic, g: _Monic, steps: _Steps) -> dict[Exponents, Fraction]:
+def _s_polynomial(f: _Monic, g: _Monic, lcm: int, steps: _Steps) -> dict[int, Fraction]:
     """lcm/lead(f) * f - lcm/lead(g) * g; the leads cancel since both are monic."""
-    lcm = _lcm(f[0], g[0])
     steps.spend(len(f[1]) + len(g[1]))
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for (lead, tail), sign in ((f, 1), (g, -1)):
-        shift = tuple(a - b for a, b in zip(lcm, lead))
+        shift = lcm - lead
         for mon, coeff in tail:
-            key = tuple(a + b for a, b in zip(mon, shift))
+            key = mon + shift
             value = terms.get(key, 0) + sign * coeff
             if value:
                 terms[key] = value
@@ -248,19 +335,51 @@ def _s_polynomial(f: _Monic, g: _Monic, steps: _Steps) -> dict[Exponents, Fracti
 
 def _buchberger(
     generators: Sequence[dict[Exponents, Fraction]], steps: _Steps
-) -> tuple[_Monic, ...]:
+) -> _Basis:
     """Reduced Groebner basis in graded-lex order, sorted by descending lead.
 
-    Buchberger's algorithm with the normal selection strategy (the pair of
+    The generators are packed in the narrowest layout whose fields hold twice
+    their largest degree.  When an lcm outgrows it, the basis is started
+    again in fields twice as wide with the budget `steps` had on entry: the
+    same steps are taken again, so the steps spent do not depend on the
+    width.
+    """
+    if not generators:
+        return _Basis(None, ())
+    n = len(next(iter(generators[0])))
+    width = _width(2 * max(sum(mon) for terms in generators for mon in terms))
+    start = steps.left
+    while True:
+        layout = _layout(n, width)
+        packed = [
+            {layout.pack(mon): coeff for mon, coeff in terms.items()}
+            for terms in generators
+        ]
+        try:
+            return _Basis(layout, _packed_buchberger(packed, layout, steps))
+        except _Wider:
+            steps.left = start
+            width *= 2
+
+
+def _packed_buchberger(
+    generators: list[dict[int, Fraction]], layout: _Layout, steps: _Steps
+) -> tuple[_Monic, ...]:
+    """Buchberger's algorithm with the normal selection strategy (the pair of
     least lcm first) and Gebauer and Moeller's update (Becker & Weispfenning,
     *Groebner Bases*, p. 230), which drops the pairs the coprime-leads and
     chain criteria show to reduce to zero.  Polynomials are kept by index;
-    ``basis`` holds the indices whose leads no later lead divides.  Steps are
-    spent on reductions, S-polynomials and pair bookkeeping alike.
+    ``basis`` holds the indices whose leads no later lead divides, and
+    ``pairs`` maps each pair left to the lcm of its leads.  Steps are spent
+    on reductions, S-polynomials and pair bookkeeping alike.
     """
+    guards, shift, lcm_of = layout.guards, layout.shift, layout.lcm
     polys: list[_Monic] = []
     basis: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
+    pairs: dict[tuple[int, int], int] = {}
+
+    def divides(a: int, b: int) -> bool:
+        return ((b | guards) - a) & guards == guards
 
     def update(new: int) -> None:
         # Pair bookkeeping is charged too, one step per pair or basis entry
@@ -268,8 +387,11 @@ def _buchberger(
         # many pairs there can be.
         steps.spend(len(basis) + len(pairs))
         lead = polys[new][0]
-        lcms = {i: _lcm(lead, polys[i][0]) for i in basis}
-        coprime = {i for i in basis if sum(lcms[i]) == sum(lead) + sum(polys[i][0])}
+        lcms = {i: lcm_of(lead, polys[i][0]) for i in basis}
+        degree = lead >> shift
+        coprime = {
+            i for i in basis if lcms[i] >> shift == degree + (polys[i][0] >> shift)
+        }
         # Chain criterion among the new pairs: keep (new, i) unless another
         # new pair's lcm divides its lcm (of equal lcms the last one is kept);
         # then the coprime-leads criterion drops the pairs in `coprime`.
@@ -278,41 +400,38 @@ def _buchberger(
         for pos, i in enumerate(candidates):
             others = () if i in coprime else tuple(chain(candidates[pos + 1:], kept))
             hit = next(
-                (n for n, j in enumerate(others, 1) if _divides(lcms[j], lcms[i])), 0
+                (n for n, j in enumerate(others, 1) if divides(lcms[j], lcms[i])), 0
             )
             steps.spend(hit or len(others))
             if not hit:
                 kept.append(i)
-        fresh = {(i, new) for i in kept if i not in coprime}
+        fresh = {(i, new): lcms[i] for i in kept if i not in coprime}
         # Chain criterion on the old pairs: (i, j) is dropped when the new
         # lead divides its lcm without giving the same lcm with i or j.
-        for i, j in list(pairs):
-            lcm = _lcm(polys[i][0], polys[j][0])
+        for (i, j), lcm in list(pairs.items()):
             if (
-                _divides(lead, lcm)
-                and _lcm(polys[i][0], lead) != lcm
-                and _lcm(polys[j][0], lead) != lcm
+                divides(lead, lcm)
+                and lcm_of(polys[i][0], lead) != lcm
+                and lcm_of(polys[j][0], lead) != lcm
             ):
-                pairs.discard((i, j))
+                del pairs[i, j]
         pairs.update(fresh)
-        basis.difference_update([i for i in basis if _divides(lead, polys[i][0])])
+        basis.difference_update([i for i in basis if divides(lead, polys[i][0])])
         basis.add(new)
 
-    def add(terms: dict[Exponents, Fraction]) -> None:
-        remainder = _reduce(terms, [polys[i] for i in basis], steps)
+    def add(terms: dict[int, Fraction]) -> None:
+        remainder = _reduce(terms, [polys[i] for i in basis], guards, steps)
         if remainder:
             polys.append(_monic(remainder))
             update(len(polys) - 1)
 
-    for terms in sorted(generators, key=lambda t: _grlex_key(max(t, key=_grlex_key))):
+    for terms in sorted(generators, key=max):
         add(terms)
     while pairs:
         steps.spend(len(pairs))
-        pair = min(pairs, key=lambda ij: (
-            _grlex_key(_lcm(polys[ij[0]][0], polys[ij[1]][0])), ij
-        ))
-        pairs.remove(pair)
-        add(_s_polynomial(polys[pair[0]], polys[pair[1]], steps))
+        pair = min(pairs, key=lambda ij: (pairs[ij], ij))
+        lcm = pairs.pop(pair)
+        add(_s_polynomial(polys[pair[0]], polys[pair[1]], lcm, steps))
 
     # The leads of `basis` are minimal; reducing each tail by the others
     # gives the unique reduced basis.
@@ -320,28 +439,24 @@ def _buchberger(
     reduced = []
     for k, (lead, tail) in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1:]
-        reduced.append((lead, tuple(_reduce(dict(tail), others, steps).items())))
-    return tuple(sorted(reduced, key=lambda g: _grlex_key(g[0]), reverse=True))
+        reduced.append((lead, tuple(_reduce(dict(tail), others, guards, steps).items())))
+    return tuple(sorted(reduced, key=lambda g: g[0], reverse=True))
 
 
-def _groebner_basis(
-    generators: tuple[PhasePolynomial, ...],
-) -> tuple[_Monic, ...] | None:
+def _groebner_basis(generators: tuple[PhasePolynomial, ...]) -> _Basis | None:
     """Reduced Groebner basis of the generators, kept in ``_KEPT``, or None
     when it would take more than ``MAX_BASIS_STEPS`` steps.  Polynomials are
     immutable and cache their hash, so the tuple is the key."""
     return _KEPT.get((generators,), _build_basis, generators)
 
 
-def _build_basis(
-    generators: tuple[PhasePolynomial, ...],
-) -> tuple[tuple[_Monic, ...] | None, int]:
+def _build_basis(generators: tuple[PhasePolynomial, ...]) -> tuple[_Basis | None, int]:
     try:
         basis = _buchberger([g.terms for g in generators if g], _Steps(MAX_BASIS_STEPS))
     except _OutOfSteps:
         return None, 1
     # Charged its terms, and at least 1, so the cap bounds how many are kept.
-    return basis, max(1, sum(1 + len(tail) for _, tail in basis))
+    return basis, max(1, sum(1 + len(tail) for _, tail in basis.polys))
 
 
 def _normal_form(
@@ -358,14 +473,31 @@ def _normal_form(
     retraction onto the polynomials in the used identifiers that fixes the
     target and every generator, so it maps any certificate to one in the
     used identifiers alone.
+
+    A target whose degree the basis's layout cannot hold is reduced against
+    a copy of the basis packed in wider fields.
     """
     basis = _groebner_basis(generators)
     if basis is None:
         return None
+    layout, polys = basis
+    if not polys:  # the zero ideal
+        return dict(target.terms)
+    degree = max(target.total_degree(), 0)
+    if degree >= layout.limit:
+        wide = _layout(layout.n, _width(degree))
+        polys = tuple(
+            (wide.pack(layout.unpack(lead)),
+             tuple((wide.pack(layout.unpack(m)), c) for m, c in tail))
+            for lead, tail in polys
+        )
+        layout = wide
+    packed = {layout.pack(mon): coeff for mon, coeff in target.terms.items()}
     try:
-        return _reduce(target.terms, basis, _Steps(MAX_REDUCTION_STEPS))
+        remainder = _reduce(packed, polys, layout.guards, _Steps(MAX_REDUCTION_STEPS))
     except _OutOfSteps:
         return None
+    return layout.unpack_terms(remainder)
 
 
 # ----------------------------------------------------------------------

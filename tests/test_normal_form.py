@@ -9,6 +9,8 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dirac_symmetry import (
     IdealDecomposition,
@@ -19,9 +21,10 @@ from dirac_symmetry import (
     em_modes,
     generate_chain,
 )
-from dirac_symmetry import membership
+from dirac_symmetry import membership, phase
+from dirac_symmetry.errors import SearchTooLargeError
 from dirac_symmetry.report import certificate_dict
-from conftest import poly, random_polynomial
+from conftest import poly, polynomial_strategy, random_polynomial
 from oracles import to_sympy
 
 
@@ -30,8 +33,11 @@ def symbols(space):
 
 
 def basis_polynomials(space, generators):
-    basis = membership._groebner_basis(tuple(generators))
-    return [PhasePolynomial(space, {lead: 1, **dict(tail)}) for lead, tail in basis]
+    layout, basis = membership._groebner_basis(tuple(generators))
+    return [
+        PhasePolynomial(space, layout.unpack_terms({lead: 1, **dict(tail)}))
+        for lead, tail in basis
+    ]
 
 
 def sympy_basis(space, generators):
@@ -98,6 +104,146 @@ class TestAgainstSympy:
             poly("q1^2 - p1", space),
             poly("p1^2 - 1", space),
         ]
+
+
+SMALL_SPACE = PhaseSpace(1, ("E",))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(polynomial_strategy(SMALL_SPACE, max_degree=3, max_terms=3), min_size=1, max_size=3),
+    polynomial_strategy(SMALL_SPACE, max_degree=4, max_terms=4),
+)
+def test_normal_form_is_sympys_remainder(gens, target):
+    # The same remainder as sympy's reduction by its grlex basis, since both
+    # are the unique normal form modulo the reduced basis.
+    gens = [g for g in gens if g]
+    if gens:
+        assert_matches_sympy(SMALL_SPACE, gens, [target])
+
+
+class TestPackedLayout:
+    """Fields at the edge of their width, against sympy."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        used = []
+        real = membership._layout
+        monkeypatch.setattr(
+            membership, "_layout", lambda n, width: used.append(width) or real(n, width)
+        )
+        membership._KEPT.clear()
+        yield used
+        membership._KEPT.clear()
+
+    def test_target_of_degree_above_the_first_width(self, widths):
+        space = PhaseSpace(2)
+        gens = [poly("q1^2 - p1", space), poly("q2*p2 - 1", space)]
+        targets = [
+            poly("q1^131 + 3*q2^70*p2^70*p1 - q1", space),
+            poly("q1^200*q2 + p1^3", space),
+            poly("q2^128", space),
+        ]
+        assert_matches_sympy(space, gens, targets)
+        assert widths == [1, 2, 2, 2]  # the basis, then each target's copy
+
+    def test_lcm_outgrowing_the_first_width(self, widths, monkeypatch):
+        # Leads of degree 57 fit one-byte fields, but the basis reaches an lcm
+        # of degree 128 or more, so it is built again in two-byte fields.
+        space = PhaseSpace(1)
+        gens = [poly("q1^46*p1^11 + p1^34", space), poly("q1^10*p1^42 - q1^28*p1^5", space)]
+        steps = membership._Steps(membership.MAX_BASIS_STEPS)
+        membership._buchberger([g.terms for g in gens], steps)
+        assert widths == [1, 2]
+        # The restart replays the same steps: a basis started wide takes as many.
+        wide = membership._Steps(membership.MAX_BASIS_STEPS)
+        with monkeypatch.context() as patch:
+            patch.setattr(membership, "_width", lambda degree: 2)
+            membership._buchberger([g.terms for g in gens], wide)
+        assert widths == [1, 2, 2]
+        assert wide.left == steps.left == membership.MAX_BASIS_STEPS - 45
+        assert_matches_sympy(space, gens, [poly("q1^60*p1^70 + q1^2", space)])
+
+    def test_exponents_at_the_guard_bit(self, widths):
+        space = PhaseSpace(1)
+        gens = [poly("q1^63 - p1^2", space), poly("q1*p1^62 - q1", space)]
+        targets = [
+            poly("q1^64*p1^63", space),  # total degree 127, the largest one byte holds
+            poly("q1^127 + p1^127", space),
+            poly("q1^64*p1^64 + q1^127*p1", space),  # degree 128: two bytes
+        ]
+        assert_matches_sympy(space, gens, targets)
+        assert widths == [1, 2]
+
+    def test_exact_negative_at_the_largest_space(self):
+        space = PhaseSpace(phase.MAX_DOF)
+        target = poly("q1*q2 + q9999", space)
+        gens = [poly("p1", space), poly("p2 - q3", space)]
+        membership._KEPT.clear()
+        try:
+            outcome = decompose(target, gens)
+            assert isinstance(outcome, NotFound) and outcome.exact
+            # The normal form keeps the target: no lead, p1 or q3, divides it.
+            # sympy agrees over the identifiers in use, in the same order.
+            assert PhasePolynomial(space, membership._normal_form(target, tuple(gens))) == target
+        finally:
+            membership._KEPT.clear()
+        q1, q2, q3, q9999, p1, p2 = sp.symbols("q1 q2 q3 q9999 p1 p2")
+        reference = sp.groebner([p1, p2 - q3], q1, q2, q3, q9999, p1, p2, order="grlex")
+        assert reference.reduce(q1 * q2 + q9999)[1] == q1 * q2 + q9999
+
+
+class TestWorkPins:
+    """Timing-free guards on the work of the Groebner layer: these counts
+    move only when what a step is or how the basis is built changes."""
+
+    @pytest.mark.parametrize("n, steps", [(5, 560), (12, 3192), (20, 8840), (30, 19860)])
+    def test_on_shell_basis_steps(self, n, steps):
+        _, gens = on_shell_ideal(n)
+        budget = membership._Steps(membership.MAX_BASIS_STEPS)
+        membership._buchberger([g.terms for g in gens if g], budget)
+        assert membership.MAX_BASIS_STEPS - budget.left == steps
+
+    def test_normal_form_steps(self, monkeypatch):
+        budgets = []
+
+        class Recorded(membership._Steps):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        monkeypatch.setattr(membership, "_Steps", Recorded)
+        space, gens = on_shell_ideal(5)
+        membership._KEPT.clear()
+        try:
+            target = poly("q3*q4 + p1^2*q2 + q1*p2*p3", space)
+            normal_form = membership._normal_form(target, tuple(gens))
+        finally:
+            membership._KEPT.clear()
+        assert PhasePolynomial(space, normal_form) == poly("q3*q4", space)
+        assert [b.left for b in budgets] == [
+            membership.MAX_BASIS_STEPS - 560, membership.MAX_REDUCTION_STEPS - 16,
+        ]
+
+    def test_exact_negatives_end_at_the_step_budget(self):
+        # At n = 31 the basis passes MAX_BASIS_STEPS, and the ladder alone is
+        # refused by the size cap.
+        membership._KEPT.clear()
+        try:
+            space, gens = on_shell_ideal(30)
+            outcome = decompose(poly("q3*q4", space), gens, 4)
+            assert isinstance(outcome, NotFound) and outcome.exact
+            space, gens = on_shell_ideal(31)
+            with pytest.raises(SearchTooLargeError):
+                decompose(poly("q3*q4", space), gens, 4)
+        finally:
+            membership._KEPT.clear()
 
 
 class TestDecomposeVerdicts:
