@@ -6,6 +6,9 @@ constraints found so far: independent residuals become the next level, and
 the coordinates left by the split are the rows of the bracket tables.  The
 hierarchy is hard-capped at three levels (primary, secondary, tertiary); a
 tertiary bracket that is not weakly zero raises ``ChainBeyondTertiaryError``.
+Weak zero means membership in the on-shell module, the constraints extended by
+H_d - E; a ``ConstrainedSystem`` builds that generator once, and the tertiary
+closure and every ``on_shell_generators`` call share the one polynomial.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ def _consistent_residual(space: PhaseSpace, residual, source: str) -> PhasePolyn
 
 
 class ConstrainedSystem(_Frozen):
-    """Dynamical Hamiltonian plus the declared primary constraints."""
+    """Dynamical Hamiltonian plus the declared primary constraints.
 
-    __slots__ = ("space", "h_d", "primaries", "primary_names")
-    _compared = _shown = __slots__
+    The on-shell generator H_d - E is built once, on construction, into the
+    private ``_on_shell``: every on-shell module of the system ends in that
+    one polynomial.  Equality, hash and repr read the four public fields.
+    """
+
+    __slots__ = ("space", "h_d", "primaries", "primary_names", "_on_shell")
+    _compared = _shown = ("space", "h_d", "primaries", "primary_names")
 
     def __init__(
         self,
@@ -74,6 +82,7 @@ class ConstrainedSystem(_Frozen):
         object.__setattr__(self, "h_d", h_d)
         object.__setattr__(self, "primaries", primaries)
         object.__setattr__(self, "primary_names", names)
+        object.__setattr__(self, "_on_shell", h_d - PhasePolynomial.variable(space, "E"))
 
 
 class ConstraintChain(NamedTuple):
@@ -148,15 +157,8 @@ class ConstraintChain(NamedTuple):
         polys = self.all_constraints()
         if include_energy:
             names = names + ("H_d-E",)
-            polys = _on_shell_module(polys, self.system.h_d)
+            polys = polys + (self.system._on_shell,)
         return names, polys
-
-
-def _on_shell_module(
-    constraints: tuple[PhasePolynomial, ...], h_d: PhasePolynomial
-) -> tuple[PhasePolynomial, ...]:
-    """The constraints extended by the on-shell generator H_d - E."""
-    return constraints + (h_d - PhasePolynomial.variable(h_d.space, "E"),)
 
 
 def _build_chain(
@@ -214,7 +216,7 @@ def _build_chain(
         if not IdealDecomposition(bracket, all_constraints, rows[-1], 0).verify():
             raise RuntimeError(f"internal error: table row of {name} failed re-expansion")
 
-    closure_generators = _on_shell_module(all_constraints, h_d)
+    closure_generators = all_constraints + (system._on_shell,)
     closures = []
     for name, bracket in zip(names[2], brackets[2]):
         outcome = decompose(bracket, closure_generators, degree_bound)

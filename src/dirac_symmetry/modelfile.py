@@ -192,15 +192,12 @@ def parse_model_text(text: str) -> ModelFile:
     primaries: tuple[tuple[str, PhasePolynomial], ...] = ()
     if "primaries" in sections:
         primaries = _parse_named_expressions(sections["primaries"], "primaries", space)
-    try:
-        system = ConstrainedSystem(
-            space,
-            h_d,
-            tuple(poly for _, poly in primaries),
-            tuple(name for name, _ in primaries),
-        )
-    except ValueError as exc:
-        raise ModelFileError(f"[primaries]: {exc}") from exc
+    system = ConstrainedSystem(
+        space,
+        h_d,
+        tuple(poly for _, poly in primaries),
+        tuple(name for name, _ in primaries),
+    )
 
     declared_secondaries, declared_tertiaries = (
         _parse_named_expressions(sections[section], section, space)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .chain import LEVELS, ConstraintChain, FirstClassReport, TotalHamiltonian
 from .errors import ProductTooLargeError
 from .membership import IdealDecomposition, NotFound
-from .phase import PhasePolynomial
+from .phase import PhasePolynomial, PhaseSpace
 from .symmetry import NotClosed, StructureConstants, SymmetryVerdict, VerdictClass
 
 # Overall classes for which ``check-symmetry`` passes.
@@ -101,11 +101,8 @@ def certificate_text(certificate: dict) -> str:
     return "; ".join(parts) or "zero certificate"
 
 
-def _space_dict(chain: ConstraintChain) -> dict:
-    return {
-        "n_dof": chain.space.n_dof,
-        "parameters": list(chain.space.parameters),
-    }
+def _space_dict(space: PhaseSpace) -> dict:
+    return {"n_dof": space.n_dof, "parameters": list(space.parameters)}
 
 
 def _levels_dict(chain: ConstraintChain) -> dict:
@@ -134,7 +131,7 @@ def chain_report(
     report = {
         "command": "chain",
         "file": file_label,
-        "space": _space_dict(chain),
+        "space": _space_dict(chain.space),
         "h_d": _text(chain.system.h_d),
         "degree_bound": chain.degree_bound,
         "reduction_policy": (
@@ -150,11 +147,8 @@ def chain_report(
         "ordering_ok": chain.ordering_ok,
         "strict_level_form": chain.strict_level_form,
         "tables": {
-            "primary_to_secondary": _table_dict(chain.primary_to_secondary),
-            "primary_to_tertiary": _table_dict(chain.primary_to_tertiary),
-            "secondary_to_tertiary": _table_dict(chain.secondary_to_tertiary),
-            "primary_spill": _table_dict(chain.primary_spill),
-            "secondary_spill": _table_dict(chain.secondary_spill),
+            key: _table_dict(getattr(chain, key))
+            for _, key, _, _ in _TABLES + _OFF_LEVEL_TABLES
         },
         "tertiary_closure": [
             {
@@ -189,8 +183,9 @@ def _table_lines(
     return [f"{title}:", *entries]
 
 
-# (title, table key, row level, column levels) of the chain's bracket tables;
-# the off-level ones are printed only when the strict level form fails.
+# (title, table key, row level, column levels) of the chain's bracket tables,
+# in the key order of the report's "tables"; the off-level ones are printed
+# only when the strict level form fails.
 _TABLES = (
     ("primary->secondary coefficients", "primary_to_secondary", "primary", ("secondary",)),
     ("primary->tertiary coefficients", "primary_to_tertiary", "primary", ("tertiary",)),
@@ -265,10 +260,7 @@ def total_hamiltonian_report(
     return {
         "command": "total-hamiltonian",
         "file": file_label,
-        "space": {
-            "n_dof": total.space.n_dof,
-            "parameters": list(total.space.parameters),
-        },
+        "space": _space_dict(total.space),
         "h_d": _text(chain.system.h_d),
         "h_tot": _text(total.h_tot),
         "multipliers": {
