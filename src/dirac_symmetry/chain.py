@@ -276,6 +276,8 @@ def recombine_level(
     Rebuilds the chain on the new basis, every bracket and table included;
     used to check that verdicts are basis-independent within a level.
     """
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
     old = chain.level_polys(level)
     n = len(old)
     if len(matrix) != n or any(len(row) != n for row in matrix):

@@ -82,9 +82,9 @@ MAX_UNKNOWNS = 50_000
 # 2-vCPU x86_64 VM): random ideals of four quintics in six variables spend
 # the basis budget in 0.012 to 0.023 s, and the on-shell basis of
 # em_modes(20), 41 generators over 161 identifiers, takes 8840 steps in
-# 0.005 s (0.14 s on exponent tuples, on the same VM).  Over the benchmark
-# workloads (eight seeds, three batches each) and the shipped models the
-# largest basis takes 204 steps and the largest normal form 117.
+# 0.005 s.  Over the benchmark workloads (eight seeds, three batches each)
+# and the shipped models the largest basis takes 204 steps and the largest
+# normal form 117.
 MAX_BASIS_STEPS = 20_000
 MAX_REDUCTION_STEPS = 20_000
 
@@ -585,9 +585,8 @@ class _Kept:
     The entries are a plain dict in insertion order, the least recently
     used first.  A hit pops the entry and puts it back last under the
     caller's key: one lookup, so equal but distinct generators are compared
-    term by term once (``OrderedDict`` would look the key up two or three
-    times), and the kept key becomes the caller's tuple, so the next search
-    with those generators compares by identity."""
+    term by term once, and the kept key becomes the caller's tuple, so the
+    next search with those generators compares by identity."""
 
     def __init__(self):
         self.entries: dict[tuple, tuple[object, int]] = {}

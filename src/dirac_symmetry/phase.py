@@ -7,7 +7,8 @@ printing and leading-term extraction deterministic.  All values are
 immutable after construction and every operation is a pure function.
 
 Construction is trusted inside the kernel.  The public constructor
-``PhasePolynomial(space, terms)`` coerces every coefficient with
+``PhasePolynomial(space, terms)`` refuses a monomial that is not a tuple of
+``space.n_identifiers`` non-negative ints, coerces every coefficient with
 ``Fraction()`` and drops zeros, because callers pass ints.  Every kernel
 result (sums, products, scalings, derivatives, brackets, embeddings and the
 constant constructors) is built by ``_adopt(space, terms)`` instead, which
@@ -51,12 +52,15 @@ MAX_COEFFICIENT_BITS = 8192
 
 
 class _Frozen:
-    """Base of the immutable classes that validate or derive their fields.
+    """Base of the package's immutable value classes.
 
     A subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``.  Two instances of one class
-    are equal, and hash alike, when the fields named in ``_compared`` are;
-    ``repr`` shows the fields named in ``_shown``.
+    ``__init__`` through ``object.__setattr__``; setting or deleting any
+    attribute afterwards raises ``AttributeError``.  Two instances of one
+    class are equal, and hash alike, when the fields named in ``_compared``
+    are; ``repr`` shows the fields named in ``_shown``.  A subclass may
+    define its own equality, hash and repr instead, as ``PhasePolynomial``
+    does.
     """
 
     __slots__ = ()
@@ -73,6 +77,8 @@ class _Frozen:
         return tuple(getattr(self, name) for name in self._compared)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()
@@ -85,14 +91,17 @@ class _Frozen:
         return f"{type(self).__name__}({shown})"
 
 
-class PhaseSpace:
+class PhaseSpace(_Frozen):
     """Canonical pairs q1..qn, p1..pn plus inert scalar parameters.
 
     Parameters commute with everything and have zero bracket with every
-    variable; they always include the energy symbol ``E``.
+    variable; they always include the energy symbol ``E``.  A space refuses
+    setting and deleting any attribute; two spaces are equal, and hash
+    alike, when their ``n_dof`` and ``parameters`` are.
     """
 
     __slots__ = ("n_dof", "parameters", "identifiers", "_index")
+    _compared = _shown = ("n_dof", "parameters")
 
     def __init__(self, n_dof: int, parameters: Iterable[str] = ("E",)):
         if not isinstance(n_dof, int) or n_dof < 1:
@@ -123,9 +132,6 @@ class PhaseSpace:
         object.__setattr__(self, "identifiers", idents)
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(idents)})
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PhaseSpace is immutable")
-
     @property
     def n_identifiers(self) -> int:
         return len(self.identifiers)
@@ -148,47 +154,41 @@ class PhaseSpace:
             and self.parameters[: len(other.parameters)] == other.parameters
         )
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PhaseSpace):
-            return NotImplemented
-        return self.n_dof == other.n_dof and self.parameters == other.parameters
-
-    def __hash__(self):
-        return hash((self.n_dof, self.parameters))
-
-    def __repr__(self):
-        return f"PhaseSpace(n_dof={self.n_dof}, parameters={self.parameters!r})"
-
 
 def _grlex_key(monomial: Exponents) -> tuple:
     return (sum(monomial), monomial)
 
 
-class PhasePolynomial:
+class PhasePolynomial(_Frozen):
     """Sparse exact polynomial over the rationals on one phase space.
 
-    Treat instances as immutable: all arithmetic returns new objects and the
-    term mapping is never mutated after construction.  The hash, the total
-    degree and the used identifier positions are computed on first use and
-    kept in the slots ``_hash``, ``_degree`` and ``_used``, which stay unset
-    until then.
+    A polynomial refuses setting and deleting any attribute, and all
+    arithmetic returns new objects.  The hash, the total degree and the used
+    identifier positions are computed on first use and kept in the slots
+    ``_hash``, ``_degree`` and ``_used``, which stay unset until then.
+    Equality, hash and repr are its own rather than ``_Frozen``'s: an int or
+    a ``Fraction`` compares as a constant polynomial, and the hash is kept.
     """
 
     __slots__ = ("space", "terms", "_hash", "_degree", "_used")
 
     def __init__(self, space: PhaseSpace, terms: Mapping[Exponents, RationalLike]):
+        n = space.n_identifiers
         cleaned: dict[Exponents, Fraction] = {}
         for monomial, coeff in terms.items():
+            if not (
+                type(monomial) is tuple
+                and len(monomial) == n
+                and all(type(e) is int and e >= 0 for e in monomial)
+            ):
+                raise ValueError(
+                    f"monomial {monomial!r} is not a tuple of {n} non-negative ints"
+                )
             coeff = Fraction(coeff)
             if coeff:
                 cleaned[monomial] = coeff
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PhasePolynomial is immutable")
 
     # ------------------------------------------------------------------
     # constructors
@@ -256,7 +256,9 @@ class PhasePolynomial:
     # arithmetic
     # ------------------------------------------------------------------
     def _check_space(self, other: "PhasePolynomial") -> None:
-        if self.space != other.space:
+        # Operands nearly always share one space object: skip the call to
+        # the space's __eq__ then.
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError(
                 f"operands live on different phase spaces: "
                 f"{self.space!r} vs {other.space!r}"
@@ -519,11 +521,7 @@ def poisson(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     pair i, the weight m1[q_i]*m2[p_i] - m1[p_i]*m2[q_i] on the monomial
     m1*m2 / (q_i*p_i).  Only the pairs in which m1 has q_i or p_i are visited.
     """
-    if f.space != g.space:
-        raise SpaceMismatchError(
-            f"bracket operands live on different phase spaces: "
-            f"{f.space!r} vs {g.space!r}"
-        )
+    f._check_space(g)
     _check_term_pairs("bracket", f, g)
     n = f.space.n_dof
     accum: dict[Exponents, Fraction] = {}

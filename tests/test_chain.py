@@ -228,6 +228,13 @@ class TestRecombineLevel:
         with pytest.raises(ValueError):
             recombine_level(chain, "primary", [[F(1), F(0)]])
 
+    def test_unknown_level_names_the_levels(self):
+        chain = generate_chain(cascade_system())
+        with pytest.raises(ValueError) as info:
+            recombine_level(chain, "quaternary", [[F(1)]])
+        assert "'quaternary'" in str(info.value)
+        assert str(chain_module.LEVELS) in str(info.value)
+
 
 def random_cascade(rng):
     """H_d bilinear in q and p plus some p_i^2, and primaries linear in the

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from dirac_symmetry import phase
 from dirac_symmetry.cli import main
@@ -522,3 +523,78 @@ class TestColorToggle:
         monkeypatch.setenv("DIRAC_SYMMETRY_COLOR", "0")
         _, out, _ = run(capsys, "chain", TLC)
         assert "\x1b[" not in out
+
+
+# A consistent model whose commutation bracket {G, H_d} = q2 is a member of
+# the on-shell module: sympy's basis holds q2 itself.  The certificate's P2
+# cofactor inverts q1*p1 - 1 modulo q1^4 and has degree 6, past the default
+# bound deg(q2) + 4 = 5.
+MEMBER_PAST_THE_BOUND = """\
+[system]
+n_dof = 3
+hamiltonian = p3
+[primaries]
+P1 = q1^4
+P2 = q1*p1*q2 - q2
+[generators.g]
+G = q2*q3
+"""
+
+# Primaries whose ideal holds 1 (q1^3 * p1^3 = 1 on the surface, yet
+# q1^3 = 0): the constraint surface is empty.
+INCONSISTENT_PRIMARIES = """\
+[system]
+n_dof = 2
+hamiltonian = p2
+[primaries]
+P1 = q1^3
+P2 = q1*p1 - 1
+"""
+
+
+class TestKnownWrongAnswers:
+    """Two wrong answers the package still gives, each a strict xfail beside
+    the independent answer that shows it is wrong."""
+
+    def test_member_past_the_bound_per_sympy(self):
+        q1, q2, q3, p1, p2, p3, E = sp.symbols("q1 q2 q3 p1 p2 p3 E")
+        basis = sp.groebner(
+            [q1**4, q1 * p1 * q2 - q2, p3 - E], q1, q2, q3, p1, p2, p3, E, order="grlex"
+        )
+        assert list(basis.exprs) == [q1**4, q2, -E + p3]
+
+    def test_member_past_the_bound_found_at_bound_6(self, capsys, tmp_path):
+        path = tmp_path / "member.model"
+        path.write_text(MEMBER_PAST_THE_BOUND, encoding="utf-8")
+        code, out, _ = run(
+            capsys, "check-symmetry", str(path), "--set", "g", "--degree-bound", "6"
+        )
+        assert "commutation: on-shell" in out
+        assert code == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the search stops at the default degree bound although q2 has "
+        "a zero normal form: reported as fails / NotSymmetry, exit 2",
+    )
+    def test_member_past_the_bound_at_the_default_bound(self, capsys, tmp_path):
+        path = tmp_path / "member.model"
+        path.write_text(MEMBER_PAST_THE_BOUND, encoding="utf-8")
+        code, out, _ = run(capsys, "check-symmetry", str(path), "--set", "g")
+        assert "commutation: on-shell" in out
+        assert code == 0
+
+    def test_inconsistent_primaries_per_sympy(self):
+        q1, q2, p1, p2, E = sp.symbols("q1 q2 p1 p2 E")
+        basis = sp.groebner([q1**3, q1 * p1 - 1, p2 - E], q1, q2, p1, p2, E, order="grlex")
+        assert list(basis.exprs) == [1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a constraint ideal that holds 1 is not detected: chain exits 0",
+    )
+    def test_inconsistent_primaries_are_refused(self, capsys, tmp_path):
+        path = tmp_path / "inconsistent.model"
+        path.write_text(INCONSISTENT_PRIMARIES, encoding="utf-8")
+        code, _, _ = run(capsys, "chain", str(path))
+        assert code != 0

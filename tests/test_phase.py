@@ -64,6 +64,47 @@ class TestPhaseSpace:
         assert not space.extends(ext)
 
 
+class TestImmutability:
+    """Phase spaces and polynomials refuse setting and deleting every slot,
+    so the values the membership caches key on cannot change."""
+
+    SPACE_SLOTS = ("n_dof", "parameters", "identifiers", "_index")
+    POLY_SLOTS = ("space", "terms", "_hash", "_degree", "_used")
+
+    @pytest.mark.parametrize("name", SPACE_SLOTS)
+    def test_space_slots_cannot_be_set_or_deleted(self, name):
+        space = PhaseSpace(2, ("E", "m"))
+        before = getattr(space, name)
+        with pytest.raises(AttributeError, match="PhaseSpace is immutable"):
+            setattr(space, name, None)
+        with pytest.raises(AttributeError, match="PhaseSpace is immutable"):
+            delattr(space, name)
+        assert getattr(space, name) == before
+        assert space == PhaseSpace(2, ("E", "m"))
+        assert space.index("m") == 5
+
+    @pytest.mark.parametrize("name", POLY_SLOTS)
+    def test_polynomial_slots_cannot_be_set_or_deleted(self, name):
+        f = poly("q1*p2 + 3", SPACE2)
+        cached = (hash(f), f.total_degree(), f.used_indices())
+        before = getattr(f, name)
+        with pytest.raises(AttributeError, match="PhasePolynomial is immutable"):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError, match="PhasePolynomial is immutable"):
+            delattr(f, name)
+        assert getattr(f, name) == before
+        assert (hash(f), f.total_degree(), f.used_indices()) == cached
+        assert f == poly("q1*p2 + 3", SPACE2)
+
+    def test_space_repr_hash_and_equality(self):
+        assert repr(PhaseSpace(2, ("E", "m"))) == "PhaseSpace(n_dof=2, parameters=('E', 'm'))"
+        assert hash(PhaseSpace(2)) == hash((2, ("E",)))
+        assert PhaseSpace(2) == PhaseSpace(2) and SPACE2 == SPACE2
+        assert PhaseSpace(2) != PhaseSpace(3)
+        assert PhaseSpace(2) != PhaseSpace(2, ("E", "m"))
+        assert PhaseSpace(2) != (2, ("E",))
+
+
 class TestParsing:
     def test_mixed_terms(self):
         f = poly("q1^2*p2 + 3/2*p1", SPACE2)
@@ -191,7 +232,7 @@ class TestArithmetic:
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
             poly("q1", SPACE2) + poly("q1", SPACE3)
-        with pytest.raises(SpaceMismatchError):
+        with pytest.raises(SpaceMismatchError, match="^operands live on different phase spaces"):
             poisson(poly("q1", SPACE2), poly("p1", SPACE3))
 
     def test_pow_rejects_negative(self):
@@ -387,6 +428,26 @@ class TestKernelInvariants:
         assert f.terms == {(1, 0, 0, 0, 0): Fraction(2)}
         assert _invariant_holds(f)
         assert PhasePolynomial.constant(SPACE2, 0).terms == {}
+
+    @pytest.mark.parametrize(
+        "monomial",
+        [
+            (1,),  # too short: a product would silently truncate it
+            (-1, 0, 0),  # a negative exponent
+            (0, 0, 0, 5),  # too long: printing it would index past the space
+            (1.0, 0, 0),  # not ints
+            (True, 0, 0),
+        ],
+    )
+    def test_public_constructor_refuses_malformed_monomials(self, monomial):
+        space = PhaseSpace(1)
+        with pytest.raises(ValueError, match="non-negative ints") as info:
+            PhasePolynomial(space, {(0, 1, 0): 1, monomial: 1})
+        assert repr(monomial) in str(info.value)
+
+    def test_public_constructor_checks_zero_terms_too(self):
+        with pytest.raises(ValueError, match=r"\(1,\)"):
+            PhasePolynomial(PhaseSpace(1), {(1,): 0})
 
 
 class TestCoefficientCap:
