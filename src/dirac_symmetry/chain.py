@@ -64,7 +64,8 @@ class ConstrainedSystem(_Frozen):
     ):
         if h_d.space != space:
             raise ValueError("H_d must live on the system's phase space")
-        names = primary_names or tuple(f"P{i}" for i in range(1, len(primaries) + 1))
+        primaries = tuple(primaries)
+        names = tuple(primary_names) or tuple(f"P{i}" for i in range(1, len(primaries) + 1))
         if len(names) != len(primaries):
             raise ValueError("one name per primary constraint required")
         if len(set(names)) != len(names):

@@ -60,7 +60,9 @@ class _Frozen:
     class are equal, and hash alike, when the fields named in ``_compared``
     are; ``repr`` shows the fields named in ``_shown``.  A subclass may
     define its own equality, hash and repr instead, as ``PhasePolynomial``
-    does.
+    does.  ``_compared`` names the constructor's arguments in order: a copy
+    or an unpickled instance is rebuilt by calling the class on them, so it
+    passes the constructor's checks and derives its private slots afresh.
     """
 
     __slots__ = ()
@@ -89,6 +91,9 @@ class _Frozen:
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 class PhaseSpace(_Frozen):
@@ -171,6 +176,7 @@ class PhasePolynomial(_Frozen):
     """
 
     __slots__ = ("space", "terms", "_hash", "_degree", "_used")
+    _compared = ("space", "terms")
 
     def __init__(self, space: PhaseSpace, terms: Mapping[Exponents, RationalLike]):
         n = space.n_identifiers

@@ -33,12 +33,12 @@ class VerdictClass(Enum):
     NOT_SYMMETRY = "NotSymmetry"
 
 
-_STRENGTH = {
-    VerdictClass.NOT_SYMMETRY: 0,
-    VerdictClass.MIXES_CONSTRAINTS: 1,
-    VerdictClass.DYNAMICAL_SYMMETRY: 2,
-    VerdictClass.STRICT_SYMMETRY: 3,
-}
+_STRENGTH = (  # weakest first
+    VerdictClass.NOT_SYMMETRY,
+    VerdictClass.MIXES_CONSTRAINTS,
+    VerdictClass.DYNAMICAL_SYMMETRY,
+    VerdictClass.STRICT_SYMMETRY,
+)
 
 
 class GeneratorSet(_Frozen):
@@ -62,8 +62,8 @@ class GeneratorSet(_Frozen):
                 raise ValueError("zero polynomial among generators")
         if rational_rank(p.terms for p in generators) != len(generators):
             raise ValueError("generators are linearly dependent over the rationals")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "generators", tuple(generators))
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -101,7 +101,6 @@ class ConstraintImage(NamedTuple):
     """Action of a generator on one constraint."""
 
     level: str
-    index: int
     name: str
     image: PhasePolynomial
     within_level: IdealDecomposition | NotFound
@@ -123,11 +122,6 @@ class LevelPreservationReport(NamedTuple):
     level_preserving: bool
     mixing: tuple[MixingFinding, ...]
     escapes: tuple[tuple[str, str], ...]  # (level, name) mapped outside the module
-    matrices: dict[str, tuple[tuple[PhasePolynomial, ...] | None, ...]]
-
-    @property
-    def mixing_found(self) -> bool:
-        return bool(self.mixing)
 
 
 def check_level_preservation(
@@ -144,48 +138,31 @@ def check_level_preservation(
     offending pairs named.
     """
     all_polys = chain.all_constraints()
+    targets = [(level, name) for level in LEVELS for name in chain.level_names(level)]
     images: list[ConstraintImage] = []
     mixing: list[MixingFinding] = []
     escapes: list[tuple[str, str]] = []
-    matrices: dict[str, list[tuple[PhasePolynomial, ...] | None]] = {}
-
-    level_index = []
-    for level in LEVELS:
-        for name in chain.level_names(level):
-            level_index.append((level, name))
-
     for level in LEVELS:
         polys = chain.level_polys(level)
-        names = chain.level_names(level)
-        rows: list[tuple[PhasePolynomial, ...] | None] = []
-        for idx, (phi, name) in enumerate(zip(polys, names)):
+        for phi, name in zip(polys, chain.level_names(level)):
             image = poisson(generator, phi)
             within = decompose(image, polys, degree_bound, mode)
             across = None
             if isinstance(within, NotFound):
                 across = decompose(image, all_polys, degree_bound, mode)
-                if isinstance(across, IdealDecomposition):
-                    for (tgt_level, tgt_name), coeff in zip(
-                        level_index, across.coefficients
-                    ):
-                        if tgt_level != level and not coeff.is_zero():
-                            mixing.append(
-                                MixingFinding(level, name, tgt_level, tgt_name, coeff)
-                            )
-                else:
+                if isinstance(across, NotFound):
                     escapes.append((level, name))
-                rows.append(None)
-            else:
-                rows.append(within.coefficients)
-            images.append(ConstraintImage(level, idx, name, image, within, across))
-        matrices[level] = rows
-
+                else:
+                    mixing += [
+                        MixingFinding(level, name, target_level, target_name, coeff)
+                        for (target_level, target_name), coeff in zip(
+                            targets, across.coefficients
+                        )
+                        if target_level != level and coeff
+                    ]
+            images.append(ConstraintImage(level, name, image, within, across))
     return LevelPreservationReport(
-        images=tuple(images),
-        level_preserving=not mixing and not escapes,
-        mixing=tuple(mixing),
-        escapes=tuple(escapes),
-        matrices={lvl: tuple(rows) for lvl, rows in matrices.items()},
+        tuple(images), not mixing and not escapes, tuple(mixing), tuple(escapes)
     )
 
 
@@ -210,21 +187,24 @@ def check_counts(
 
     Only meaningful when level preservation holds (the rank of the
     coefficient rows then never exceeds the level count); reported as
-    not-applicable otherwise.
+    not-applicable otherwise.  Each image's row is its within-level
+    coefficients, or zero where only an across-level search (with its larger
+    default degree bound) found a certificate, on the image's own level.
     """
     if not level_report.level_preserving:
         return CountsReport(False, {level: None for level in LEVELS})
-    ranks: dict[str, int | None] = {}
-    for level in LEVELS:
-        rows = level_report.matrices[level]
-        ranks[level] = rational_rank(
+    ranks: dict[str, int | None] = {
+        level: rational_rank(
             {
-                (target_idx, monomial): value
-                for target_idx, coeff in enumerate(row or ())
+                (target, monomial): value
+                for target, coeff in enumerate(image.within_level.coefficients)
                 for monomial, value in coeff.terms.items()
             }
-            for row in rows
+            for image in level_report.images
+            if image.level == level and isinstance(image.within_level, IdealDecomposition)
         )
+        for level in LEVELS
+    }
     return CountsReport(True, ranks)
 
 
@@ -416,7 +396,7 @@ def classify(
             )
         )
     closure = closure_and_structure_constants(gen_set, degree_bound)
-    overall = min((v.verdict for v in verdicts), key=_STRENGTH.__getitem__)
+    overall = min((v.verdict for v in verdicts), key=_STRENGTH.index)
     if isinstance(closure, NotClosed):
         overall = VerdictClass.NOT_SYMMETRY
     return SymmetryVerdict(

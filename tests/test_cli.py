@@ -92,6 +92,22 @@ class TestSymmetryCommand:
         assert Fraction(certificate["coefficients"]["S1"]) == Fraction(-1)
 
 
+    def test_counts_below_full_rank(self, capsys, tmp_path):
+        path = tmp_path / "rank.model"
+        path.write_text(
+            "[system]\nn_dof = 2\nhamiltonian = p1*p2\n"
+            "[primaries]\nP1 = p1\nP2 = p2\n"
+            "[generators.shift]\nA = q1*p2\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "check-symmetry", str(path), "--set", "shift")
+        assert code == 0
+        assert (
+            "  counts: preserved (ranks: primary 1/2, secondary 0/0, tertiary 0/0)\n"
+            "  class: DynamicalSymmetry\n"
+        ) in out
+
+
 class TestFirstClassCommand:
     def test_all_first_class(self, capsys):
         code, out, _ = run(capsys, "first-class", TLC)

@@ -7,6 +7,8 @@ error types and messages, and ``StructureConstants`` still derives its
 nonzero entries and Lie-law flags on construction.
 """
 
+import copy
+import pickle
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -25,9 +27,19 @@ from dirac_symmetry import (
     ModelOptions,
     NotClosed,
     NotFound,
+    PhasePolynomial,
+    PhaseSpace,
     StructureConstants,
     SymmetryVerdict,
     TotalHamiltonian,
+    VerdictClass,
+    central_oscillator,
+    classify,
+    closure_and_structure_constants,
+    em_modes,
+    first_class_check,
+    generate_chain,
+    three_level_chain,
 )
 from dirac_symmetry.chain import PairBracketCheck
 from dirac_symmetry.symmetry import (
@@ -60,11 +72,11 @@ PLAIN_RECORDS = {
     ),
     ExpectedBehavior: ("counts", "ordering_ok", "first_class", "verdicts", "abelian_sets"),
     ModelDescriptor: ("name", "system", "generator_sets", "expected", "variable_legend"),
-    ConstraintImage: ("level", "index", "name", "image", "within_level", "across_levels"),
+    ConstraintImage: ("level", "name", "image", "within_level", "across_levels"),
     MixingFinding: (
         "source_level", "source_name", "target_level", "target_name", "coefficient",
     ),
-    LevelPreservationReport: ("images", "level_preserving", "mixing", "escapes", "matrices"),
+    LevelPreservationReport: ("images", "level_preserving", "mixing", "escapes"),
     CountsReport: ("applicable", "ranks"),
     NotClosed: ("pair", "bracket", "field_dependent_close", "field_certificate"),
     GeneratorVerdict: (
@@ -140,8 +152,6 @@ def test_not_found_message():
 
 
 def test_derived_properties():
-    assert LevelPreservationReport((), True, (), (), {}).mixing_found is False
-    assert LevelPreservationReport((), False, ("m",), (), {}).mixing_found is True
     assert CountsReport(True, {}).counts_preserved is True
     assert CountsReport(False, {}).counts_preserved is False
 
@@ -272,6 +282,23 @@ def test_generator_set_rejects_mixed_spaces(space2, space3):
     assert str(err.value) == "generators must share one phase space"
 
 
+def test_validated_constructors_store_tuples(space3):
+    h_d = poly("q1*p2 + q2*p3", space3)
+    from_lists = ConstrainedSystem(space3, h_d, [poly("p1", space3)], ["P1"])
+    from_tuples = ConstrainedSystem(space3, h_d, (poly("p1", space3),), ("P1",))
+    assert from_lists.primaries == (poly("p1", space3),)
+    assert from_lists.primary_names == ("P1",)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    gens = GeneratorSet(["D1"], [poly("q1*p1", space3)])
+    assert (gens.names, gens.generators) == (("D1",), (poly("q1*p1", space3),))
+    assert gens == GeneratorSet(("D1",), (poly("q1*p1", space3),))
+    assert hash(gens) == hash(GeneratorSet(("D1",), (poly("q1*p1", space3),)))
+    chain = generate_chain(from_lists)
+    assert first_class_check(chain).all_first_class
+    assert classify(gens, from_lists, chain).overall is VerdictClass.DYNAMICAL_SYMMETRY
+
+
 # ----------------------------------------------------------------------
 # StructureConstants
 # ----------------------------------------------------------------------
@@ -338,3 +365,43 @@ def test_structure_constants_flags_a_jacobi_failure():
     ))
     assert constants.antisymmetric is True
     assert constants.jacobi is False
+
+
+# ----------------------------------------------------------------------
+# Copies and pickles
+# ----------------------------------------------------------------------
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+VALUES = {
+    "space": lambda: PhaseSpace(3, ("E", "m")),
+    "polynomial": lambda: poly("1/2*q1^2*p2 - m*p3 + 3", PhaseSpace(3, ("E", "m"))),
+    "em_modes_2": lambda: em_modes(2),
+    "chain": lambda: generate_chain(three_level_chain().system),
+    "so3": lambda: closure_and_structure_constants(
+        central_oscillator().generator_sets["rotations"]
+    ),
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+@pytest.mark.parametrize("build", VALUES.values(), ids=list(VALUES))
+def test_values_copy_and_pickle(build, round_trip):
+    value = build()
+    copied = round_trip(value)
+    assert type(copied) is type(value)
+    assert copied == value
+
+
+def test_round_trips_rebuild_private_slots():
+    space = pickle.loads(pickle.dumps(PhaseSpace(2)))
+    assert space.index("p2") == 3
+    system = pickle.loads(pickle.dumps(three_level_chain().system))
+    on_shell = system.h_d - PhasePolynomial.variable(system.space, "E")
+    names, generators = generate_chain(system).on_shell_generators(True)
+    assert names[-1] == "H_d-E"
+    assert generators[-1] == on_shell
+    assert copy.deepcopy(system)._on_shell == on_shell

@@ -116,13 +116,13 @@ class TestLevelPreservation:
         report = check_level_preservation(poly("q1*p1", chain.space), chain)
         assert report.level_preserving
         assert not report.mixing
-        assert report.matrices["primary"][0] == (poly("1", chain.space),)
+        assert report.images[0].within_level.coefficients == (poly("1", chain.space),)
 
     def test_secondary_to_primary_mixing(self):
         _, chain = cascade()
         report = check_level_preservation(poly("q2*p1", chain.space), chain)
         assert not report.level_preserving
-        assert report.mixing_found
+        assert report.mixing
         finding = report.mixing[0]
         assert (finding.source_level, finding.source_name) == ("secondary", "S1")
         assert (finding.target_level, finding.target_name) == ("primary", "P1")
@@ -171,6 +171,25 @@ class TestCounts:
         counts = check_counts(chain, report)
         assert counts.applicable
         assert counts.counts_preserved
+
+
+    def test_rank_below_count(self):
+        # {A, P1} = p2 lies on the primary level; {A, P2} = 0 is a zero row
+        space = PhaseSpace(2)
+        system = ConstrainedSystem(
+            space, poly("p1*p2", space), (poly("p1", space), poly("p2", space)),
+            ("P1", "P2"),
+        )
+        chain = generate_chain(system)
+        report = check_level_preservation(poly("q1*p2", space), chain)
+        assert report.level_preserving
+        assert [image.within_level.coefficients for image in report.images] == [
+            (poly("0", space), poly("1", space)),
+            (poly("0", space), poly("0", space)),
+        ]
+        counts = check_counts(chain, report)
+        assert counts.applicable
+        assert counts.ranks == {"primary": 1, "secondary": 0, "tertiary": 0}
 
 
 class TestClosure:
