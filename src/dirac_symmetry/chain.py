@@ -23,7 +23,7 @@ from .errors import (
     ReservedParameterError,
 )
 from .linsolve import RationalSpan, rational_rank
-from .membership import IdealDecomposition, NotFound, decompose
+from .membership import IdealDecomposition, NotFound, _zero_certificate, decompose
 from .phase import PhasePolynomial, PhaseSpace, _Frozen, _grlex_key, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
@@ -372,16 +372,24 @@ def first_class_check(
     """Test every constraint pair's bracket for membership in the on-shell module.
 
     Failures are findings about the system, not faults: the report carries a
-    ``NotFound`` for each flagged pair, exact or bounded by the degree.
+    ``NotFound`` for each flagged pair, exact or bounded by the degree.  Only
+    nonzero brackets are searched; the zero ones share one all-zero
+    certificate.
     """
     names = chain.all_names()
     polys = chain.all_constraints()
     _, ideal = chain.on_shell_generators(include_energy)
     pairs = []
+    zero = None
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             bracket = poisson(polys[a], polys[b])
-            outcome = decompose(bracket, ideal, degree_bound)
+            if bracket:
+                outcome = decompose(bracket, ideal, degree_bound)
+            else:
+                if zero is None:
+                    zero = _zero_certificate(bracket, ideal, degree_bound)
+                outcome = zero
             pairs.append(
                 PairBracketCheck(
                     names[a],

@@ -132,10 +132,12 @@ def solve_sparse(
 
 
 def rational_rank(rows: Iterable[Mapping]) -> int:
-    """Rank over Q of sparse rows (mappings from orderable keys to rationals)."""
+    """Rank over Q of sparse rows (mappings from orderable keys to rationals).
+    An empty row adds no pivot and is skipped."""
     echelon = Echelon()
     for row in rows:
-        echelon.add(integer_scaled(row)[1], {})
+        if row:
+            echelon.add(integer_scaled(row)[1], {})
     return len(echelon.pivots)
 
 

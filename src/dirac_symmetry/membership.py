@@ -640,6 +640,34 @@ def _certificate(
     )
 
 
+def _zero_certificate(
+    target: PhasePolynomial,
+    generators: Sequence[PhasePolynomial],
+    degree_bound: int | None,
+    mode: CoefficientMode = CoefficientMode.POLYNOMIAL,
+) -> IdealDecomposition:
+    """``decompose``'s answer for a zero target, built without a search:
+    every coefficient zero.  It refuses what ``decompose`` refuses, with the
+    same messages, and records the bound ``decompose`` would: 0 in CONSTANT
+    mode, ``default_degree_bound`` for None.  The checks call it directly for
+    their zero brackets, once per module."""
+    space = target.space
+    generators = tuple(generators)
+    default = 0  # default_degree_bound of a zero target, in the same loop
+    for gen in generators:
+        if gen.space is not space and gen.space != space:
+            raise ValueError("generators must share the target's phase space")
+        default = max(default, gen.total_degree())
+    if mode is CoefficientMode.CONSTANT:
+        degree_bound = 0
+    elif degree_bound is None:
+        degree_bound = default
+    elif degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    zero = PhasePolynomial.zero(space)
+    return IdealDecomposition(target, generators, (zero,) * len(generators), degree_bound)
+
+
 def decompose(
     target: PhasePolynomial,
     generators: Sequence[PhasePolynomial],
@@ -655,6 +683,8 @@ def decompose(
     degree 0 fails in POLYNOMIAL mode, a nonzero Groebner normal form ends
     the search with an exact ``NotFound`` (see ``_normal_form``).
     """
+    if not target:
+        return _zero_certificate(target, generators, degree_bound, mode)
     space = target.space
     generators = tuple(generators)
     for gen in generators:
@@ -667,11 +697,6 @@ def decompose(
     elif degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
 
-    if target.is_zero():
-        return IdealDecomposition(
-            target, generators, (PhasePolynomial.zero(space),) * len(generators),
-            degree_bound,
-        )
     if not generators:  # the zero ideal
         return NotFound(degree_bound, mode, exact=True)
 

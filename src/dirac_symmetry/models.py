@@ -36,6 +36,10 @@ class ModelDescriptor(NamedTuple):
     # one shared empty default, which no one can write to
     variable_legend: Mapping[str, str] = MappingProxyType({})
 
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled; a copy gets its own plain dict.
+        return type(self), (*self[:-1], dict(self.variable_legend))
+
 
 def _q(space: PhaseSpace, i: int) -> PhasePolynomial:
     return PhasePolynomial.variable(space, f"q{i}")

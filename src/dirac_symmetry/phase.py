@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
-from typing import Collection, Iterable, Mapping, Union
+from operator import add, attrgetter
+from typing import Callable, Collection, Iterable, Mapping, Union
 
 from .errors import ProductTooLargeError, SpaceMismatchError
 
@@ -51,6 +51,13 @@ MAX_DOF = 10_000
 MAX_COEFFICIENT_BITS = 8192
 
 
+def _field_tuple(names: tuple[str, ...]) -> Callable[[object], tuple]:
+    """``attrgetter(*names)``, returning a tuple for one name or none too."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda instance: tuple(getattr(instance, name) for name in names)
+
+
 class _Frozen:
     """Base of the package's immutable value classes.
 
@@ -63,11 +70,17 @@ class _Frozen:
     does.  ``_compared`` names the constructor's arguments in order: a copy
     or an unpickled instance is rebuilt by calling the class on them, so it
     passes the constructor's checks and derives its private slots afresh.
+    The fields are fetched by one getter per class, built when it is defined.
     """
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
     _shown: tuple[str, ...] = ()
+    _compared_fields = staticmethod(_field_tuple(_compared))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared_fields = staticmethod(_field_tuple(cls._compared))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -76,7 +89,7 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return self._compared_fields(self)
 
     def __eq__(self, other):
         if self is other:

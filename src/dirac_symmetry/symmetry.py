@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 from .chain import LEVELS, ConstrainedSystem, ConstraintChain
 from .linsolve import rational_rank
-from .membership import CoefficientMode, IdealDecomposition, NotFound, decompose
+from .membership import (
+    CoefficientMode,
+    IdealDecomposition,
+    NotFound,
+    _zero_certificate,
+    decompose,
+)
 from .phase import PhasePolynomial, _Frozen, poisson
 
 
@@ -81,14 +87,18 @@ def check_dynamical_symmetry(
 ) -> tuple[CommutationClass, PhasePolynomial, IdealDecomposition | NotFound]:
     """Classify {A, H_d}: identically zero, weakly zero, or neither.
 
-    Returns (class, bracket, certificate).  A FAILS answer is conclusive only
+    Returns (class, bracket, certificate).  A zero bracket is STRICT, with the
+    all-zero certificate built without a search; only a nonzero bracket is
+    decomposed over the on-shell module.  A FAILS answer is conclusive only
     up to the degree bound recorded on the certificate.
     """
     bracket = poisson(generator, system.h_d)
     _, ideal = chain.on_shell_generators(include_energy)
+    if not bracket:
+        return CommutationClass.STRICT, bracket, _zero_certificate(
+            bracket, ideal, degree_bound
+        )
     outcome = decompose(bracket, ideal, degree_bound)
-    if bracket.is_zero():
-        return CommutationClass.STRICT, bracket, outcome
     if isinstance(outcome, IdealDecomposition):
         return CommutationClass.ON_SHELL, bracket, outcome
     return CommutationClass.FAILS, bracket, outcome
@@ -135,7 +145,8 @@ def check_level_preservation(
     A failure that succeeds over the full constraint set is constraint
     mixing; a failure even there means the generator maps the constraint
     outside the constraint module entirely.  Both are reported with the
-    offending pairs named.
+    offending pairs named.  A zero image is not searched: every zero image of
+    a level shares one all-zero certificate over that level.
     """
     all_polys = chain.all_constraints()
     targets = [(level, name) for level in LEVELS for name in chain.level_names(level)]
@@ -144,9 +155,15 @@ def check_level_preservation(
     escapes: list[tuple[str, str]] = []
     for level in LEVELS:
         polys = chain.level_polys(level)
+        zero = None
         for phi, name in zip(polys, chain.level_names(level)):
             image = poisson(generator, phi)
-            within = decompose(image, polys, degree_bound, mode)
+            if image:
+                within = decompose(image, polys, degree_bound, mode)
+            else:
+                if zero is None:
+                    zero = _zero_certificate(image, polys, degree_bound, mode)
+                within = zero
             across = None
             if isinstance(within, NotFound):
                 across = decompose(image, all_polys, degree_bound, mode)
@@ -189,7 +206,9 @@ def check_counts(
     coefficient rows then never exceeds the level count); reported as
     not-applicable otherwise.  Each image's row is its within-level
     coefficients, or zero where only an across-level search (with its larger
-    default degree bound) found a certificate, on the image's own level.
+    default degree bound) found a certificate, on the image's own level.  A
+    zero row adds no pivot, so the images whose within-level coefficients are
+    all zero (every zero image among them) are left out of the rank.
     """
     if not level_report.level_preserving:
         return CountsReport(False, {level: None for level in LEVELS})
@@ -201,7 +220,9 @@ def check_counts(
                 for monomial, value in coeff.terms.items()
             }
             for image in level_report.images
-            if image.level == level and isinstance(image.within_level, IdealDecomposition)
+            if image.level == level
+            and isinstance(image.within_level, IdealDecomposition)
+            and any(image.within_level.coefficients)
         )
         for level in LEVELS
     }

@@ -29,6 +29,7 @@ from dirac_symmetry import (
     NotFound,
     PhasePolynomial,
     PhaseSpace,
+    SHIPPED_MODELS,
     StructureConstants,
     SymmetryVerdict,
     TotalHamiltonian,
@@ -405,3 +406,16 @@ def test_round_trips_rebuild_private_slots():
     assert names[-1] == "H_d-E"
     assert generators[-1] == on_shell
     assert copy.deepcopy(system)._on_shell == on_shell
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+@pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+def test_shipped_models_copy_and_pickle(name, round_trip):
+    # The default legend is a read-only mapping proxy, which cannot be
+    # pickled; a copy carries a plain dict with the same entries.
+    model = SHIPPED_MODELS[name]()
+    copied = round_trip(model)
+    assert type(copied) is ModelDescriptor
+    assert copied == model
+    assert dict(copied.variable_legend) == dict(model.variable_legend)
+    assert generate_chain(copied.system).counts == model.expected.counts
