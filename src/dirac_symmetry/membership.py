@@ -24,15 +24,17 @@ identifiers and the degree.  Each is built once and kept with its echelon
 columns in the same order give the same echelon and the same solution, so
 a kept system returns the certificate a fresh one would.
 
-When degree 0 fails, the target is first reduced modulo a reduced Groebner
+Degree 0 is tried only when every target monomial is a term of some
+generator, since its certificates combine the generators' own terms.  When
+it fails or is not tried, the target is reduced modulo a reduced Groebner
 basis of the generators in the package's graded-lex order (Buchberger's
 algorithm with the Gebauer-Moeller criteria).  A nonzero normal form proves
 non-membership at every degree, and the ``NotFound`` it returns is
-``exact``.  A zero normal form goes on to the degree ladder, which finds the
-minimal-degree certificate.  The basis and the reduction have step budgets
-(``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when either runs out, the
-ladder alone decides and a negative answer means only "not representable
-within degree d".
+``exact``.  A zero normal form goes on to the degree ladder from degree 1,
+which finds the minimal-degree certificate.  The basis and the reduction
+have step budgets (``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when
+either runs out, the ladder alone decides and a negative answer means only
+"not representable within degree d".
 
 The basis and the normal form pack monomials too (``_Layout``), over every
 declared identifier: one field of whole bytes per identifier, the first one
@@ -77,14 +79,17 @@ MAX_UNKNOWNS = 50_000
 # step is one basis lead tested against a term of the polynomial being
 # reduced, one term of a shifted basis polynomial subtracted from it, one
 # pair or basis entry visited in the pair bookkeeping, or one lcm comparison
-# of the chain criterion.  On packed monomials a step costs about 0.5 to
-# 0.8 us of CPU whatever the number of identifiers (Python 3.11 on a shared
-# 2-vCPU x86_64 VM): random ideals of four quintics in six variables spend
-# the basis budget in 0.012 to 0.023 s, and the on-shell basis of
-# em_modes(20), 41 generators over 161 identifiers, takes 8840 steps in
-# 0.005 s.  Over the benchmark workloads (eight seeds, three batches each)
-# and the shipped models the largest basis takes 204 steps and the largest
-# normal form 117.
+# of the chain criterion.  What a step costs depends on the ideal (Python
+# 3.11 on a shared 2-vCPU x86_64 VM).  On the on-shell bases of em_modes(n)
+# it is about 0.5 to 0.8 us of CPU whatever the number of identifiers: the
+# basis of em_modes(20), 41 generators over 161 identifiers, takes 8840
+# steps in 0.005 s.  On dense ideals it is more, most of it Fraction
+# arithmetic on longer polynomials: about 3.0 to 3.5 us on the constraint
+# module of the three-dof model with H = (q1 + q2 + q3 + p1 + p2 + p3)^2 +
+# p1*q2^2 and primaries p3^2 - q1*q2 and q3*p1 + q2^2, seven generators of
+# degree 2 and 3 whose basis takes 1.68 million steps.  Over the benchmark
+# workloads (eight seeds, three batches each) and the shipped models the
+# largest basis takes 204 steps and the largest normal form 117.
 MAX_BASIS_STEPS = 20_000
 MAX_REDUCTION_STEPS = 20_000
 
@@ -460,12 +465,13 @@ def _build_basis(generators: tuple[PhasePolynomial, ...]) -> tuple[_Basis | None
 
 
 def _normal_form(
-    target: PhasePolynomial, generators: tuple[PhasePolynomial, ...]
-) -> dict[Exponents, Fraction] | None:
+    target: PhasePolynomial, generators: tuple[PhasePolynomial, ...], unpack: bool = True
+) -> dict[Exponents, Fraction] | dict[int, Fraction] | None:
     """The target's normal form modulo the generators' reduced Groebner
     basis: zero exactly for members of the ideal they generate in the
     polynomial ring over every declared identifier.  None when a step budget
-    runs out.
+    runs out.  With ``unpack=False`` the remainder stays packed, for a
+    caller that only tests it for emptiness.
 
     Membership in that ring is the same question the degree ladder asks,
     although the ladder's coefficients use only the identifiers the target
@@ -497,7 +503,7 @@ def _normal_form(
         remainder = _reduce(packed, polys, layout.guards, _Steps(MAX_REDUCTION_STEPS))
     except _OutOfSteps:
         return None
-    return layout.unpack_terms(remainder)
+    return layout.unpack_terms(remainder) if unpack else remainder
 
 
 # ----------------------------------------------------------------------
@@ -676,12 +682,16 @@ def decompose(
 ) -> IdealDecomposition | NotFound:
     """Express `target` over `generators` with bounded-degree coefficients.
 
-    Degrees are tried incrementally from zero, so a success uses the smallest
+    Degrees are tried in increasing order, so a success uses the smallest
     achievable coefficient degree and is therefore stable under enlarging the
     bound.  Coefficients may involve every declared identifier, parameters
-    included, except in CONSTANT mode where they are plain rationals.  When
-    degree 0 fails in POLYNOMIAL mode, a nonzero Groebner normal form ends
-    the search with an exact ``NotFound`` (see ``_normal_form``).
+    included, except in CONSTANT mode where they are plain rationals.
+
+    In POLYNOMIAL mode at a bound of 1 or more, degree 0 is tried only when
+    every target monomial is a term of some generator; when it fails or is
+    not tried, a nonzero Groebner normal form ends the search with an exact
+    ``NotFound`` (see ``_normal_form``), and a zero one goes on up the ladder
+    from degree 1.
     """
     if not target:
         return _zero_certificate(target, generators, degree_bound, mode)
@@ -700,19 +710,34 @@ def decompose(
     if not generators:  # the zero ideal
         return NotFound(degree_bound, mode, exact=True)
 
+    top = max(g.total_degree() for g in generators)
+    target_degree = target.total_degree()
+    start = unknowns = 0
+    if (
+        degree_bound > 0
+        and len(generators) <= MAX_UNKNOWNS  # degree 0 is within the cap
+        and max(top, target_degree) > 0  # so some identifier is used
+        and (
+            target_degree > top  # its top terms are above every generator's
+            or any(all(mon not in g.terms for g in generators) for mon in target.terms)
+        )
+    ):
+        # Degree 0 combines the generators' own terms and cannot reach this
+        # target: the normal form comes first, and the ladder starts at 1.
+        if _normal_form(target, generators, unpack=False):
+            return NotFound(degree_bound, mode, exact=True)
+        start, unknowns = 1, len(generators)
+
     allowed: set[int] = set(target.used_indices())
     for gen in generators:
         allowed |= gen.used_indices()
     allowed_order = tuple(sorted(allowed))
     max_useful = degree_bound if allowed_order else 0
-    top = max(g.total_degree() for g in generators)
-    target_degree = target.total_degree()
     target_scale, target_terms = integer_scaled(target.terms)
-    unknowns = 0
-    for degree in range(max_useful + 1):
+    for degree in range(start, max_useful + 1):
         # Between degrees 0 and 1: most certificates are constant and need
         # no basis, and a nonzero normal form settles a non-member exactly.
-        if degree == 1 and _normal_form(target, generators):
+        if degree == 1 and not start and _normal_form(target, generators, unpack=False):
             return NotFound(degree_bound, mode, exact=True)
         unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
         if unknowns > MAX_UNKNOWNS:

@@ -207,9 +207,10 @@ class TestSizeCap:
             # Only the columns of degree 9 and up reach the target's degree
             # 11, so no degree below the cap is solved.
             (TARGET, None, membership.MAX_BASIS_STEPS, []),
-            # q1*p2 is no member, but without a basis the ladder decides;
-            # 70 unknowns in all: at the cap, not over it.
-            ("q1*p2", 10, 0, [2, 8, 20, 40]),
+            # q1*p2 is no member, but without a basis the ladder decides.
+            # It is a term of neither generator, so degree 0 is not solved;
+            # 70 unknowns in all, degree 0's 2 counted: at the cap, not over it.
+            ("q1*p2", 10, 0, [8, 20, 40]),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(

@@ -70,6 +70,16 @@ def on_shell_ideal(n):
     return chain.space, list(chain.on_shell_generators(True)[1])
 
 
+def spy(monkeypatch, owner, name) -> list[tuple]:
+    """The arguments of every call of ``owner.name``, in order."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(
+        owner, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+    )
+    return calls
+
+
 def assert_matches_sympy(space, gens, targets):
     reference = sympy_basis(space, gens)
     mine = {sp.expand(to_sympy(g)) for g in basis_polynomials(space, gens)}
@@ -287,9 +297,72 @@ class TestDecomposeVerdicts:
             poly("q1", space), [poly("p1", space)], mode=membership.CoefficientMode.CONSTANT
         )
         assert isinstance(outcome, NotFound) and not outcome.exact
-        # A constant certificate ends the ladder at degree 0, before any basis.
+        # A constant certificate ends the ladder at degree 0, before any
+        # basis, in one solve.
+        solved = spy(monkeypatch, membership, "solve_sparse")
         found = decompose(poly("2*p1 - 3*q2", space), [poly("p1", space), poly("q2", space)])
         assert found.coefficients == (poly("2", space), poly("-3", space))
+        assert len(solved) == 1
+
+
+class TestNegativeWork:
+    """Timing-free pins on what a negative ``decompose`` does besides its
+    normal form, in exact call counts."""
+
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "n, generators, target",
+        [(5, None, "q3*q4"), (2, None, "q1*p1 + p3 - 1"), (2, ("p1", "q2^2 - 1"), "q1")],
+    )
+    def test_a_monomial_no_generator_has_costs_one_normal_form(
+        self, monkeypatch, n, generators, target, cold
+    ):
+        # The on-shell module of em_modes(n), or the generators on PhaseSpace(n).
+        if generators is None:
+            space, gens = on_shell_ideal(n)
+        else:
+            space = PhaseSpace(n)
+            gens = [poly(g, space) for g in generators]
+        target = poly(target, space)
+        assert any(all(m not in g.terms for g in gens) for m in target.terms)
+        membership._KEPT.clear()
+        if not cold:
+            membership._groebner_basis(tuple(gens))
+        solved = spy(monkeypatch, membership, "solve_sparse")
+        used = spy(monkeypatch, PhasePolynomial, "used_indices")
+        unpacked = spy(monkeypatch, membership._Layout, "unpack_terms")
+        normal_forms = spy(monkeypatch, membership, "_normal_form")
+        try:
+            outcome = decompose(target, gens, 3)
+        finally:
+            membership._KEPT.clear()
+        assert isinstance(outcome, NotFound) and outcome.exact
+        assert outcome.degree_bound == 3
+        assert len(normal_forms) == 1
+        assert solved == [] and unpacked == []
+        assert not any(args[0] is target for args in used)
+
+    def test_a_member_with_such_a_monomial_climbs_from_degree_1(self, monkeypatch):
+        # q2 is a term of neither generator: one normal form, zero, then one
+        # solve at degree 1 finds the certificate.
+        space = PhaseSpace(2)
+        gens = [poly("q1*p1 - 1", space), poly("p2^2", space)]
+        solved = spy(monkeypatch, membership, "solve_sparse")
+        normal_forms = spy(monkeypatch, membership, "_normal_form")
+        outcome = decompose(poly("q2*(q1*p1 - 1) + p1*p2^2", space), gens, 3)
+        assert [str(c) for c in outcome.coefficients] == ["q2", "p1"]
+        assert len(normal_forms) == 1 and len(solved) == 1
+
+    def test_a_non_member_within_the_generators_terms_solves_degree_0(self, monkeypatch):
+        # q1*p1 is a term of q1*p1 - 1, so degree 0 is solved first; its
+        # normal form, 1, then settles it.
+        space = PhaseSpace(2)
+        gens = [poly("q1*p1 - 1", space), poly("p2", space)]
+        solved = spy(monkeypatch, membership, "solve_sparse")
+        unpacked = spy(monkeypatch, membership._Layout, "unpack_terms")
+        outcome = decompose(poly("q1*p1 + 3*p2", space), gens, 3)
+        assert isinstance(outcome, NotFound) and outcome.exact
+        assert len(solved) == 1 and unpacked == []
 
 
 class TestBudgets:
