@@ -252,10 +252,10 @@ def _width(degree: int) -> int:
 
 
 class _Basis(NamedTuple):
-    """A reduced Groebner basis, its monic polynomials in `layout` (None for
-    the zero ideal, which has no polynomial)."""
+    """A reduced Groebner basis of a nonzero ideal, its monic polynomials
+    in `layout`."""
 
-    layout: _Layout | None
+    layout: _Layout
     polys: tuple[_Monic, ...]
 
 
@@ -343,14 +343,15 @@ def _buchberger(
 ) -> _Basis:
     """Reduced Groebner basis in graded-lex order, sorted by descending lead.
 
+    `generators` are nonzero and there is at least one: ``decompose``
+    answers the zero ideal before any basis is built.
+
     The generators are packed in the narrowest layout whose fields hold twice
     their largest degree.  When an lcm outgrows it, the basis is started
     again in fields twice as wide with the budget `steps` had on entry: the
     same steps are taken again, so the steps spent do not depend on the
     width.
     """
-    if not generators:
-        return _Basis(None, ())
     n = len(next(iter(generators[0])))
     width = _width(2 * max(sum(mon) for terms in generators for mon in terms))
     start = steps.left
@@ -469,9 +470,9 @@ def _normal_form(
 ) -> dict[Exponents, Fraction] | dict[int, Fraction] | None:
     """The target's normal form modulo the generators' reduced Groebner
     basis: zero exactly for members of the ideal they generate in the
-    polynomial ring over every declared identifier.  None when a step budget
-    runs out.  With ``unpack=False`` the remainder stays packed, for a
-    caller that only tests it for emptiness.
+    polynomial ring over every declared identifier.  Some generator must be
+    nonzero.  None when a step budget runs out.  With ``unpack=False`` the
+    remainder stays packed, for a caller that only tests it for emptiness.
 
     Membership in that ring is the same question the degree ladder asks,
     although the ladder's coefficients use only the identifiers the target
@@ -487,8 +488,6 @@ def _normal_form(
     if basis is None:
         return None
     layout, polys = basis
-    if not polys:  # the zero ideal
-        return dict(target.terms)
     degree = max(target.total_degree(), 0)
     if degree >= layout.limit:
         wide = _layout(layout.n, _width(degree))
@@ -707,7 +706,7 @@ def decompose(
     elif degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
 
-    if not generators:  # the zero ideal
+    if not any(generators):  # the zero ideal, all-zero generators included
         return NotFound(degree_bound, mode, exact=True)
 
     top = max(g.total_degree() for g in generators)

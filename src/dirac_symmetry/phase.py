@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import add, attrgetter
 from typing import Callable, Collection, Iterable, Mapping, Union
 
@@ -181,14 +182,16 @@ class PhasePolynomial(_Frozen):
     """Sparse exact polynomial over the rationals on one phase space.
 
     A polynomial refuses setting and deleting any attribute, and all
-    arithmetic returns new objects.  The hash, the total degree and the used
-    identifier positions are computed on first use and kept in the slots
-    ``_hash``, ``_degree`` and ``_used``, which stay unset until then.
+    arithmetic returns new objects.  The hash, the total degree, the used
+    identifier positions and the canonical pairs it touches (two bitmasks,
+    see ``_pair_masks``) are computed on first use and kept in the slots
+    ``_hash``, ``_degree``, ``_used`` and ``_pairs``, which stay unset until
+    then.
     Equality, hash and repr are its own rather than ``_Frozen``'s: an int or
     a ``Fraction`` compares as a constant polynomial, and the hash is kept.
     """
 
-    __slots__ = ("space", "terms", "_hash", "_degree", "_used")
+    __slots__ = ("space", "terms", "_hash", "_degree", "_used", "_pairs")
     _compared = ("space", "terms")
 
     def __init__(self, space: PhaseSpace, terms: Mapping[Exponents, RationalLike]):
@@ -267,6 +270,28 @@ class PhasePolynomial(_Frozen):
             used = frozenset(used)
             object.__setattr__(self, "_used", used)
             return used
+
+    def _pair_masks(self) -> tuple[int, int]:
+        """Bitmasks of the canonical pairs i whose q_i, and whose p_i, occur.
+
+        Bit i of the first mask is set when q_i has a nonzero exponent in
+        some term, bit i of the second when p_i has; parameters are ignored.
+        The variables of each term are picked out by ``compress`` rather
+        than a Python loop over every exponent, so the first bracket of a
+        freshly built polynomial pays little for its masks.
+        """
+        try:
+            return self._pairs
+        except AttributeError:
+            n = self.space.n_dof
+            variables = range(2 * n)
+            bits = 0
+            for monomial in self.terms:
+                for idx in compress(variables, monomial):
+                    bits |= 1 << idx
+            masks = (bits & ((1 << n) - 1), bits >> n)
+            object.__setattr__(self, "_pairs", masks)
+            return masks
 
     def coefficient(self, monomial: Exponents) -> Fraction:
         return self.terms.get(monomial, _ZERO)
@@ -538,16 +563,30 @@ def poisson(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     Parameters are bracket-inert: only the canonical pairs contribute.
     Computed term by term: a term m1 of f and a term m2 of g give, for each
     pair i, the weight m1[q_i]*m2[p_i] - m1[p_i]*m2[q_i] on the monomial
-    m1*m2 / (q_i*p_i).  Only the pairs in which m1 has q_i or p_i are visited.
+    m1*m2 / (q_i*p_i).  Only the pairs that both operands touch, q_i in one
+    and p_i in the other (read from the masks each keeps in its ``_pairs``
+    slot, see ``PhasePolynomial._pair_masks``), can give a nonzero weight:
+    with none the bracket is zero and no term is visited, and otherwise only
+    those of them in which m1 has q_i or p_i are visited.
     """
     f._check_space(g)
     _check_term_pairs("bracket", f, g)
+    fq, fp = f._pair_masks()
+    gq, gp = g._pair_masks()
+    shared = fq & gp | fp & gq
+    if not shared:
+        return _adopt(f.space, {})
     n = f.space.n_dof
+    candidates = []
+    while shared:
+        low = shared & -shared
+        candidates.append(low.bit_length() - 1)
+        shared ^= low
     accum: dict[Exponents, Fraction] = {}
     get = accum.get
     merged = False
     for m1, c1 in f.terms.items():
-        pairs = [i for i in range(n) if m1[i] or m1[n + i]]
+        pairs = [i for i in candidates if m1[i] or m1[n + i]]
         for m2, c2 in g.terms.items():
             for i in pairs:
                 weight = m1[i] * m2[n + i] - m1[n + i] * m2[i]

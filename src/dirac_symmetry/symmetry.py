@@ -148,15 +148,19 @@ def check_level_preservation(
     offending pairs named.  A zero image is not searched: every zero image of
     a level shares one all-zero certificate over that level.
     """
+    levels = (
+        (LEVELS[0], chain.primaries, chain.primary_names),
+        (LEVELS[1], chain.secondaries, chain.secondary_names),
+        (LEVELS[2], chain.tertiaries, chain.tertiary_names),
+    )
     all_polys = chain.all_constraints()
-    targets = [(level, name) for level in LEVELS for name in chain.level_names(level)]
+    targets = None  # (level, name) of every constraint, once a mixing needs it
     images: list[ConstraintImage] = []
     mixing: list[MixingFinding] = []
     escapes: list[tuple[str, str]] = []
-    for level in LEVELS:
-        polys = chain.level_polys(level)
+    for level, polys, names in levels:
         zero = None
-        for phi, name in zip(polys, chain.level_names(level)):
+        for phi, name in zip(polys, names):
             image = poisson(generator, phi)
             if image:
                 within = decompose(image, polys, degree_bound, mode)
@@ -170,6 +174,12 @@ def check_level_preservation(
                 if isinstance(across, NotFound):
                     escapes.append((level, name))
                 else:
+                    if targets is None:
+                        targets = [
+                            (target_level, target_name)
+                            for target_level, _, target_names in levels
+                            for target_name in target_names
+                        ]
                     mixing += [
                         MixingFinding(level, name, target_level, target_name, coeff)
                         for (target_level, target_name), coeff in zip(

@@ -71,6 +71,15 @@ class TestDecompose:
         outcome = decompose(poly("q1", SPACE), [])
         assert isinstance(outcome, NotFound) and outcome.exact
 
+    @pytest.mark.parametrize("mode", list(CoefficientMode))
+    @pytest.mark.parametrize("bound", [None, 0, 1, 3])
+    def test_all_zero_generators_are_the_zero_ideal(self, bound, mode):
+        zero = PhasePolynomial.zero(SPACE)
+        for target in (poly("3", SPACE), poly("q1", SPACE), poly("q1*p2 + 1", SPACE)):
+            outcome = decompose(target, [zero, zero], bound, mode)
+            assert isinstance(outcome, NotFound) and outcome.exact
+            assert outcome == decompose(target, [], bound, mode)
+
     def test_constant_mode_ignores_bound(self):
         outcome = decompose(
             poly("q1*p1", SPACE),

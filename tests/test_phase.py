@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -69,7 +71,7 @@ class TestImmutability:
     so the values the membership caches key on cannot change."""
 
     SPACE_SLOTS = ("n_dof", "parameters", "identifiers", "_index")
-    POLY_SLOTS = ("space", "terms", "_hash", "_degree", "_used")
+    POLY_SLOTS = ("space", "terms", "_hash", "_degree", "_used", "_pairs")
 
     @pytest.mark.parametrize("name", SPACE_SLOTS)
     def test_space_slots_cannot_be_set_or_deleted(self, name):
@@ -86,14 +88,14 @@ class TestImmutability:
     @pytest.mark.parametrize("name", POLY_SLOTS)
     def test_polynomial_slots_cannot_be_set_or_deleted(self, name):
         f = poly("q1*p2 + 3", SPACE2)
-        cached = (hash(f), f.total_degree(), f.used_indices())
+        cached = (hash(f), f.total_degree(), f.used_indices(), f._pair_masks())
         before = getattr(f, name)
         with pytest.raises(AttributeError, match="PhasePolynomial is immutable"):
             setattr(f, name, None)
         with pytest.raises(AttributeError, match="PhasePolynomial is immutable"):
             delattr(f, name)
         assert getattr(f, name) == before
-        assert (hash(f), f.total_degree(), f.used_indices()) == cached
+        assert (hash(f), f.total_degree(), f.used_indices(), f._pair_masks()) == cached
         assert f == poly("q1*p2 + 3", SPACE2)
 
     def test_space_repr_hash_and_equality(self):
@@ -247,6 +249,43 @@ class TestArithmetic:
             parse_polynomial("v1", ext).in_space(SPACE2)
 
 
+class TestForeignOperands:
+    """Against a value that is neither a polynomial nor an int or a
+    ``Fraction``, arithmetic and equality return NotImplemented, so Python
+    raises TypeError or falls back to identity."""
+
+    FOREIGN = (1.5, "q1", None)
+
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_arithmetic_is_refused(self, other):
+        f = poly("q1 + 2", SPACE2)
+        for method in (f.__add__, f.__radd__, f.__sub__, f.__rsub__, f.__mul__, f.__rmul__):
+            assert method(other) is NotImplemented
+        for combine in (
+            lambda: f + other,
+            lambda: other + f,
+            lambda: f - other,
+            lambda: other - f,
+            lambda: f * other,
+            lambda: other * f,
+        ):
+            with pytest.raises(TypeError):
+                combine()
+
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_equality_falls_back_to_identity(self, other):
+        f = poly("q1 + 2", SPACE2)
+        assert f.__eq__(other) is NotImplemented
+        assert SPACE2.__eq__(other) is NotImplemented
+        assert f != other and SPACE2 != other
+
+    def test_constant_value(self):
+        assert poly("3/4", SPACE2).constant_value() == Fraction(3, 4)
+        assert PhasePolynomial.zero(SPACE2).constant_value() == 0
+        with pytest.raises(ValueError, match=r"^polynomial q1 \+ 2 is not constant$"):
+            poly("q1 + 2", SPACE2).constant_value()
+
+
 class TestPartial:
     def test_power_rule(self):
         assert poly("q1^2*p2", SPACE2).partial("q1") == poly("2*q1*p2", SPACE2)
@@ -260,6 +299,32 @@ class TestPartial:
     def test_undeclared(self):
         with pytest.raises(KeyError):
             poly("q1", SPACE2).partial("q9")
+
+
+def on_pairs(rng, space, pairs, parameters=False):
+    """A seeded polynomial whose variables are q_i and p_i for the canonical
+    pairs i in `pairs` (counted from 0) alone, and parameters if asked."""
+    n = space.n_dof
+    usable = [k for i in pairs for k in (i, n + i)]
+    if parameters:
+        usable += range(2 * n, space.n_identifiers)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * space.n_identifiers
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.choice(usable)] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    return PhasePolynomial(space, terms)
+
+
+def pairwise_bracket(f, g):
+    """{f, g} from the formula, one partial derivative per variable."""
+    space = f.space
+    total = PhasePolynomial.zero(space)
+    for i in range(1, space.n_dof + 1):
+        q, p = f"q{i}", f"p{i}"
+        total = total + f.partial(q) * g.partial(p) - f.partial(p) * g.partial(q)
+    return total
 
 
 class TestPoisson:
@@ -311,6 +376,76 @@ class TestPoisson:
             g = random_polynomial(rng, space, max_terms=6, max_degree=3, allow_parameters=True)
             oracle = sympy_bracket(to_sympy(f), to_sympy(g), qs, ps)
             assert same_polynomial(poisson(f, g), oracle)
+
+    # The bracket visits only the canonical pairs both operands touch, q_i in
+    # one and p_i in the other, read from each operand's cached masks; with
+    # none it returns zero without visiting a term.  At 70 pairs the masks
+    # span more than one machine word.
+    @pytest.mark.parametrize("n_dof", [3, 70])
+    @pytest.mark.parametrize("sharing", ["no pair", "one pair", "parameters only"])
+    def test_masked_bracket_against_oracle(self, n_dof, sharing):
+        rng = random.Random(2700 + n_dof + len(sharing))
+        space = PhaseSpace(n_dof, ("E", "m"))
+        qs, ps, _ = sympy_space(n_dof, space.parameters)
+        high = range(max(0, n_dof - 6), n_dof)  # pairs past bit 64 when n_dof is 70
+        for _ in range(12):
+            shared = rng.choice(high)
+            f_pair, g_pair = rng.sample([i for i in range(n_dof) if i != shared], 2)
+            f_pairs, g_pairs = [f_pair], [g_pair]
+            if sharing == "one pair":
+                f_pairs.append(shared)
+                g_pairs.append(shared)
+            with_parameters = sharing == "parameters only"
+            f = on_pairs(rng, space, f_pairs, with_parameters)
+            g = on_pairs(rng, space, g_pairs, with_parameters)
+            bracket = poisson(f, g)
+            (fq, fp), (gq, gp) = f._pair_masks(), g._pair_masks()
+            assert (fq & gp | fp & gq) & ~(1 << shared) == 0
+            if sharing != "one pair":
+                assert bracket.is_zero()
+            assert bracket.terms == pairwise_bracket(f, g).terms
+            assert same_polynomial(bracket, sympy_bracket(to_sympy(f), to_sympy(g), qs, ps))
+
+    def test_masks_span_more_than_one_word(self):
+        space = PhaseSpace(70, ("E", "m"))
+        f = parse_polynomial("q70*p66 + 2*q1*m + E", space)
+        assert f._pair_masks() == ((1 << 69) | 1, 1 << 65)
+        assert poisson(f, parse_polynomial("p70", space)) == parse_polynomial("p66", space)
+        assert poisson(f, parse_polynomial("q65 + p65 + m", space)).is_zero()
+
+    def test_parameters_are_ignored(self):
+        space = PhaseSpace(2, ("E", "m"))
+        assert parse_polynomial("m*E + 3", space)._pair_masks() == (0, 0)
+        assert parse_polynomial("q2*p1^2 + m*p2", space)._pair_masks() == (0b10, 0b11)
+
+    def test_a_zero_bracket_over_the_cap_is_refused(self, monkeypatch):
+        f = poly("q1 + q1^2 + q1^3", SPACE2)
+        g = poly("q2 + p2 + q2*p2 + p2^2", SPACE2)
+        assert poisson(f, g).is_zero()
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 11)
+        with pytest.raises(
+            ProductTooLargeError,
+            match="^bracket of a 3-term and a 4-term polynomial would form 12 term "
+            "pairs, over the limit of 11$",
+        ):
+            poisson(f, g)
+
+    def test_a_zero_bracket_across_spaces_is_refused(self):
+        f, g = poly("q1", SPACE2), poly("q2", SPACE3)
+        assert f._pair_masks() == (1, 0) and g._pair_masks() == (2, 0)
+        with pytest.raises(SpaceMismatchError, match="^operands live on different phase spaces"):
+            poisson(f, g)
+
+    def test_copies_recompute_the_masks(self):
+        f = poly("q1*p2 + 3", SPACE2)
+        assert poisson(f, poly("q2", SPACE2)) == poly("-q1", SPACE2)
+        assert f._pairs == (0b01, 0b10)
+        assert "_pairs" not in PhasePolynomial._compared
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and hash(twin) == hash(f)
+            with pytest.raises(AttributeError):
+                twin._pairs
+            assert twin._pair_masks() == f._pairs
 
 
 class TestTermPairCap:

@@ -1,13 +1,15 @@
 """Today's output on branches that the rest of the suite does not reach:
 a negative degree bound on the command line, the constant-coefficient flag,
 two malformed model files, the text views of a generator set that does not
-close, and a search over generators that are all zero."""
+close, a search over generators that are all zero, and the package's
+``dir()``."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+import dirac_symmetry
 from dirac_symmetry import PhasePolynomial, PhaseSpace, decompose
 from dirac_symmetry.cli import main
 from dirac_symmetry.membership import CoefficientMode, NotFound
@@ -119,3 +121,10 @@ def test_a_nonzero_target_over_zero_generators_is_an_exact_negative():
     zero = PhasePolynomial.zero(space)
     outcome = decompose(PhasePolynomial.variable(space, "q1"), [zero, zero])
     assert outcome == NotFound(1, CoefficientMode.POLYNOMIAL, exact=True)
+
+
+def test_package_dir_lists_every_export():
+    names = dir(dirac_symmetry)
+    assert names == sorted(set(names))
+    assert set(dirac_symmetry.__all__) <= set(names)
+    assert {"em_modes", "SHIPPED_MODELS", "poisson"} <= set(names)
