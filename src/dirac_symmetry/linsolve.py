@@ -74,9 +74,13 @@ class Echelon:
         """Cancel pivot columns of the tagged row, cross-multiplying with
         their pivot rows, until its lead is no pivot column (with ``full``:
         until none of its columns is).  Returns the row, its tags and its
-        lead."""
+        lead.
+
+        Row and tags are divided by their gcd after every elimination step,
+        not on entry: every caller passes tags holding a 1 or an
+        ``integer_scaled`` scale, which is coprime to its row, except
+        ``rational_rank``, which reads only the rank."""
         pivots, lead = self.pivots, self.lead
-        row, tags = _reduce_gcd(row, tags)
         col = None
         while row:
             col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
@@ -100,7 +104,9 @@ class Columns(list):
     """``(column, unknown)`` pairs of a linear system, integer columns with
     any unknown but None.  ``echelon`` inserts them in list order, each
     tagged with its unknown, the first time it is read, and is kept; the
-    list must not change after that."""
+    list must not change after that.  A column in the span of earlier ones
+    adds no pivot, so leaving it out gives the same echelon; its unknown
+    is 0 in every solution either way."""
 
     @cached_property
     def echelon(self) -> Echelon:

@@ -24,6 +24,17 @@ identifiers and the degree.  Each is built once and kept with its echelon
 columns in the same order give the same echelon and the same solution, so
 a kept system returns the certificate a fresh one would.
 
+The columns come generator by generator, and within g_k by shift monomial:
+ascending total degree, and within one degree descending packed int.  That
+is a monomial order, so the last term of t * g_k in it is t * lead(g_k),
+lead(g) being g's term of highest degree with the smallest packed int.  For
+i < k and deg t + deg g_k <= degree, a Koszul syzygy gives the column of
+lead(g_i) * t * g_k as (t * g_k) * g_i - t * (g_i - lead(g_i)) * g_k, up to
+lead(g_i)'s coefficient: columns of g_i and earlier columns of g_k.  It
+would add no pivot, so it is never built (the criterion of Faugere's F5 on
+Lazard's Macaulay matrices); the echelon, and every solution, are those of
+the full system, and a system is still charged all its unknowns.
+
 Degree 0 is tried only when every target monomial is a term of some
 generator, since its certificates combine the generators' own terms.  When
 it fails or is not tried, the target is reduced modulo a reduced Groebner
@@ -535,7 +546,9 @@ def _unpack(packed: int, fields: _Fields, width: int, n_identifiers: int) -> Exp
 
 def _monomials_up_to(fields: _Fields, degree: int) -> list[int]:
     """All packed monomials in the fields' identifiers with total degree
-    <= degree, in ascending graded order."""
+    <= degree: by ascending total degree, and within one degree by
+    descending packed int (the first identifier's exponent highest first).
+    The monomials of degree <= e are the first C(len(fields) + e, e)."""
     units = [1 << shift for _, shift in fields]
     return [
         sum(combo)
@@ -560,20 +573,39 @@ class _System(NamedTuple):
 def _build_system(
     generators: tuple[PhasePolynomial, ...], allowed: tuple[int, ...], degree: int
 ) -> tuple[_System, int]:
-    """The system and its charge in ``_KEPT``, its unknowns."""
+    """The system and its charge in ``_KEPT``, all its unknowns.
+
+    The columns of g_k come in the order of ``monomials``, after those of
+    every g_i with i < k.  A column lead(g_i) * t * g_k with i < k and
+    deg t + deg g_k <= degree, which a Koszul syzygy makes a combination of
+    earlier columns (see the module docstring), is not built: one set
+    lookup per column.  A zero generator has no lead, a constant one the
+    lead 1; every exponent stays within deg g_i + degree, so no field
+    overflows."""
     # No exponent of a column reaches 2**width (see _fields).
     width = max(degree + max(g.total_degree() for g in generators), 1).bit_length()
     fields = _fields(allowed, width)
     monomials = _monomials_up_to(fields, degree)
     # Integer terms: generator k scaled by s_k, packed once for all its columns.
     scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
-    packed = [{_pack(mon, fields): c for mon, c in g.items()} for g in scaled]
-    columns = Columns(
-        ({mon + gmon: c for gmon, c in gen.items()}, unknown)
-        for k, gen in enumerate(packed)
-        for unknown, mon in enumerate(monomials, k * len(monomials))
-    )
-    return _System(columns, monomials, fields, width, scales), len(columns)
+    columns = Columns()
+    leads: list[int] = []  # lead(g_i) of every nonzero g_i before g_k
+    for k, (gen, terms) in enumerate(zip(generators, scaled)):
+        packed = {_pack(mon, fields): c for mon, c in terms.items()}
+        top = gen.total_degree()
+        # The Koszul columns lead(g_i) * t * g_k, for t of degree <= spare.
+        spare = degree - top
+        shifts = monomials[:comb(len(fields) + spare, spare)] if spare >= 0 else ()
+        skip = {lead + t for lead in leads for t in shifts}
+        columns.extend(
+            ({mon + gmon: c for gmon, c in packed.items()}, unknown)
+            for unknown, mon in enumerate(monomials, k * len(monomials))
+            if mon not in skip
+        )
+        if packed:  # lead(g_k): of its highest degree, the smallest packed int
+            leads.append(min(m for mon, m in zip(terms, packed) if sum(mon) == top))
+    charge = len(monomials) * len(generators)
+    return _System(columns, monomials, fields, width, scales), charge
 
 
 # ----------------------------------------------------------------------

@@ -262,11 +262,10 @@ class PhasePolynomial(_Frozen):
         try:
             return self._used
         except AttributeError:
+            indices = range(self.space.n_identifiers)
             used = set()
             for monomial in self.terms:
-                for idx, exp in enumerate(monomial):
-                    if exp:
-                        used.add(idx)
+                used.update(compress(indices, monomial))
             used = frozenset(used)
             object.__setattr__(self, "_used", used)
             return used

@@ -1,4 +1,5 @@
 import json
+import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from dirac_symmetry import phase
+from dirac_symmetry import cli, phase
 from dirac_symmetry.cli import main
+from dirac_symmetry.errors import DiracSymmetryError
 from dirac_symmetry.membership import MAX_UNKNOWNS
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -444,6 +446,32 @@ class TestErrorExitCodes:
         code, _, err = run(capsys, "total-hamiltonian", str(path))
         assert code == 3
         assert "collide" in err
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            # A library error that no handler above expects, and any other.
+            (DiracSymmetryError("no such state"), "internal error: no such state\n"),
+            (RuntimeError("no such state"), "internal error: RuntimeError: no such state\n"),
+        ],
+    )
+    def test_unexpected_error_is_internal(self, capsys, monkeypatch, error, line):
+        def command(*args):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "chain", command)
+        assert run(capsys, "chain", EM1) == (5, "", line)
+
+    def test_module_run_as_a_script(self, capsys, monkeypatch):
+        # A fresh copy of the module runs as __main__; the imported one is
+        # set aside, as ``python -m`` would never have imported it.
+        monkeypatch.delitem(sys.modules, "dirac_symmetry.cli")
+        monkeypatch.setattr(sys, "argv", ["dirac-symmetry", "chain", EM1])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("dirac_symmetry.cli", run_name="__main__")
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == run(capsys, "chain", EM1)[1] and captured.err == ""
 
 
 class TestDeclaredLevelVerification:

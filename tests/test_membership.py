@@ -23,8 +23,10 @@ from dirac_symmetry import (
     weak_equals,
 )
 
-from dirac_symmetry import linsolve, membership
+from dirac_symmetry import chain, generate_chain, linsolve, membership
+from dirac_symmetry.modelfile import parse_model_text
 from conftest import poly, random_polynomial
+from test_normal_form import on_shell_ideal, random_ideals
 
 SPACE = PhaseSpace(3)
 
@@ -219,7 +221,8 @@ class TestSizeCap:
             # q1*p2 is no member, but without a basis the ladder decides.
             # It is a term of neither generator, so degree 0 is not solved;
             # 70 unknowns in all, degree 0's 2 counted: at the cap, not over it.
-            ("q1*p2", 10, 0, [8, 20, 40]),
+            # Columns built: the Koszul columns p1 * t * p1^2 are not.
+            ("q1*p2", 10, 0, [8, 19, 36]),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(
@@ -462,7 +465,7 @@ class TestIntegerSystems:
         assert min(compared.values()) >= 10, compared
 
     def test_system_sizes_of_a_fixed_positive_search(self, monkeypatch):
-        # (unknowns, monomials, nonzeros) of every system the search solves:
+        # (columns built, monomials, nonzeros) of every system the search solves:
         # a guard on the work of the ladder that does not depend on timing.
         model = em_modes(2)
         system = model.system
@@ -488,7 +491,7 @@ class TestIntegerSystems:
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
         # Degrees 0 and 1 are skipped: their columns cannot reach degree 4.
-        assert sizes == [(680, 1964, 2312)]
+        assert sizes == [(584, 1964, 2168)]
 
     def test_certificates_match_on_a_warm_cache(self, monkeypatch):
         membership._KEPT.clear()
@@ -704,3 +707,118 @@ class TestKeptSystems:
         assert not any(thread.is_alive() for thread in threads)
         assert all(results[w] == expected for w in range(4))
         assert_charged_within(40)
+
+
+# ----------------------------------------------------------------------
+# Columns a Koszul syzygy makes dependent
+# ----------------------------------------------------------------------
+ITEM_8_MODEL = """
+[system]
+n_dof = 3
+hamiltonian = (q1 + q2 + q3 + p1 + p2 + p3)^2 + p1*q2^2
+[primaries]
+P1 = p3^2 - q1*q2
+P2 = q3*p1 + q2^2
+"""
+
+
+class Captured(Exception):
+    pass
+
+
+def tertiary_closure_module(monkeypatch) -> tuple[PhasePolynomial, ...]:
+    """The seven generators of degree 2 and 3 over which the chain of the
+    dense three-dof model above asks its tertiary weak closure; the search
+    itself is stopped before it starts."""
+
+    def capture(target, generators, *args):
+        raise Captured(tuple(generators))
+
+    monkeypatch.setattr(chain, "decompose", capture)
+    with pytest.raises(Captured) as info:
+        generate_chain(parse_model_text(ITEM_8_MODEL).system)
+    return info.value.args[0]
+
+
+def all_columns(generators, system):
+    """Every column of the system, built or not, with its unknown, in the
+    system's order."""
+    monomials = system.monomials
+    for k, gen in enumerate(generators):
+        _, scaled = linsolve.integer_scaled(gen.terms)
+        packed = {membership._pack(mon, system.fields): c for mon, c in scaled.items()}
+        for unknown, mon in enumerate(monomials, k * len(monomials)):
+            yield {mon + gmon: c for gmon, c in packed.items()}, unknown
+
+
+def skipped_columns(generators, degree) -> tuple[int, int]:
+    """(columns not built, columns dependent on earlier ones) of the system
+    of `degree` over the generators' identifiers.  Every column not built
+    must add no pivot when all columns are inserted in order, and the
+    echelon of the built columns must be that of all of them: the same
+    pivots, rows and tags.  The charge counts every unknown."""
+    generators = tuple(generators)
+    allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
+    system, charge = membership._build_system(generators, allowed, degree)
+    assert charge == len(system.monomials) * len(generators)
+    built = {unknown for _, unknown in system.columns}
+    full = linsolve.Echelon()
+    skipped = dependent = 0
+    for column, unknown in all_columns(generators, system):
+        row, _, _ = full.add(column, {unknown: 1})
+        dependent += not row
+        if unknown not in built:
+            assert not row, f"column {unknown} is independent of the earlier ones"
+            skipped += 1
+    assert system.columns.echelon.pivots == full.pivots
+    return skipped, dependent
+
+
+class TestKoszulColumns:
+    def test_random_ideals(self):
+        totals = [0, 0]
+        for _, gens, _ in random_ideals(28, 25):
+            for degree in (1, 2, 3):
+                for i, count in enumerate(skipped_columns(gens, degree)):
+                    totals[i] += count
+        skipped, dependent = totals
+        assert 0 < skipped <= dependent
+
+    # (n, degree, columns not built); every dependent column is caught.
+    @pytest.mark.parametrize("n, degree, skipped", [(1, 3, 62), (2, 3, 811), (3, 2, 331)])
+    def test_on_shell_modules(self, n, degree, skipped):
+        _, gens = on_shell_ideal(n)
+        assert skipped_columns(gens, degree) == (skipped, skipped)
+
+    @pytest.mark.parametrize("degree, counts", [(2, (3, 9)), (3, (39, 89))])
+    def test_dense_module(self, monkeypatch, degree, counts):
+        assert skipped_columns(tertiary_closure_module(monkeypatch), degree) == counts
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            # A zero generator has no lead, and its own columns are empty.
+            ["q1*p1 - 1", "0", "p2^2 + q1", "0", "q2*p1 + p2"],
+            # A constant's lead is 1: each later column t * g_k within the
+            # degree is a combination of the constant's columns.
+            ["q1*p1 - q2", "2", "p2^2 - q1", "q1*q2 + p1"],
+        ],
+    )
+    def test_zero_and_constant_generators(self, generators):
+        gens = [poly(g, SPACE) for g in generators]
+        # skipped_columns checks every degree; at degree 1 nothing is skipped.
+        counts = [skipped_columns(gens, degree) for degree in (1, 2, 3)]
+        assert 0 < counts[-1][0] <= counts[-1][1]
+
+    def test_work_of_a_cold_degree_3_system(self, empty_cache):
+        # em_modes(2)'s on-shell module at degree 3: 4080 unknowns, charged
+        # in full, of which the 3269 that become pivots are built.
+        space, gens = on_shell_ideal(2)
+        gens = tuple(gens)
+        target = poly("q3^3", space) * gens[0]
+        found(decompose(target, gens, degree_bound=3))
+        (system, charge), = [
+            entry for key, entry in membership._KEPT.entries.items() if key[2:] == (3,)
+        ]
+        assert charge == len(system.monomials) * len(gens) == 4080
+        assert len(system.columns) == len(system.columns.echelon.pivots) == 3269
