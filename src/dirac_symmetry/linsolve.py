@@ -14,7 +14,10 @@ query keeps after ``RationalSpan`` reduced it are its coordinates.
 ``solve_sparse`` takes its columns as ``Columns``, a list that keeps the
 echelon of its columns once the first solve has built it; later targets
 are reduced against that echelon, which ``Echelon.reduce`` never changes,
-so every target gets the solution a fresh elimination would give.
+so every target gets the solution a fresh elimination would give.  Unit
+columns that come first in the list need not be stored: an echelon can
+take an *implicit* pivot lookup that returns, on demand, the pivot row and
+tags such a column would have added.
 """
 
 from __future__ import annotations
@@ -59,16 +62,30 @@ def _reduce_gcd(row: Row, tags: Row) -> tuple[Row, Row]:
     return row, tags
 
 
+Pivot = tuple[Row, Row]
+
+
 class Echelon:
     """Sparse tagged integer rows in echelon form, one per pivot column.
 
     ``lead`` picks a row's pivot among its columns; every other column of a
     pivot row comes after the pivot in that order.
+
+    ``implicit``, when given, maps a column that ``pivots`` lacks to the
+    pivot row and tags kept for it elsewhere, or to None; ``reduce``
+    consults it only after ``pivots`` misses.  Such pivots serve the
+    default ``full=False`` path only: ``full`` looks for pivot columns among
+    the keys of ``pivots``.
     """
 
-    def __init__(self, lead: Callable[[Iterable], Hashable] = min):
+    def __init__(
+        self,
+        lead: Callable[[Iterable], Hashable] = min,
+        implicit: Callable[[Hashable], Pivot | None] | None = None,
+    ):
         self.lead = lead
-        self.pivots: dict[Hashable, tuple[Row, Row]] = {}
+        self.implicit = implicit
+        self.pivots: dict[Hashable, Pivot] = {}
 
     def reduce(self, row: Row, tags: Row, full: bool = False):
         """Cancel pivot columns of the tagged row, cross-multiplying with
@@ -80,12 +97,12 @@ class Echelon:
         not on entry: every caller passes tags holding a 1 or an
         ``integer_scaled`` scale, which is coprime to its row, except
         ``rational_rank``, which reads only the rank."""
-        pivots, lead = self.pivots, self.lead
+        pivots, lead, implicit = self.pivots, self.lead, self.implicit
         col = None
         while row:
             col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
             pivot = pivots.get(col)
-            if pivot is None:
+            if pivot is None and (implicit is None or (pivot := implicit(col)) is None):
                 break
             prow, ptags = pivot
             a, b = row[col], prow[col]
@@ -106,11 +123,18 @@ class Columns(list):
     tagged with its unknown, the first time it is read, and is kept; the
     list must not change after that.  A column in the span of earlier ones
     adds no pivot, so leaving it out gives the same echelon; its unknown
-    is 0 in every solution either way."""
+    is 0 in every solution either way.
+
+    ``implicit`` is handed to the echelon (see ``Echelon``): the pivots of
+    columns that would come before every listed one and are not stored."""
+
+    def __init__(self, columns: Iterable = (), implicit: Callable | None = None):
+        super().__init__(columns)
+        self.implicit = implicit
 
     @cached_property
     def echelon(self) -> Echelon:
-        echelon = Echelon()
+        echelon = Echelon(implicit=self.implicit)
         for column, unknown in self:
             echelon.add(column, {unknown: 1})
         return echelon

@@ -35,6 +35,15 @@ would add no pivot, so it is never built (the criterion of Faugere's F5 on
 Lazard's Macaulay matrices); the echelon, and every solution, are those of
 the full system, and a system is still charged all its unknowns.
 
+Constraint modules often start with one-term generators c_k * m_k (the
+conjugate momenta of gauge variables).  Their columns are unit columns,
+and the first one on a monomial mu becomes the pivot {mu: c_k}, so the
+leading run of them is not stored at all: the echelon asks for such a
+pivot when mu is no stored pivot, and gets the row and tag the stored
+column would have given (the column-singleton step of sparse elimination).
+Only the later generators' columns are kept, and the system is still
+charged all its unknowns.
+
 Degree 0 is tried only when every target monomial is a term of some
 generator, since its certificates combine the generators' own terms.  When
 it fails or is not tried, the target is reduced modulo a reduced Groebner
@@ -561,7 +570,9 @@ class _System(NamedTuple):
     """One degree's Macaulay system: unknown ``k * len(monomials) + i`` is
     the coefficient of ``monomials[i]`` in h_k, and its column is the
     shifted generator ``monomials[i] * s_k * g_k``, with s_k from
-    ``scales``.  Monomials are packed in ``fields`` of ``width`` bits."""
+    ``scales``.  Monomials are packed in ``fields`` of ``width`` bits.
+    ``columns`` holds the columns that are built, and its echelon the
+    implicit pivots of the others that add one (see ``_build_system``)."""
 
     columns: Columns
     monomials: list[int]
@@ -570,40 +581,82 @@ class _System(NamedTuple):
     scales: tuple[int, ...]
 
 
+def _unit_pivots(units: list[tuple[int, int]], monomials: list[int]):
+    """The implicit pivots of the leading one-term generators c_k * m_k, as
+    (m_k, c_k) in `units`: column mu is the pivot of the first k for which
+    mu - m_k is in `monomials`, its row {mu: c_k} and its tag the unknown of
+    that shift.  A subtraction mu - m_k that borrows leaves some field at
+    2**width - deg m_k or more, and 2**width > degree + deg m_k for the
+    system's field width, so the result is no monomial of the system."""
+    index = {mon: i for i, mon in enumerate(monomials)}
+    # (m_k, c_k, the unknown of g_k's first column)
+    firsts = [(mon, c, k * len(monomials)) for k, (mon, c) in enumerate(units)]
+
+    def implicit(col: int):
+        for mon, c, first in firsts:
+            i = index.get(col - mon)
+            if i is not None:
+                return {col: c}, {first + i: 1}
+        return None
+
+    return implicit
+
+
 def _build_system(
     generators: tuple[PhasePolynomial, ...], allowed: tuple[int, ...], degree: int
 ) -> tuple[_System, int]:
     """The system and its charge in ``_KEPT``, all its unknowns.
 
     The columns of g_k come in the order of ``monomials``, after those of
-    every g_i with i < k.  A column lead(g_i) * t * g_k with i < k and
-    deg t + deg g_k <= degree, which a Koszul syzygy makes a combination of
-    earlier columns (see the module docstring), is not built: one set
-    lookup per column.  A zero generator has no lead, a constant one the
-    lead 1; every exponent stays within deg g_i + degree, so no field
-    overflows."""
+    every g_i with i < k.  The leading run of one-term generators builds
+    no columns: each of their columns is a unit column, and the first one
+    on a monomial is its pivot, so they are implicit pivots of the echelon
+    (``_unit_pivots``), which later columns and targets reduce against as
+    they would against the built ones.  A one-term generator after a
+    multi-term or zero one is built, since its columns may depend on
+    earlier ones.
+
+    A column lead(g_i) * t * g_k with i < k and deg t + deg g_k <= degree,
+    which a Koszul syzygy makes a combination of earlier columns (see the
+    module docstring), is not built either: one set lookup per column.  A
+    lead is taken only when a later g_k has such columns; a zero generator
+    has no lead, a one-term one its term, a constant one 1.  Every exponent
+    stays within deg g_i + degree, so no field overflows."""
     # No exponent of a column reaches 2**width (see _fields).
     width = max(degree + max(g.total_degree() for g in generators), 1).bit_length()
     fields = _fields(allowed, width)
     monomials = _monomials_up_to(fields, degree)
     # Integer terms: generator k scaled by s_k, packed once for all its columns.
     scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
-    columns = Columns()
-    leads: list[int] = []  # lead(g_i) of every nonzero g_i before g_k
-    for k, (gen, terms) in enumerate(zip(generators, scaled)):
+    units = []  # (m_k, c_k) of the leading one-term generators
+    for terms in scaled:
+        if len(terms) != 1:
+            break
+        (mon, c), = terms.items()
+        units.append((_pack(mon, fields), c))
+    columns = Columns(implicit=_unit_pivots(units, monomials) if units else None)
+    leads = [mon for mon, _ in units]  # lead(g_i) of the nonzero g_i read so far
+    unread = []  # (terms, packed, degree) of the later nonzero g_i
+    for k in range(len(units), len(generators)):
+        terms, top = scaled[k], generators[k].total_degree()
         packed = {_pack(mon, fields): c for mon, c in terms.items()}
-        top = gen.total_degree()
         # The Koszul columns lead(g_i) * t * g_k, for t of degree <= spare.
         spare = degree - top
-        shifts = monomials[:comb(len(fields) + spare, spare)] if spare >= 0 else ()
-        skip = {lead + t for lead in leads for t in shifts}
+        skip = ()
+        if spare >= 0:
+            for terms_i, packed_i, top_i in unread:
+                # lead(g_i): of its highest degree, the smallest packed int
+                leads.append(min(m for mon, m in zip(terms_i, packed_i) if sum(mon) == top_i))
+            unread.clear()
+            shifts = monomials[:comb(len(fields) + spare, spare)]
+            skip = {lead + t for lead in leads for t in shifts}
         columns.extend(
             ({mon + gmon: c for gmon, c in packed.items()}, unknown)
             for unknown, mon in enumerate(monomials, k * len(monomials))
             if mon not in skip
         )
-        if packed:  # lead(g_k): of its highest degree, the smallest packed int
-            leads.append(min(m for mon, m in zip(terms, packed) if sum(mon) == top))
+        if packed:
+            unread.append((terms, packed, top))
     charge = len(monomials) * len(generators)
     return _System(columns, monomials, fields, width, scales), charge
 

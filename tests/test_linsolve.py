@@ -4,7 +4,7 @@ from math import lcm
 
 import sympy as sp
 
-from dirac_symmetry.linsolve import Columns, RationalSpan, rational_rank, solve_sparse
+from dirac_symmetry.linsolve import Columns, Echelon, RationalSpan, rational_rank, solve_sparse
 
 F = Fraction
 
@@ -159,6 +159,56 @@ class TestSolveSparse:
             outcomes.append(solution is None)
         assert columns.echelon is echelon  # built once, then kept
         assert True in outcomes and False in outcomes
+
+
+class TestImplicitPivots:
+    @staticmethod
+    def units(rng, keys):
+        """Unit columns {key: c} on some keys, tagged ("unit", key), and the
+        pivots they add when inserted first."""
+        units = [({k: rng.choice((-3, 1, 2))}, ("unit", k)) for k in keys if rng.random() < 0.4]
+        return units, {k: (column, {tag: 1}) for column, tag in units for k in column}
+
+    def test_the_lookup_is_consulted_only_on_a_miss(self):
+        asked = []
+
+        def implicit(col):
+            asked.append(col)
+            return ({1: 2}, {"unit": 1}) if col == 1 else None
+
+        echelon = Echelon(implicit=implicit)
+        echelon.add({0: 1, 2: 1}, {"a": 1})  # 0 misses: a new pivot
+        assert asked == [0]
+        # 0 is a pivot and is not asked for; 1 is implicit, 2 is neither.
+        row, tags, col = echelon.reduce({0: 1, 1: 1, 2: 3}, {None: 1})
+        assert asked == [0, 1, 2]
+        assert (row, tags, col) == ({2: 4}, {None: 2, "a": -2, "unit": -1}, 2)
+        assert list(echelon.pivots) == [0]
+
+    def test_implicit_unit_pivots_give_the_eager_echelon(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            keys = list(range(7))
+            units, implicit = self.units(rng, keys)
+            pairs = [
+                (integer_equation(row, 0)[0], j)
+                for j, row in enumerate(random_rows(rng, 6, 7, keys)) if row
+            ]
+            eager = Columns(units + pairs)
+            lazy = Columns(pairs, implicit.get)
+            assert {**implicit, **lazy.echelon.pivots} == eager.echelon.pivots
+            for _ in range(5):
+                target = integer_equation(random_rows(rng, 1, 7, keys)[0], 0)[0]
+                assert solve_sparse(lazy, target) == solve_sparse(eager, target)
+
+    def test_an_echelon_without_a_lookup_is_unchanged(self):
+        rng = random.Random(3)
+        rows = [integer_equation(row, 0)[0] for row in random_rows(rng, 8, 6)]
+        plain, asking = Echelon(), Echelon(implicit=lambda col: None)
+        assert plain.implicit is None and Columns(()).echelon.implicit is None
+        for j, row in enumerate(rows):
+            assert plain.add(row, {j: 1}) == asking.add(row, {j: 1})
+        assert plain.pivots == asking.pivots
 
 
 class TestRationalRank:

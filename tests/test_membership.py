@@ -3,7 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, takewhile
 
 import pytest
 from hypothesis import given
@@ -221,8 +221,9 @@ class TestSizeCap:
             # q1*p2 is no member, but without a basis the ladder decides.
             # It is a term of neither generator, so degree 0 is not solved;
             # 70 unknowns in all, degree 0's 2 counted: at the cap, not over it.
-            # Columns built: the Koszul columns p1 * t * p1^2 are not.
-            ("q1*p2", 10, 0, [8, 19, 36]),
+            # Columns built: none, as p1 and p1^2 are one-term generators,
+            # whose columns are implicit pivots.
+            ("q1*p2", 10, 0, [0, 0, 0]),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(
@@ -491,7 +492,7 @@ class TestIntegerSystems:
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
         # Degrees 0 and 1 are skipped: their columns cannot reach degree 4.
-        assert sizes == [(584, 1964, 2168)]
+        assert sizes == [(132, 1610, 1716)]
 
     def test_certificates_match_on_a_warm_cache(self, monkeypatch):
         membership._KEPT.clear()
@@ -606,6 +607,15 @@ class TestKeptSystems:
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 40)
         membership._KEPT.clear()
         solved = record_solved(monkeypatch)
+        charges = {}  # the charge of every system built, by its columns
+        real = membership._build_system
+
+        def build(*args):
+            system, charge = real(*args)
+            charges[id(system.columns)] = charge
+            return system, charge
+
+        monkeypatch.setattr(membership, "_build_system", build)
         searches = [
             ("q1*p1*p2", ["p1", "p1^2"]),  # systems of 8 and 20 unknowns
             ("q2*p3", ["p3", "q2 + q3"]),
@@ -621,7 +631,7 @@ class TestKeptSystems:
                 if isinstance(value, membership._System)
             ]
             assert kept[-1] is solved[-1]  # the most recent system is kept
-        built = {id(columns): len(columns) for columns in solved}
+        built = {id(columns): charges[id(columns)] for columns in solved}
         assert sum(built.values()) > 40  # so some systems were evicted
 
     def test_bases_share_the_bound(self, monkeypatch, empty_cache):
@@ -751,27 +761,52 @@ def all_columns(generators, system):
             yield {mon + gmon: c for gmon, c in packed.items()}, unknown
 
 
-def skipped_columns(generators, degree) -> tuple[int, int]:
-    """(columns not built, columns dependent on earlier ones) of the system
-    of `degree` over the generators' identifiers.  Every column not built
-    must add no pivot when all columns are inserted in order, and the
-    echelon of the built columns must be that of all of them: the same
-    pivots, rows and tags.  The charge counts every unknown."""
-    generators = tuple(generators)
+def reachable_monomials(generators, system, degree) -> list[int]:
+    """The monomials of degree up to `degree` plus the generators' largest
+    degree, in the system's fields: every monomial its columns and targets
+    can hold."""
+    top = max(g.total_degree() for g in generators)
+    return membership._monomials_up_to(system.fields, degree + top)
+
+
+def echelon_pivots(system, reachable) -> dict:
+    """The pivot the system's echelon reduces each reachable monomial
+    against, as ``Echelon.reduce`` finds it: the explicit one, else the
+    implicit one; monomials with neither are left out."""
+    echelon = system.columns.echelon
+    implicit = echelon.implicit or (lambda col: None)
+    pivots = {mon: echelon.pivots.get(mon) or implicit(mon) for mon in reachable}
+    return {mon: pivot for mon, pivot in pivots.items() if pivot is not None}
+
+
+def eager_system(generators, degree) -> tuple[membership._System, list[int]]:
+    """The system of `degree` over the generators' identifiers, checked
+    against the echelon of all its columns, built or not, inserted in
+    order: its explicit pivots, and its implicit ones on every other
+    monomial, must be that echelon's pivots, rows and tags.  So each column
+    not built either adds no pivot or is an implicit one.  The charge
+    counts every unknown.  Also returns the unknowns of the columns that
+    add no pivot."""
     allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
     system, charge = membership._build_system(generators, allowed, degree)
     assert charge == len(system.monomials) * len(generators)
-    built = {unknown for _, unknown in system.columns}
     full = linsolve.Echelon()
-    skipped = dependent = 0
+    dependent = []
     for column, unknown in all_columns(generators, system):
         row, _, _ = full.add(column, {unknown: 1})
-        dependent += not row
-        if unknown not in built:
-            assert not row, f"column {unknown} is independent of the earlier ones"
-            skipped += 1
-    assert system.columns.echelon.pivots == full.pivots
-    return skipped, dependent
+        if not row:
+            dependent.append(unknown)
+    reachable = reachable_monomials(generators, system, degree)
+    assert echelon_pivots(system, reachable) == full.pivots
+    return system, dependent
+
+
+def skipped_columns(generators, degree) -> tuple[int, int]:
+    """(columns not built that add no pivot, columns dependent on earlier
+    ones) of the system of `degree`, checked by ``eager_system``."""
+    system, dependent = eager_system(tuple(generators), degree)
+    built = {unknown for _, unknown in system.columns}
+    return sum(unknown not in built for unknown in dependent), len(dependent)
 
 
 class TestKoszulColumns:
@@ -812,7 +847,9 @@ class TestKoszulColumns:
 
     def test_work_of_a_cold_degree_3_system(self, empty_cache):
         # em_modes(2)'s on-shell module at degree 3: 4080 unknowns, charged
-        # in full, of which the 3269 that become pivots are built.
+        # in full.  Of the 3269 that become pivots, the 2511 unit columns
+        # of its four one-term generators are implicit, and only the 758
+        # columns of H_d - E that become pivots are built.
         space, gens = on_shell_ideal(2)
         gens = tuple(gens)
         target = poly("q3^3", space) * gens[0]
@@ -821,4 +858,101 @@ class TestKoszulColumns:
             entry for key, entry in membership._KEPT.entries.items() if key[2:] == (3,)
         ]
         assert charge == len(system.monomials) * len(gens) == 4080
-        assert len(system.columns) == len(system.columns.echelon.pivots) == 3269
+        explicit = system.columns.echelon.pivots
+        assert len(system.columns) == len(explicit) == 758
+        reachable = reachable_monomials(gens, system, 3)
+        assert len(echelon_pivots(system, reachable).keys() - explicit.keys()) == 2511
+
+
+# ----------------------------------------------------------------------
+# One-term generators as implicit pivots
+# ----------------------------------------------------------------------
+def unit_modules(seed: int, count: int):
+    """Seeded modules whose generators start with a run of one-term ones:
+    monomials of degree 0 to 2 over a few identifiers, so constants,
+    repeated monomials and monomials sharing factors are common.  Some go
+    on with a zero generator, multi-term ones, and a one-term generator
+    after a multi-term one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = PhaseSpace(rng.randint(1, 2), ("E", "a") if rng.random() < 0.5 else ("E",))
+        n = space.n_identifiers
+
+        def one_term():
+            exps = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(n)] += 1
+            coeff = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+            return PhasePolynomial(space, {tuple(exps): coeff})
+
+        gens = [one_term() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.25:
+            gens.append(PhasePolynomial.zero(space))
+        for _ in range(rng.randint(0, 2)):
+            gens.append(random_polynomial(rng, space, 3, 2, allow_parameters=True))
+        if rng.random() < 0.5:
+            gens.append(one_term())
+        yield gens
+
+
+def seeded_targets(rng, reachable, columns) -> list[dict]:
+    """Packed targets within the system's reach: combinations of a few of
+    its columns, members, and the same with a stray monomial added."""
+    targets = []
+    for _ in range(4):
+        target: dict[int, int] = {}
+        for column, _ in rng.sample(columns, min(3, len(columns))):
+            factor = rng.randint(-4, 4)
+            for mon, c in column.items():
+                target[mon] = target.get(mon, 0) + factor * c
+        target = {mon: c for mon, c in target.items() if c}
+        targets.append(target)
+        targets.append({**target, rng.choice(reachable): rng.randint(1, 5)})
+    return targets
+
+
+def assert_eager_echelon(generators, degree, rng) -> membership._System:
+    """``eager_system``, and the same solutions from the system's columns
+    as from all of them, on seeded targets."""
+    generators = tuple(generators)
+    system, _ = eager_system(generators, degree)
+    every = linsolve.Columns(all_columns(generators, system))
+    reachable = reachable_monomials(generators, system, degree)
+    for target in seeded_targets(rng, reachable, every):
+        expected = linsolve.solve_sparse(every, target)
+        assert linsolve.solve_sparse(system.columns, target) == expected
+    return system
+
+
+class TestUnitPivots:
+    def test_seeded_modules(self):
+        rng = random.Random(29)
+        seen = dict.fromkeys(("implicit", "constant", "zero", "unit after", "shared"), 0)
+        for gens in unit_modules(29, 120):
+            units = list(takewhile(lambda g: len(g.terms) == 1, gens))
+            rest = gens[len(units):]
+            seen["constant"] += any(g.total_degree() == 0 for g in units)
+            seen["zero"] += any(not g for g in rest)
+            seen["unit after"] += any(len(g.terms) == 1 for g in rest)
+            monos = [next(iter(g.terms)) for g in units]
+            seen["shared"] += any(
+                any(x and y for x, y in zip(a, b)) for a, b in combinations(monos, 2)
+            )
+            for degree in range(4):
+                system = assert_eager_echelon(gens, degree, rng)
+                seen["implicit"] += system.columns.implicit is not None
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("n, degree", [(1, 3), (2, 3), (3, 2)])
+    def test_on_shell_modules(self, n, degree):
+        _, gens = on_shell_ideal(n)
+        assert_eager_echelon(gens, degree, random.Random(n))
+
+    def test_a_later_one_term_generator_is_built(self):
+        # Only q1 leads the generators with one term.  The unit column of
+        # p1 reduces against the pivot p1 of q1*p1 - p1 to a new pivot
+        # q1*p1, so it is built, after the column of q1*p1 - p1.
+        gens = (poly("q1", SPACE), poly("q1*p1 - p1", SPACE), poly("p1", SPACE))
+        system = assert_eager_echelon(gens, 0, random.Random(0))
+        assert [unknown for _, unknown in system.columns] == [1, 2]
+        assert len(system.columns.echelon.pivots) == 2
