@@ -18,9 +18,9 @@ code  meaning
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from . import report as rpt
 from .chain import (
@@ -39,6 +39,7 @@ from .errors import (
     ProductTooLargeError,
     ReservedParameterError,
     SearchTooLargeError,
+    UsageError,
 )
 from .linsolve import RationalSpan, rational_rank
 from .membership import CoefficientMode
@@ -53,17 +54,69 @@ EXIT_INTERNAL = 5
 EXIT_INCONSISTENT = 6
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors as invalid input; argparse would exit 2, the
-    code for findings.  Subcommand parsers inherit the class."""
+# The flags every command takes: (flag, dest, int or its choices or None,
+# help).  The table builds the argparse parser and drives ``_plain_parse``.
+_FLAGS = (
+    ("--set", "set_name", None, "generator set name"),
+    ("--degree-bound", "degree_bound", int,
+     "cap on coefficient-polynomial degree in membership searches"),
+    ("--on-shell-energy", "on_shell_energy", ("true", "false"),
+     "include the on-shell generator H_d - E in the ideal"),
+    ("--coefficients", "coefficients", ("constant", "polynomial"),
+     "coefficient class for level-preservation decompositions"),
+    ("--format", "format", ("text", "structured"),
+     "output format (structured = JSON with exact rationals)"),
+)
+_DEFAULTS = {dest: None for _, dest, _, _ in _FLAGS} | {"format": "text"}
+_KINDS = {flag: (dest, kind) for flag, dest, kind, _ in _FLAGS}
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+
+def _plain_parse(argv) -> SimpleNamespace | None:
+    """argparse's namespace for ``<command> <file>`` followed by exact flags,
+    each as ``--flag value`` or ``--flag=value``; None for any other argv,
+    which argparse then parses, so that it alone prints help and usage
+    errors.  A value or file that starts with '-' is declined."""
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
+        return None
+    parsed = dict(_DEFAULTS, command=argv[0], file=argv[1])
+    i = 2
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        if flag not in _KINDS:
+            return None
+        if not eq:
+            i += 1
+            if i == len(argv):
+                return None
+            value = argv[i]
+        dest, kind = _KINDS[flag]
+        if value[:1] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not None and value not in kind:
+            return None
+        parsed[dest] = value
+        i += 1
+    return SimpleNamespace(**parsed)
 
 
-# Built once per process, on the first call of ``main``, not at import.
+# Built once per process, on the first argv that ``_plain_parse`` declines;
+# argparse is imported only then.
 @functools.cache
-def _build_arg_parser() -> argparse.ArgumentParser:
+def _build_arg_parser():
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Raises usage errors as invalid input; argparse would exit 2, the
+        code for findings.  Subcommand parsers inherit the class."""
+
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _ArgumentParser(
         prog="dirac-symmetry",
         description=(
@@ -79,32 +132,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument("file", help="model file to analyse")
-        cmd.add_argument("--set", dest="set_name", help="generator set name")
-        cmd.add_argument(
-            "--degree-bound",
-            type=int,
-            dest="degree_bound",
-            help="cap on coefficient-polynomial degree in membership searches",
-        )
-        cmd.add_argument(
-            "--on-shell-energy",
-            choices=("true", "false"),
-            dest="on_shell_energy",
-            help="include the on-shell generator H_d - E in the ideal",
-        )
-        cmd.add_argument(
-            "--coefficients",
-            choices=("constant", "polynomial"),
-            dest="coefficients",
-            help="coefficient class for level-preservation decompositions",
-        )
-        cmd.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            dest="format",
-            help="output format (structured = JSON with exact rationals)",
-        )
+        for flag, dest, kind, text in _FLAGS:
+            typed = {"type": kind} if kind is int else {"choices": kind}
+            cmd.add_argument(
+                flag, dest=dest, default=_DEFAULTS[dest], help=text, **typed
+            )
     return parser
 
 
@@ -237,6 +269,12 @@ COMMANDS = {
 
 def _run(args) -> int:
     model = load_model_file(args.file)
+    # The reports name the file as given.  Bytes of the name that are not
+    # UTF-8 arrive as lone surrogates, which stdout cannot encode; they are
+    # written as \xNN.
+    args.file = args.file.encode("utf-8", "surrogateescape").decode(
+        "utf-8", "backslashreplace"
+    )
     options = _resolve_options(args, model)
     report, text_view, code = COMMANDS[args.command](args, model, *options)
     sys.stdout.write(rpt.render(report, text_view, args.format))
@@ -244,9 +282,11 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        return _run(_build_arg_parser().parse_args(argv))
-    except (argparse.ArgumentError, ModelFileError, ParseError,
+        return _run(_plain_parse(argv) or _build_arg_parser().parse_args(argv))
+    except (UsageError, ModelFileError, ParseError,
             DependentPrimariesError, ReservedParameterError,
             SearchTooLargeError, ProductTooLargeError) as exc:
         sys.stderr.write(f"error: invalid input: {exc}\n")

@@ -56,6 +56,10 @@ class ProductTooLargeError(DiracSymmetryError):
     ``phase.MAX_TERM_PAIRS``; it is refused before any pair is formed."""
 
 
+class UsageError(DiracSymmetryError):
+    """Command-line arguments the argument parser refuses."""
+
+
 class ModelFileError(DiracSymmetryError):
     """Invalid model file: syntax, unknown keys, or failed validation."""
 

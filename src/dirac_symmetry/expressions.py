@@ -46,46 +46,51 @@ from .phase import (
     check_power,
 )
 
-# Deepest parenthesis nesting accepted: each level costs four frames of
+# Deepest parenthesis nesting accepted: each level costs three frames of
 # recursive descent, so this stays far below the interpreter's limit.
 MAX_NESTING = 100
 
 # A token is a digit run (str.isdigit), a name (str.isidentifier) or one
-# operator character.  Whitespace matches nothing, so the scan steps over
-# it, and the last group catches any other character.
-_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]|(\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """The (text, position) of every token, ending with ("", len(text))."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        if match.lastindex:
-            raise ParseError(f"unexpected character {match[0]!r}", match.start())
-        tokens.append((match[0], match.start()))
-    tokens.append(("", len(text)))
-    return tokens
+# operator character.  Whitespace matches no token, so findall steps over
+# it; any other character is refused by one search before the scan.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
+_BAD_CHARACTER_RE = re.compile(r"[^\s0-9A-Za-z_+\-*/^()]")
 
 
 class _Parser:
+    """Recursive descent over the token strings of `text`, which end with "".
+
+    ``cursor`` is the index of the next token.  Token positions in the text
+    are found only when an error is raised.
+    """
+
     def __init__(self, text: str, space: PhaseSpace):
+        bad = _BAD_CHARACTER_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+        self.text = text
         self.space = space
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.cursor = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, int]:
-        return self.tokens[self.cursor]
+    def error(self, message: str, index: int, kind=ParseError) -> ParseError:
+        """A `kind` error for `message` at the position of token `index`."""
+        starts = [match.start() for match in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        return kind(message, starts[index])
 
     # expr := ('+'|'-')? term (('+'|'-') term)*   -- leading sign is tolerated
     def expression(self) -> PhasePolynomial:
-        text = self.peek()[0]
+        tokens = self.tokens
+        text = tokens[self.cursor]
         negate = False
         if text == "+":
             self.cursor += 1
         elif text == "-":
             # A '-' before digits already belongs to the rational literal.
-            following = self.tokens[self.cursor + 1][0]
+            following = tokens[self.cursor + 1]
             if following == "(" or following.isidentifier():
                 self.cursor += 1
                 negate = True
@@ -100,13 +105,13 @@ class _Parser:
                     coeff = -coeff
                 old = get(mon)
                 terms[mon] = coeff if old is None else old + coeff
-            text = self.peek()[0]
+            text = tokens[self.cursor]
             if text != "+" and text != "-":
                 return _adopt(self.space, {m: c for m, c in terms.items() if c})
             self.cursor += 1
             negate = text == "-"
 
-    # term := factor ('*' factor)*
+    # term := factor ('*' factor)*,  factor := atom ('^' uint)?
     def term(self) -> Mapping[Exponents, Fraction]:
         """The terms of one product, each coefficient a nonzero Fraction.
 
@@ -114,51 +119,98 @@ class _Parser:
         one exponent list; only parenthesised groups are multiplied as
         polynomials, in the order they come.
         """
+        tokens = self.tokens
+        index = self.space._index
         coeff = _ONE
-        exps = [0] * self.space.n_identifiers
+        exps = [0] * len(index)
         group = None
-        while True:
-            text, position = self.peek()
-            if text == "(":
-                factor = self.group()
-                if group is not None:
-                    product = group * factor
-                    check_coefficients(
-                        product.terms.values(),
-                        group.terms.values(),
-                        factor.terms.values(),
-                    )
-                    factor = product
-                group = factor
-            elif text.isidentifier():
-                self.cursor += 1
-                if not self.space.has_identifier(text):
-                    raise UndeclaredIdentifierError(
-                        f"undeclared identifier {text!r}", position
-                    )
-                exps[self.space.index(text)] += self.exponent()
-            elif text.isdigit() or text == "-":
-                value = self.rational()
-                exponent = self.exponent()
-                if exponent != 1:
-                    check_power((value,), exponent)
-                    value = value**exponent
-                if coeff is _ONE:
-                    coeff = value
+        i = self.cursor
+        try:
+            while True:
+                text = tokens[i]
+                if text == "(":
+                    self.cursor = i
+                    factor = self.group()
+                    i = self.cursor
+                elif text.isidentifier():
+                    slot = index.get(text)
+                    if slot is None:
+                        raise self.error(
+                            f"undeclared identifier {text!r}", i,
+                            UndeclaredIdentifierError,
+                        )
+                    i += 1
+                elif text.isdigit() or text == "-":
+                    # rational := '-'? int ('/' uint)?
+                    if text == "-":
+                        i += 1
+                        if not tokens[i].isdigit():
+                            raise self.error("expected a rational after '-'", i - 1)
+                        value = -int(tokens[i])
+                    else:
+                        value = int(text)
+                    i += 1
+                    if tokens[i] == "/":
+                        i += 1
+                        if not tokens[i].isdigit():
+                            raise self.error("expected an unsigned denominator", i)
+                        denominator = int(tokens[i])
+                        if not denominator:
+                            raise self.error("zero denominator", i)
+                        value = Fraction(value, denominator)
+                        i += 1
+                    else:
+                        value = Fraction(value)
                 else:
-                    folded = coeff * value
-                    check_coefficients((folded,), (coeff,), (value,))
-                    coeff = folded
-            else:
-                raise ParseError(
-                    f"expected a rational, identifier or '(', got {text!r}"
-                    if text
-                    else "unexpected end of expression",
-                    position,
-                )
-            if self.peek()[0] != "*":
-                break
-            self.cursor += 1
+                    raise self.error(
+                        f"expected a rational, identifier or '(', got {text!r}"
+                        if text
+                        else "unexpected end of expression",
+                        i,
+                    )
+                exponent = 1
+                if tokens[i] == "^":
+                    i += 1
+                    if not tokens[i].isdigit():
+                        raise self.error(
+                            "exponent must be a non-negative integer literal", i
+                        )
+                    exponent = int(tokens[i])
+                    i += 1
+                if text == "(":
+                    if exponent != 1:
+                        factor = factor**exponent
+                    if group is not None:
+                        product = group * factor
+                        check_coefficients(
+                            product.terms.values(),
+                            group.terms.values(),
+                            factor.terms.values(),
+                        )
+                        factor = product
+                    group = factor
+                elif text.isidentifier():
+                    exps[slot] += exponent
+                else:
+                    if exponent != 1:
+                        check_power((value,), exponent)
+                        value = value**exponent
+                    if coeff is _ONE:
+                        coeff = value
+                    else:
+                        folded = coeff * value
+                        check_coefficients((folded,), (coeff,), (value,))
+                        coeff = folded
+                if tokens[i] != "*":
+                    break
+                i += 1
+        except ValueError:
+            # int() refuses more than sys.get_int_max_str_digits() (4300)
+            # digits; token i is the literal it was given.
+            raise self.error(
+                f"numeric literal of {len(tokens[i])} digits is too long", i
+            ) from None
+        self.cursor = i
         monomial = {tuple(exps): coeff} if coeff else {}
         if group is None:
             return monomial
@@ -167,68 +219,27 @@ class _Parser:
             check_coefficients(product.values(), group.terms.values(), (coeff,))
         return product
 
-    # '(' expr ')' ('^' uint)?
+    # '(' expr ')', its exponent read by the caller
     def group(self) -> PhasePolynomial:
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"parentheses nested deeper than {MAX_NESTING}", self.peek()[1]
+            raise self.error(
+                f"parentheses nested deeper than {MAX_NESTING}", self.cursor
             )
         self.cursor += 1
         self.depth += 1
         poly = self.expression()
         self.depth -= 1
-        text, position = self.peek()
-        if text != ")":
-            raise ParseError("expected ')'", position)
+        if self.tokens[self.cursor] != ")":
+            raise self.error("expected ')'", self.cursor)
         self.cursor += 1
-        exponent = self.exponent()
-        return poly if exponent == 1 else poly**exponent
-
-    # ('^' uint)?
-    def exponent(self) -> int:
-        if self.peek()[0] != "^":
-            return 1
-        self.cursor += 1
-        return self.unsigned("exponent must be a non-negative integer literal")
-
-    # rational := '-'? int ('/' uint)?
-    def rational(self) -> Fraction:
-        sign, position = self.peek()
-        negative = sign == "-"
-        self.cursor += negative
-        numerator = self.unsigned("expected a rational after '-'", position)
-        if negative:
-            numerator = -numerator
-        if self.peek()[0] != "/":
-            return Fraction(numerator)
-        self.cursor += 1
-        position = self.peek()[1]
-        denominator = self.unsigned("expected an unsigned denominator")
-        if not denominator:
-            raise ParseError("zero denominator", position)
-        return Fraction(numerator, denominator)
-
-    def unsigned(self, message: str, position: int | None = None) -> int:
-        """Read an unsigned integer literal, or raise `message` at `position`
-        (by default the offending token's)."""
-        text, at = self.peek()
-        if not text.isdigit():
-            raise ParseError(message, at if position is None else position)
-        self.cursor += 1
-        # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError(
-                f"numeric literal of {len(text)} digits is too long", at
-            ) from None
+        return poly
 
 
 def parse_polynomial(text: str, space: PhaseSpace) -> PhasePolynomial:
     """Parse expression text into a canonical-form polynomial on `space`."""
     parser = _Parser(text, space)
     poly = parser.expression()
-    tail, position = parser.peek()
+    tail = parser.tokens[parser.cursor]
     if tail:
-        raise ParseError(f"unexpected trailing input {tail!r}", position)
+        raise parser.error(f"unexpected trailing input {tail!r}", parser.cursor)
     return poly

@@ -24,6 +24,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def parser_calls() -> int:
+    """How often ``main`` has asked for the argparse parser in this process."""
+    info = cli._build_arg_parser.cache_info()
+    return info.hits + info.misses
+
+
 class TestChainCommand:
     def test_text_output(self, capsys):
         code, out, err = run(capsys, "chain", TLC)
@@ -186,18 +192,22 @@ class TestErrorExitCodes:
         ],
     )
     def test_usage_error_is_invalid_input(self, capsys, argv, message):
+        before = parser_calls()
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert err.startswith("error: invalid input: ")
         assert message in err
+        assert parser_calls() == before + 1  # argparse wrote the message
 
     @pytest.mark.parametrize("argv", [["--help"], ["chain", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
+        before = parser_calls()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert "usage: dirac-symmetry" in capsys.readouterr().out
+        assert parser_calls() == before + 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "chain", "/nonexistent/nowhere.model")

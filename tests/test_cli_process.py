@@ -44,6 +44,24 @@ def test_invocation_matches_the_contract(invocation):
     assert hashlib.sha256(result.stdout).hexdigest() == expected["stdout_sha256"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_model_path_that_is_not_utf8_is_labelled_with_escapes(fmt, tmp_path):
+    path = os.path.join(os.fsencode(tmp_path), b"m\xff.model")
+    try:
+        with open(path, "wb") as handle:
+            handle.write((ROOT / "models" / "em_modes_1.model").read_bytes())
+    except OSError:
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    result = _run("chain", os.fsdecode(path), f"--format={fmt}")
+    assert result.returncode == 0, result.stderr
+    label = f"{tmp_path}{os.sep}m\\xff.model"
+    out = result.stdout.decode("utf-8")
+    if fmt == "text":
+        assert out.startswith(f"constraint chain for {label}\n")
+    else:
+        assert json.loads(out)["file"] == label
+
+
 def test_help_exits_zero():
     result = _run("--help")
     assert result.returncode == 0
@@ -74,6 +92,11 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_cli_import_does_not_load_configparser():
     assert _probe("print('configparser' in sys.modules)") == "False"
+
+
+def test_cli_import_does_not_load_argparse():
+    # argparse is imported only for an argv the plain parse declines.
+    assert _probe("print('argparse' in sys.modules)") == "False"
 
 
 def test_cli_import_does_not_load_pathlib():
