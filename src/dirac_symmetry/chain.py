@@ -222,9 +222,10 @@ def _build_chain(
     for name, bracket in zip(names[2], brackets[2]):
         outcome = decompose(bracket, closure_generators, degree_bound)
         if isinstance(outcome, NotFound):
+            reason = "not in the on-shell module" if outcome.exact else outcome.message
             raise ChainBeyondTertiaryError(
                 f"bracket of tertiary constraint {name} with H_d is not weakly "
-                f"zero ({outcome.message}): the hierarchy continues past three levels",
+                f"zero ({reason}): the hierarchy continues past three levels",
                 source=name,
                 bracket=bracket,
             )

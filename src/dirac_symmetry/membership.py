@@ -17,8 +17,7 @@ Monomials are packed into one int each, a fixed-width exponent field per
 identifier the search allows, so a shifted column is one integer addition
 per term; the packed ints order as the exponent tuples do, and elimination
 takes the same pivots.  Each degree's system packs at the width its own
-columns need, and a degree whose columns cannot reach the target's degree
-is skipped, so a system depends only on the generators, the allowed
+columns need, so a system depends only on the generators, the allowed
 identifiers and the degree.  Each is built once and kept with its echelon
 (``linsolve.Columns``); later targets are reduced against it.  The same
 columns in the same order give the same echelon and the same solution, so
@@ -44,17 +43,28 @@ column would have given (the column-singleton step of sparse elimination).
 Only the later generators' columns are kept, and the system is still
 charged all its unknowns.
 
-Degree 0 is tried only when every target monomial is a term of some
-generator, since its certificates combine the generators' own terms.  When
-it fails or is not tried, the target is reduced modulo a reduced Groebner
-basis of the generators in the package's graded-lex order (Buchberger's
-algorithm with the Gebauer-Moeller criteria).  A nonzero normal form proves
-non-membership at every degree, and the ``NotFound`` it returns is
-``exact``.  A zero normal form goes on to the degree ladder from degree 1,
-which finds the minimal-degree certificate.  The basis and the reduction
-have step budgets (``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when
-either runs out, the ladder alone decides and a negative answer means only
-"not representable within degree d".
+Every term of sum_k f_k * g_k is a multiple of some generator term, so a
+target monomial mu in a certificate of degree d is m * t for a term t of
+some g_k dividing mu and deg m <= d.  The target's *reach*, the largest
+deg mu - deg t over its monomials mu, t the generator term of highest
+degree dividing mu, is thus a lower bound on every certificate's degree,
+and a monomial that no generator term divides proves non-membership at
+every degree (the monomial-ideal argument of Cox, Little & O'Shea, *Ideals,
+Varieties, and Algorithms*, 2.4).  Such a target gets an ``exact``
+``NotFound`` at once, from a term index kept per generator tuple, with no
+basis and no system; the ladder skips the degrees below the reach.
+
+When a solve fails, before a degree that would pass the size cap, and at
+the end of the ladder, whichever comes first, the target is reduced modulo
+a reduced Groebner basis of the generators in the package's graded-lex
+order (Buchberger's algorithm with the Gebauer-Moeller criteria).  A
+nonzero normal form proves non-membership at every degree, and the
+``NotFound`` it returns is ``exact``; a zero one lets the ladder go on to
+the minimal-degree certificate.  The basis and the reduction have step
+budgets (``MAX_BASIS_STEPS``, ``MAX_REDUCTION_STEPS``); when either runs
+out, the ladder alone decides and a negative answer means only "not
+representable within degree d".  The screen and the normal form are
+exact only for polynomial coefficients and a bound of at least 1.
 
 The basis and the normal form pack monomials too (``_Layout``), over every
 declared identifier: one field of whole bytes per identifier, the first one
@@ -74,11 +84,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, compress
 from math import comb
 from threading import Lock
 from typing import Callable, NamedTuple, Sequence
 
+from . import phase
 from .errors import SearchTooLargeError
 from .linsolve import Columns, integer_scaled, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt
@@ -89,9 +100,9 @@ from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt
 # system, bounds the work: with one identifier each degree adds only one
 # monomial, and a ladder towards a degree bound of a million would run for
 # hours.  The largest search of the benchmark workloads has 4845 unknowns in
-# all (880 in the test suite).  It also bounds ``_KEPT``: the kept systems and
-# bases are charged no more in all, a system its unknowns and a basis its
-# terms.
+# all (880 in the test suite).  It also bounds ``_KEPT``: the kept systems,
+# bases and term indexes are charged no more in all, a system its unknowns,
+# a basis its terms and an index its entries.
 MAX_UNKNOWNS = 50_000
 
 # Steps a Groebner basis may take, and steps the target's normal form may
@@ -160,11 +171,12 @@ class IdealDecomposition:
 class NotFound(NamedTuple):
     """Negative decomposition result.
 
-    ``exact`` is True when non-membership is proven: the target's normal
-    form modulo a Groebner basis of the generators is nonzero (or there are
-    no generators), so no coefficients of any degree exist.  Otherwise the answer is conclusive
-    only up to the degree bound (or, in CONSTANT mode, for constant
-    coefficients).  ``message`` is the same either way.
+    ``exact`` is True when non-membership is proven: some target monomial
+    is divisible by no generator term, or the target's normal form modulo a
+    Groebner basis of the generators is nonzero (or there are no
+    generators), so no coefficients of any degree exist.  Otherwise the
+    answer is conclusive only up to the degree bound (or, in CONSTANT mode,
+    for constant coefficients).  ``message`` is the same either way.
     """
 
     degree_bound: int
@@ -665,12 +677,13 @@ def _build_system(
 # Bases and systems kept across searches
 # ----------------------------------------------------------------------
 class _Kept:
-    """Groebner bases by generators and Macaulay systems by (generators,
-    allowed identifiers, degree), least recently used first.  Each entry is
-    charged what it holds, a system its unknowns and a basis its terms, and
-    the charges stay within ``MAX_UNKNOWNS`` in all: about the memory one
-    search at the cap takes anyway.  A lock keeps the order and the total
-    consistent across threads.
+    """Groebner bases by generators, term indexes by (generators, "terms")
+    and Macaulay systems by (generators, allowed identifiers, degree), least
+    recently used first.  Each entry is charged what it holds, a system its
+    unknowns, a basis its terms and an index its entries, and the charges
+    stay within ``MAX_UNKNOWNS`` in all: about the memory one search at the
+    cap takes anyway.  A lock keeps the order and the total consistent
+    across threads.
 
     The entries are a plain dict in insertion order, the least recently
     used first.  A hit pops the entry and puts it back last under the
@@ -709,6 +722,80 @@ class _Kept:
 
 
 _KEPT = _Kept()
+
+
+# ----------------------------------------------------------------------
+# The target's reach, from the generators' terms
+# ----------------------------------------------------------------------
+class _TermIndex(NamedTuple):
+    """The distinct terms of some generators.  ``by_identifier[i]`` lists
+    each term that uses identifier i, as (degree, ((identifier, exponent),
+    ...)), highest degree first; ``floor`` is 0 when some generator has a
+    constant term, which divides every monomial, and -1 otherwise."""
+
+    by_identifier: dict[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
+    floor: int
+    size: int  # distinct terms
+    top: int  # largest degree of a term
+
+
+def _term_index(generators: tuple[PhasePolynomial, ...]) -> _TermIndex:
+    """The generators' term index, kept in ``_KEPT`` beside their basis."""
+    return _KEPT.get((generators, "terms"), _build_term_index, generators)
+
+
+def _build_term_index(generators: tuple[PhasePolynomial, ...]) -> tuple[_TermIndex, int]:
+    """The index and its charge in ``_KEPT``, its entries and at least 1."""
+    terms = {mon for g in generators for mon in g.terms}
+    identifiers = range(len(next(iter(terms))))
+    by_identifier: dict[int, list] = {}
+    for mon in sorted(terms, key=sum, reverse=True):
+        sparse = tuple((i, mon[i]) for i in compress(identifiers, mon))
+        for i, _ in sparse:
+            by_identifier.setdefault(i, []).append((sum(mon), sparse))
+    index = _TermIndex(
+        {i: tuple(entries) for i, entries in by_identifier.items()},
+        0 if any(not any(mon) for mon in terms) else -1,
+        len(terms),
+        max(map(sum, terms)),
+    )
+    return index, max(1, sum(map(len, by_identifier.values())))
+
+
+def _reach(target: PhasePolynomial, generators: tuple[PhasePolynomial, ...]) -> int | None:
+    """The largest deg mu - deg t over the target's monomials mu, t a
+    generator term of highest degree dividing mu: no certificate has a
+    lower degree (see the module docstring).  None when some mu has no
+    such t, so that no certificate exists.  Some generator is nonzero.
+
+    A monomial that is itself a generator term has the gap 0, so when every
+    one is, the reach is 0 without the index.  Otherwise the work is at
+    most the target's terms times the generators' distinct terms; above
+    ``phase.MAX_TERM_PAIRS`` the screen is skipped and the bound
+    deg target - deg t for the generator term t of highest degree, at
+    least 0, is returned instead."""
+    if all(any(mon in g.terms for g in generators) for mon in target.terms):
+        return 0
+    index = _term_index(generators)
+    if len(target.terms) * index.size > phase.MAX_TERM_PAIRS:
+        return max(target.total_degree() - index.top, 0)
+    by_identifier, floor = index.by_identifier, index.floor
+    identifiers = range(target.space.n_identifiers)
+    reach = 0
+    for mon in target.terms:
+        best = floor
+        for i in compress(identifiers, mon):
+            # The first dividing term under i is its highest one there.
+            for degree, term in by_identifier.get(i, ()):
+                if degree <= best:
+                    break
+                if all(mon[j] >= e for j, e in term):
+                    best = degree
+                    break
+        if best < 0:
+            return None
+        reach = max(reach, sum(mon) - best)
+    return reach
 
 
 def _certificate(
@@ -771,11 +858,14 @@ def decompose(
     bound.  Coefficients may involve every declared identifier, parameters
     included, except in CONSTANT mode where they are plain rationals.
 
-    In POLYNOMIAL mode at a bound of 1 or more, degree 0 is tried only when
-    every target monomial is a term of some generator; when it fails or is
-    not tried, a nonzero Groebner normal form ends the search with an exact
-    ``NotFound`` (see ``_normal_form``), and a zero one goes on up the ladder
-    from degree 1.
+    The ladder starts at the target's reach (``_reach``).  A target with a
+    monomial that no generator term divides tries no degree, and in
+    POLYNOMIAL mode at a bound of 1 or more its ``NotFound`` is exact at
+    once.  In that mode and range, the Groebner normal form (see
+    ``_normal_form``) is consulted once, after the first failing solve,
+    before a degree that would pass ``MAX_UNKNOWNS`` or at the end of the
+    ladder, whichever comes first; a nonzero one ends the search with an
+    exact ``NotFound``.  A certificate at the reach needs no basis.
     """
     if not target:
         return _zero_certificate(target, generators, degree_bound, mode)
@@ -794,23 +884,13 @@ def decompose(
     if not any(generators):  # the zero ideal, all-zero generators included
         return NotFound(degree_bound, mode, exact=True)
 
-    top = max(g.total_degree() for g in generators)
-    target_degree = target.total_degree()
-    start = unknowns = 0
-    if (
-        degree_bound > 0
-        and len(generators) <= MAX_UNKNOWNS  # degree 0 is within the cap
-        and max(top, target_degree) > 0  # so some identifier is used
-        and (
-            target_degree > top  # its top terms are above every generator's
-            or any(all(mon not in g.terms for g in generators) for mon in target.terms)
-        )
-    ):
-        # Degree 0 combines the generators' own terms and cannot reach this
-        # target: the normal form comes first, and the ladder starts at 1.
-        if _normal_form(target, generators, unpack=False):
-            return NotFound(degree_bound, mode, exact=True)
-        start, unknowns = 1, len(generators)
+    # A negative answer can be exact only for polynomial coefficients at a
+    # bound of 1 or more; there the normal form is yet to be consulted.
+    consult = mode is CoefficientMode.POLYNOMIAL and degree_bound > 0
+    reach = _reach(target, generators)
+    # When the generators alone pass the cap, degree 0 is refused below.
+    if reach is None and len(generators) <= MAX_UNKNOWNS:
+        return NotFound(degree_bound, mode, exact=consult)
 
     allowed: set[int] = set(target.used_indices())
     for gen in generators:
@@ -818,26 +898,28 @@ def decompose(
     allowed_order = tuple(sorted(allowed))
     max_useful = degree_bound if allowed_order else 0
     target_scale, target_terms = integer_scaled(target.terms)
-    for degree in range(start, max_useful + 1):
-        # Between degrees 0 and 1: most certificates are constant and need
-        # no basis, and a nonzero normal form settles a non-member exactly.
-        if degree == 1 and not start and _normal_form(target, generators, unpack=False):
-            return NotFound(degree_bound, mode, exact=True)
+    unknowns = 0
+    for degree in range(max_useful + 1):
+        # Skipped degrees are charged too, so every refusal stays the same.
         unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
         if unknowns > MAX_UNKNOWNS:
+            # At degree 0 the generators alone pass the cap: refused first.
+            if degree and consult and _normal_form(target, generators, unpack=False):
+                return NotFound(degree_bound, mode, exact=True)
             raise SearchTooLargeError(
                 f"membership search up to coefficient degree {degree} would "
                 f"solve for {unknowns} unknowns ({len(generators)} generators "
                 f"over {len(allowed_order)} identifiers), above the limit of "
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
-        if degree + top < target_degree:
-            continue  # no column reaches the target's degree
+        if degree < reach:
+            continue  # no certificate of this degree exists
         system = _KEPT.get(
             (generators, allowed_order, degree),
             _build_system, generators, allowed_order, degree,
         )
-        # The target's exponents are within its degree, so they fit the fields.
+        # From degree >= reach, every target monomial has degree at most
+        # degree plus a generator's, so its exponents fit the fields.
         packed = {_pack(mon, system.fields): c for mon, c in target_terms.items()}
         solution = solve_sparse(system.columns, packed)
         if solution is not None:
@@ -848,6 +930,12 @@ def decompose(
                     "internal error: decomposition failed re-expansion check"
                 )
             return result
+        if consult:
+            if _normal_form(target, generators, unpack=False):
+                return NotFound(degree_bound, mode, exact=True)
+            consult = False  # a member above this degree, or a budget ran out
+    if consult and _normal_form(target, generators, unpack=False):
+        return NotFound(degree_bound, mode, exact=True)
     return NotFound(degree_bound, mode)
 
 

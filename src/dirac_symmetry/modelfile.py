@@ -281,6 +281,9 @@ def load_model_file(path: str | os.PathLike[str]) -> ModelFile:
                 data += handle.read(limit - len(data))
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeEncodeError as exc:  # a lone surrogate, which no file name holds
+        # The message escapes the character, so any stderr can print it.
+        raise ModelFileError(f"model file name is not valid text: {exc}") from exc
     if len(data) > MAX_MODEL_BYTES:
         raise ModelFileError(
             f"model file {path} is larger than {MAX_MODEL_BYTES} bytes"

@@ -214,6 +214,16 @@ class TestErrorExitCodes:
         assert code == 3
         assert "invalid input" in err
 
+    def test_path_with_a_lone_surrogate_is_invalid_input(self, capsys):
+        # Only an in-process caller can pass one; no file name holds it.
+        code, out, err = run(capsys, "chain", "\ud800.model")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: invalid input: model file name is not valid text: 'utf-8' codec "
+            "can't encode character '\\ud800' in position 0: surrogates not allowed\n"
+        )
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text(
@@ -253,8 +263,8 @@ class TestErrorExitCodes:
 
     def test_huge_non_member_is_answered_exactly(self, capsys, tmp_path):
         # {P1, S1} = -999999*q1^999998*p2 lies outside the on-shell module
-        # (P1, S1, H_d - E): its normal form is nonzero, so no search is
-        # needed despite its default degree bound of two million.
+        # (P1, S1, H_d - E): no generator term divides its monomial, so no
+        # search is needed despite its default degree bound of two million.
         path = tmp_path / "huge.model"
         path.write_text(
             "[system]\nn_dof = 2\nhamiltonian = q1^1000000*p2 + q2*p2\n"
@@ -435,6 +445,24 @@ class TestErrorExitCodes:
         code, _, err = run(capsys, "chain", str(path))
         assert code == 4
         assert "past three levels" in err
+
+    @pytest.mark.parametrize("command", ["chain", "first-class", "total-hamiltonian"])
+    def test_beyond_tertiary_by_an_exact_negative(self, capsys, tmp_path, command):
+        # Dirac's algorithm gives p4, p3, p2 and p1: a fourth level.  {p1, H_d}
+        # is proven outside the on-shell module, at every degree.
+        path = tmp_path / "four_levels.model"
+        path.write_text(
+            "[system]\nn_dof = 4\nhamiltonian = q2*p1 + q3*p2 + q4*p3\n"
+            "[primaries]\nP1 = p4\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, command, str(path))
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: bracket of tertiary constraint T1 with H_d is not weakly zero "
+            "(not in the on-shell module): the hierarchy continues past three levels\n"
+        )
 
     def test_inconsistent_system(self, capsys, tmp_path):
         path = tmp_path / "inconsistent.model"

@@ -213,26 +213,26 @@ class TestSizeCap:
     TARGET = "q1^9*p1*p2"
 
     @pytest.mark.parametrize(
-        "target, bound, basis_steps, solved",
+        "target, generators, bound, basis_steps, solved",
         [
-            # Only the columns of degree 9 and up reach the target's degree
-            # 11, so no degree below the cap is solved.
-            (TARGET, None, membership.MAX_BASIS_STEPS, []),
-            # q1*p2 is no member, but without a basis the ladder decides.
-            # It is a term of neither generator, so degree 0 is not solved;
-            # 70 unknowns in all, degree 0's 2 counted: at the cap, not over it.
-            # Columns built: none, as p1 and p1^2 are one-term generators,
-            # whose columns are implicit pivots.
-            ("q1*p2", 10, 0, [0, 0, 0]),
+            # The target's reach is 10, so no degree below the cap is
+            # solved; its normal form is zero, so the cap refuses it.
+            (TARGET, ("p1", "p1^2"), None, membership.MAX_BASIS_STEPS, []),
+            # q1 is no member, and the constant term divides it (reach 1).
+            # Without a basis the ladder decides: degrees 1 to 3 fail, 70
+            # unknowns in all, degree 0's 2 counted: at the cap, not over it.
+            # p1 is a one-term generator, so only q1*p2 - 1's columns are
+            # built, less p1 * t for deg t <= degree - 2 (Koszul columns).
+            ("q1", ("p1", "q1*p2 - 1"), 10, 0, [4, 9, 16]),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(
-        self, monkeypatch, empty_cache, target, bound, basis_steps, solved
+        self, monkeypatch, empty_cache, target, generators, bound, basis_steps, solved
     ):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
         monkeypatch.setattr(membership, "MAX_BASIS_STEPS", basis_steps)
         built = record_solved(monkeypatch)
-        generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
+        generators = [poly(g, SPACE) for g in generators]
         with pytest.raises(SearchTooLargeError) as info:
             decompose(poly(target, SPACE), generators, degree_bound=bound)
         assert [len(columns) for columns in built] == solved
@@ -241,9 +241,8 @@ class TestSizeCap:
         assert "140 unknowns" in message and "limit of 70" in message
 
     def test_non_member_over_the_cap_is_answered_exactly(self, monkeypatch):
-        # q1^9*p2 is no multiple of p1: after degree 0, which no column
-        # reaches, its nonzero normal form settles it, and no system over
-        # the cap is ever sized.
+        # q1^9*p2 is no multiple of p1, nor of any generator term: the screen
+        # settles it, and no system over the cap is ever sized.
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
         built = record_solved(monkeypatch)
         generators = [poly("p1", SPACE), poly("p1^2", SPACE)]
@@ -252,6 +251,25 @@ class TestSizeCap:
         assert outcome.degree_bound == 12
         assert outcome.message == "not representable within degree bound 12"
         assert built == []
+
+    def test_non_member_past_the_screen_is_answered_before_the_cap(
+        self, monkeypatch, empty_cache
+    ):
+        # The constant term divides q1^5 (reach 5), so no degree below the
+        # cap is solved; the normal form, consulted before degree 4, the
+        # first over the cap, settles it.
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
+        built = record_solved(monkeypatch)
+        consulted = []
+        real = membership._normal_form
+        monkeypatch.setattr(
+            membership, "_normal_form", lambda *a, **k: consulted.append(1) or real(*a, **k)
+        )
+        generators = [poly("p1", SPACE), poly("q1*p2 - 1", SPACE)]
+        outcome = decompose(poly("q1^5", SPACE), generators)
+        assert isinstance(outcome, NotFound) and outcome.exact
+        assert outcome.degree_bound == 7
+        assert built == [] and len(consulted) == 1
 
     def test_bound_within_the_cap_is_a_bounded_negative(self, monkeypatch):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 15)
@@ -647,6 +665,7 @@ class TestKeptSystems:
             ("q1", gens),
             ("q1*p1*p2", (poly("p1", SPACE), poly("p1^2", SPACE))),
             ("q2*p3", (poly("p3", SPACE), poly("q2 + q3", SPACE))),
+            ("q3^2*p2", (poly("p2", SPACE),)),
         ]
         for target, generators in searches:
             decompose(poly(target, SPACE), generators)
@@ -681,9 +700,9 @@ class TestKeptSystems:
             lambda self, other: compared.append(1) or real(self, other),
         )
         again = tuple(poly(g, SPACE) for g in self.GENERATORS)
-        basis = membership._groebner_basis(again)
+        index = membership._term_index(again)
         assert len(compared) == len(again)  # one comparison per generator
-        assert membership._groebner_basis(again) is basis
+        assert membership._term_index(again) is index
         assert len(compared) == len(again)  # the kept key is now `again`
 
     def test_threads_share_the_kept_systems(self, monkeypatch):

@@ -6,6 +6,7 @@ on seeded random ideals and on the on-shell modules of ``em_modes``.
 """
 
 import random
+import time
 
 import pytest
 import sympy as sp
@@ -242,16 +243,20 @@ class TestWorkPins:
         ]
 
     def test_exact_negatives_end_at_the_step_budget(self):
+        # q3^2 is a term of H_d - E, so only the normal form can settle it.
         # At n = 31 the basis passes MAX_BASIS_STEPS, and the ladder alone is
         # refused by the size cap.
         membership._KEPT.clear()
         try:
             space, gens = on_shell_ideal(30)
-            outcome = decompose(poly("q3*q4", space), gens, 4)
+            outcome = decompose(poly("q3^2", space), gens, 4)
             assert isinstance(outcome, NotFound) and outcome.exact
             space, gens = on_shell_ideal(31)
             with pytest.raises(SearchTooLargeError):
-                decompose(poly("q3*q4", space), gens, 4)
+                decompose(poly("q3^2", space), gens, 4)
+            # No generator term divides q3*q4: exact without a basis.
+            outcome = decompose(poly("q3*q4", space), gens, 4)
+            assert isinstance(outcome, NotFound) and outcome.exact
         finally:
             membership._KEPT.clear()
 
@@ -305,16 +310,86 @@ class TestDecomposeVerdicts:
         assert len(solved) == 1
 
 
+class TestReach:
+    """The screen on the generators' terms (``membership._reach``), against
+    sympy on the random ideals."""
+
+    def test_screened_targets_are_no_members(self):
+        rejected = 0
+        for space, gens, targets in random_ideals(3100, 60):
+            reference = sympy_basis(space, gens)
+            for target in targets:
+                if membership._reach(target, tuple(gens)) is None:
+                    rejected += 1
+                    assert sp.expand(reference.reduce(to_sympy(target))[1]) != 0
+        assert rejected == 60  # of 180 targets
+
+    def test_reach_bounds_every_certificate_degree(self):
+        rng = random.Random(3101)
+        checked = 0
+        for space, gens, _ in random_ideals(3101, 40):
+            for _ in range(3):
+                factors = [
+                    random_polynomial(rng, space, max_terms=3, max_degree=3, allow_parameters=True)
+                    for _ in gens
+                ]
+                member = PhasePolynomial.zero(space)
+                for h, g in zip(factors, gens):
+                    member = member + h * g
+                if member:
+                    reach = membership._reach(member, tuple(gens))
+                    assert reach is not None
+                    assert reach <= max(h.total_degree() for h in factors)
+                    checked += 1
+        assert checked == 120
+
+    def test_a_target_of_generator_terms_needs_no_index(self, monkeypatch):
+        space = PhaseSpace(2)
+        gens = (poly("q1*p1 - 1", space), poly("p2", space))
+        built = spy(monkeypatch, membership, "_build_term_index")
+        membership._KEPT.clear()
+        try:
+            assert membership._reach(poly("q1*p1 + 3*p2", space), gens) == 0
+            assert built == []
+            # q1*p1 divides q1*p1*p2 with the gap 1, p2 with the gap 2.
+            assert membership._reach(poly("q1*p1*p2", space), gens) == 1
+            assert len(built) == 1
+        finally:
+            membership._KEPT.clear()
+
+    def test_screen_is_skipped_above_the_term_pairs_cap(self, monkeypatch):
+        # 1001 target terms times 100 generator terms pass MAX_TERM_PAIRS,
+        # and each target monomial would be tested against every term
+        # listed under q1.  The reach falls back to deg target - deg g.
+        space = PhaseSpace(1)
+        g = PhasePolynomial(space, {(k, 1, 0): 1 for k in range(1, 101)})
+        target = PhasePolynomial(space, {(i, 0, 0): 1 for i in range(1, 1002)})
+        assert len(target.terms) * len(g.terms) > phase.MAX_TERM_PAIRS
+        membership._KEPT.clear()
+        try:
+            assert membership._reach(target, (g,)) == 1001 - 101
+            start = time.process_time()
+            outcome = decompose(target, [g])
+            spent = time.process_time() - start
+            # Before the first degree over the cap, the normal form settles it.
+            assert isinstance(outcome, NotFound) and outcome.exact
+            assert spent < 1.0
+            monkeypatch.setattr(phase, "MAX_TERM_PAIRS", len(target.terms) * len(g.terms))
+            assert membership._reach(target, (g,)) is None
+        finally:
+            membership._KEPT.clear()
+
+
 class TestNegativeWork:
-    """Timing-free pins on what a negative ``decompose`` does besides its
-    normal form, in exact call counts."""
+    """Timing-free pins on what a negative ``decompose`` does, in exact call
+    counts."""
 
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     @pytest.mark.parametrize(
         "n, generators, target",
-        [(5, None, "q3*q4"), (2, None, "q1*p1 + p3 - 1"), (2, ("p1", "q2^2 - 1"), "q1")],
+        [(5, None, "q3*q4"), (2, None, "q1*p1 + p3 - 1"), (2, ("p1", "q2^2 - p2"), "q1*q2")],
     )
-    def test_a_monomial_no_generator_has_costs_one_normal_form(
+    def test_a_monomial_no_generator_term_divides_costs_no_basis(
         self, monkeypatch, n, generators, target, cold
     ):
         # The on-shell module of em_modes(n), or the generators on PhaseSpace(n).
@@ -324,34 +399,33 @@ class TestNegativeWork:
             space = PhaseSpace(n)
             gens = [poly(g, space) for g in generators]
         target = poly(target, space)
-        assert any(all(m not in g.terms for g in gens) for m in target.terms)
         membership._KEPT.clear()
         if not cold:
             membership._groebner_basis(tuple(gens))
         solved = spy(monkeypatch, membership, "solve_sparse")
         used = spy(monkeypatch, PhasePolynomial, "used_indices")
-        unpacked = spy(monkeypatch, membership._Layout, "unpack_terms")
         normal_forms = spy(monkeypatch, membership, "_normal_form")
+        bases = spy(monkeypatch, membership, "_buchberger")
         try:
             outcome = decompose(target, gens, 3)
         finally:
             membership._KEPT.clear()
         assert isinstance(outcome, NotFound) and outcome.exact
         assert outcome.degree_bound == 3
-        assert len(normal_forms) == 1
-        assert solved == [] and unpacked == []
+        assert normal_forms == [] and solved == [] and bases == []
         assert not any(args[0] is target for args in used)
 
     def test_a_member_with_such_a_monomial_climbs_from_degree_1(self, monkeypatch):
-        # q2 is a term of neither generator: one normal form, zero, then one
-        # solve at degree 1 finds the certificate.
+        # q2 is a term of neither generator, but the constant term divides
+        # it: the reach is 1, and one solve there finds the certificate,
+        # with no basis.
         space = PhaseSpace(2)
         gens = [poly("q1*p1 - 1", space), poly("p2^2", space)]
         solved = spy(monkeypatch, membership, "solve_sparse")
         normal_forms = spy(monkeypatch, membership, "_normal_form")
         outcome = decompose(poly("q2*(q1*p1 - 1) + p1*p2^2", space), gens, 3)
         assert [str(c) for c in outcome.coefficients] == ["q2", "p1"]
-        assert len(normal_forms) == 1 and len(solved) == 1
+        assert normal_forms == [] and len(solved) == 1
 
     def test_a_non_member_within_the_generators_terms_solves_degree_0(self, monkeypatch):
         # q1*p1 is a term of q1*p1 - 1, so degree 0 is solved first; its
@@ -363,6 +437,17 @@ class TestNegativeWork:
         outcome = decompose(poly("q1*p1 + 3*p2", space), gens, 3)
         assert isinstance(outcome, NotFound) and outcome.exact
         assert len(solved) == 1 and unpacked == []
+
+    def test_a_non_member_past_the_screen_solves_once_at_its_reach(self, monkeypatch):
+        # The constant term of q2^2 - 1 divides q1, so the reach is 1: one
+        # failing solve there, then one normal form settles it.
+        space = PhaseSpace(2)
+        gens = [poly("p1", space), poly("q2^2 - 1", space)]
+        solved = spy(monkeypatch, membership, "solve_sparse")
+        normal_forms = spy(monkeypatch, membership, "_normal_form")
+        outcome = decompose(poly("q1", space), gens, 3)
+        assert isinstance(outcome, NotFound) and outcome.exact
+        assert len(solved) == 1 and len(normal_forms) == 1
 
 
 class TestBudgets:
@@ -383,13 +468,18 @@ class TestBudgets:
             membership._KEPT.clear()
 
     def test_tiny_reduction_budget_falls_back_to_the_ladder(self, monkeypatch):
+        # The constant term of p2 - 1 divides every monomial, so only the
+        # normal form can prove these targets no members.
         monkeypatch.setattr(membership, "MAX_REDUCTION_STEPS", 2)
         space = PhaseSpace(2)
-        gens = (poly("p1", space), poly("p2", space))
+        gens = (poly("p1", space), poly("p2 - 1", space))
         outcome = decompose(poly("q1^2 + q1*q2 + q2^2", space), gens, degree_bound=1)
         assert isinstance(outcome, NotFound) and not outcome.exact
         small = decompose(poly("q1", space), gens, degree_bound=1)
         assert isinstance(small, NotFound) and small.exact
+        # Members are still found by the ladder.
+        member = decompose(poly("q1^2*(p2 - 1) + q2*p1", space), gens, degree_bound=2)
+        assert isinstance(member, IdealDecomposition) and member.verify()
 
     def test_exhausted_basis_is_memoised(self, monkeypatch):
         membership._KEPT.clear()
