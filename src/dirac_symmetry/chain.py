@@ -87,31 +87,24 @@ class ConstrainedSystem(_Frozen):
 
 
 class ConstraintChain(NamedTuple):
-    """Three-level constraint hierarchy with bracket-decomposition tables.
+    """Three-level constraint hierarchy, indexed by level (``LEVELS``).
 
-    ``primary_to_secondary[i][l]`` is the coefficient of secondary l in
-    {primary i, H_d}; likewise ``primary_to_tertiary`` and
-    ``secondary_to_tertiary``.  Components that fall outside that strict
-    level pattern (e.g. a primary bracket with a component on a primary) are
-    kept in the spill tables and clear the ``strict_level_form`` flag.
+    ``levels[d]`` holds level d's constraints, ``names[d]`` their names and
+    ``brackets[d]`` their brackets with H_d.  ``rows`` has one row per primary
+    and per secondary bracket, in level order: the bracket's constant
+    coordinates over every constraint.  ``table`` reads a block of them, so
+    ``table(0, 1, 2)`` is the primary->secondary table.  In the strict level
+    form every bracket lies on the next level alone, and the off-level blocks
+    ``table(0, 0, 1)`` and ``table(1, 0, 2)`` are zero.  ``tertiary_closure``
+    certifies each tertiary bracket over the on-shell module.
     """
 
     system: ConstrainedSystem
-    secondaries: tuple[PhasePolynomial, ...]
-    tertiaries: tuple[PhasePolynomial, ...]
-    secondary_names: tuple[str, ...]
-    tertiary_names: tuple[str, ...]
-    primary_brackets: tuple[PhasePolynomial, ...]
-    secondary_brackets: tuple[PhasePolynomial, ...]
-    tertiary_brackets: tuple[PhasePolynomial, ...]
-    primary_to_secondary: tuple[tuple[PhasePolynomial, ...], ...]
-    primary_to_tertiary: tuple[tuple[PhasePolynomial, ...], ...]
-    secondary_to_tertiary: tuple[tuple[PhasePolynomial, ...], ...]
-    primary_spill: tuple[tuple[PhasePolynomial, ...], ...]
-    secondary_spill: tuple[tuple[PhasePolynomial, ...], ...]
+    levels: tuple[tuple[PhasePolynomial, ...], ...]
+    names: tuple[tuple[str, ...], ...]
+    brackets: tuple[tuple[PhasePolynomial, ...], ...]
+    rows: tuple[tuple[PhasePolynomial, ...], ...]
     tertiary_closure: tuple[IdealDecomposition, ...]
-    ordering_ok: bool
-    strict_level_form: bool
     degree_bound: int | None
 
     @property
@@ -119,36 +112,39 @@ class ConstraintChain(NamedTuple):
         return self.system.space
 
     @property
-    def primaries(self) -> tuple[PhasePolynomial, ...]:
-        return self.system.primaries
+    def counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.levels))
 
     @property
-    def primary_names(self) -> tuple[str, ...]:
-        return self.system.primary_names
+    def ordering_ok(self) -> bool:
+        """N_p >= N_s >= N_t, which holds by construction: each bracket adds
+        at most one constraint to the next level."""
+        n_p, n_s, n_t = self.counts
+        return n_p >= n_s >= n_t
 
     @property
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.primaries), len(self.secondaries), len(self.tertiaries))
+    def strict_level_form(self) -> bool:
+        """No bracket has a component on its own level or an earlier one."""
+        return not any(
+            any(row) for depth in (0, 1) for row in self.table(depth, 0, depth + 1)
+        )
 
-    def level_polys(self, level: str) -> tuple[PhasePolynomial, ...]:
-        return {
-            "primary": self.primaries,
-            "secondary": self.secondaries,
-            "tertiary": self.tertiaries,
-        }[level]
-
-    def level_names(self, level: str) -> tuple[str, ...]:
-        return {
-            "primary": self.primary_names,
-            "secondary": self.secondary_names,
-            "tertiary": self.tertiary_names,
-        }[level]
+    def table(
+        self, row_level: int, first_level: int, stop_level: int
+    ) -> tuple[tuple[PhasePolynomial, ...], ...]:
+        """The coordinates of level `row_level`'s brackets on the constraints
+        of levels `first_level` up to, not including, `stop_level`."""
+        counts = self.counts
+        start, first, stop = (sum(counts[:d]) for d in (row_level, first_level, stop_level))
+        return tuple(
+            row[first:stop] for row in self.rows[start : start + counts[row_level]]
+        )
 
     def all_constraints(self) -> tuple[PhasePolynomial, ...]:
-        return self.primaries + self.secondaries + self.tertiaries
+        return sum(self.levels, ())
 
     def all_names(self) -> tuple[str, ...]:
-        return self.primary_names + self.secondary_names + self.tertiary_names
+        return sum(self.names, ())
 
     def on_shell_generators(
         self, include_energy: bool = True
@@ -176,12 +172,12 @@ def _build_chain(
     """
     space, h_d = system.space, system.h_d
     levels = (list(system.primaries), *(list(polys) for polys in given or ((), ())))
-    names: tuple[list[str], ...] = (list(system.primary_names), [], [])
+    names = (list(system.primary_names), [], [])
     span = RationalSpan()
     for depth, level in enumerate(levels):
         for index, poly in enumerate(level):
             span.add(poly.terms, (depth, index))
-    brackets: tuple[list[PhasePolynomial], ...] = ([], [], [])
+    brackets = ([], [], [])
     coordinates = []
     for depth, level in enumerate(levels):
         for index, poly in enumerate(level):
@@ -205,7 +201,8 @@ def _build_chain(
                 _consistent_residual(space, residual, name)
             coordinates.append(row)
 
-    all_constraints = tuple(levels[0] + levels[1] + levels[2])
+    levels, names, brackets = (tuple(map(tuple, lists)) for lists in (levels, names, brackets))
+    all_constraints = sum(levels, ())
     keys = [(d, i) for d, level in enumerate(levels) for i in range(len(level))]
     zero = PhasePolynomial.zero(space)
     rows = []
@@ -230,29 +227,8 @@ def _build_chain(
                 bracket=bracket,
             )
         closures.append(outcome)
-
-    n_p, n_s, n_t = map(len, levels)
-    primary_rows, secondary_rows = rows[:n_p], rows[n_p:]
-    spill_p = tuple(row[:n_p] for row in primary_rows)
-    spill_s = tuple(row[: n_p + n_s] for row in secondary_rows)
     return ConstraintChain(
-        system=system,
-        secondaries=tuple(levels[1]),
-        tertiaries=tuple(levels[2]),
-        secondary_names=tuple(names[1]),
-        tertiary_names=tuple(names[2]),
-        primary_brackets=tuple(brackets[0]),
-        secondary_brackets=tuple(brackets[1]),
-        tertiary_brackets=tuple(brackets[2]),
-        primary_to_secondary=tuple(row[n_p : n_p + n_s] for row in primary_rows),
-        primary_to_tertiary=tuple(row[n_p + n_s :] for row in primary_rows),
-        secondary_to_tertiary=tuple(row[n_p + n_s :] for row in secondary_rows),
-        primary_spill=spill_p,
-        secondary_spill=spill_s,
-        tertiary_closure=tuple(closures),
-        ordering_ok=n_p >= n_s >= n_t,
-        strict_level_form=not any(any(row) for row in spill_p + spill_s),
-        degree_bound=degree_bound,
+        system, levels, names, brackets, tuple(rows), tuple(closures), degree_bound
     )
 
 
@@ -280,25 +256,22 @@ def recombine_level(
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
-    old = chain.level_polys(level)
+    depth = LEVELS.index(level)
+    old = chain.levels[depth]
     n = len(old)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"recombination matrix must be {n}x{n}")
     if rational_rank({j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix) != n:
         raise ValueError("recombination matrix must be invertible over the rationals")
     zero = PhasePolynomial.zero(chain.space)
-    new_polys = tuple(
+    levels = list(chain.levels)
+    levels[depth] = tuple(
         sum((Fraction(c) * phi for c, phi in zip(row, old)), zero) for row in matrix
     )
     system = chain.system
-    given = [chain.secondaries, chain.tertiaries]
-    if level == "primary":
-        system = ConstrainedSystem(
-            chain.space, system.h_d, new_polys, chain.primary_names
-        )
-    else:
-        given[LEVELS.index(level) - 1] = new_polys
-    return _build_chain(system, chain.degree_bound, given)
+    if depth == 0:
+        system = ConstrainedSystem(chain.space, system.h_d, levels[0], system.primary_names)
+    return _build_chain(system, chain.degree_bound, levels[1:])
 
 
 class TotalHamiltonian(NamedTuple):
@@ -319,10 +292,11 @@ def assemble_total_hamiltonian(
     constraints with the multipliers themselves as coefficients, which is the
     weak equality of the total and dynamical Hamiltonians.
     """
-    v_names = tuple(f"v{i}" for i in range(1, len(chain.primaries) + 1))
-    u_names = tuple(f"u{j}" for j in range(1, len(chain.secondaries) + 1))
-    w_names = tuple(f"w{k}" for k in range(1, len(chain.tertiaries) + 1))
-    fresh = v_names + u_names + w_names
+    multiplier_names = tuple(
+        tuple(f"{letter}{i}" for i in range(1, len(level) + 1))
+        for letter, level in zip("vuw", chain.levels)
+    )
+    fresh = sum(multiplier_names, ())
     clash = [name for name in fresh if system.space.has_identifier(name)]
     if clash:
         raise ReservedParameterError(
@@ -345,7 +319,7 @@ def assemble_total_hamiltonian(
     )
     if not certificate.verify():  # pragma: no cover - structural identity
         raise RuntimeError("internal error: total-Hamiltonian certificate invalid")
-    return TotalHamiltonian(ext, h_tot, (v_names, u_names, w_names), certificate)
+    return TotalHamiltonian(ext, h_tot, multiplier_names, certificate)
 
 
 class PairBracketCheck(NamedTuple):

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 from . import report as rpt
 from .chain import (
+    LEVELS,
     ConstraintChain,
     assemble_total_hamiltonian,
     first_class_check,
@@ -162,18 +163,14 @@ def _resolve_options(args, model: ModelFile):
 
 
 def _compare_declared_levels(chain: ConstraintChain, model: ModelFile) -> dict | None:
-    declared_by_level = {
-        "secondary": model.declared_secondaries,
-        "tertiary": model.declared_tertiaries,
-    }
-    if all(value is None for value in declared_by_level.values()):
+    declared_levels = (model.declared_secondaries, model.declared_tertiaries)
+    if all(declared is None for declared in declared_levels):
         return None
     match = True
     details: list[str] = []
-    for level, declared in declared_by_level.items():
+    for level, declared, generated in zip(LEVELS[1:], declared_levels, chain.levels[1:]):
         if declared is None:
             continue
-        generated = chain.level_polys(level)
         problems = []
         if len(declared) != len(generated):
             problems.append(
@@ -267,6 +264,17 @@ COMMANDS = {
 }
 
 
+def _write(stream, text: str) -> None:
+    """Write `text` to `stream`, each character that the stream's encoding
+    cannot hold as a backslash escape (é as \\xe9).  A write that fails to
+    encode leaves nothing behind, so the text is then written whole again."""
+    try:
+        stream.write(text)
+    except UnicodeEncodeError:
+        encoding = stream.encoding
+        stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _run(args) -> int:
     model = load_model_file(args.file)
     # The reports name the file as given.  Bytes of the name that are not
@@ -277,7 +285,7 @@ def _run(args) -> int:
     )
     options = _resolve_options(args, model)
     report, text_view, code = COMMANDS[args.command](args, model, *options)
-    sys.stdout.write(rpt.render(report, text_view, args.format))
+    _write(sys.stdout, rpt.render(report, text_view, args.format))
     return code
 
 
@@ -289,19 +297,19 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ModelFileError, ParseError,
             DependentPrimariesError, ReservedParameterError,
             SearchTooLargeError, ProductTooLargeError) as exc:
-        sys.stderr.write(f"error: invalid input: {exc}\n")
+        _write(sys.stderr, f"error: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     except InconsistentSystemError as exc:
-        sys.stderr.write(f"finding: inconsistent system: {exc}\n")
+        _write(sys.stderr, f"finding: inconsistent system: {exc}\n")
         return EXIT_INCONSISTENT
     except ChainBeyondTertiaryError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_BEYOND_TERTIARY
     except DiracSymmetryError as exc:  # remaining library errors are unexpected
-        sys.stderr.write(f"internal error: {exc}\n")
+        _write(sys.stderr, f"internal error: {exc}\n")
         return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        _write(sys.stderr, f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 
 

@@ -164,9 +164,6 @@ class IdealDecomposition:
             c.total_degree() <= self.degree_bound for c in self.coefficients
         )
 
-    def is_zero_certificate(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
-
 
 class NotFound(NamedTuple):
     """Negative decomposition result.
@@ -498,13 +495,12 @@ def _build_basis(generators: tuple[PhasePolynomial, ...]) -> tuple[_Basis | None
 
 
 def _normal_form(
-    target: PhasePolynomial, generators: tuple[PhasePolynomial, ...], unpack: bool = True
-) -> dict[Exponents, Fraction] | dict[int, Fraction] | None:
+    target: PhasePolynomial, generators: tuple[PhasePolynomial, ...]
+) -> dict[Exponents, Fraction] | None:
     """The target's normal form modulo the generators' reduced Groebner
     basis: zero exactly for members of the ideal they generate in the
     polynomial ring over every declared identifier.  Some generator must be
-    nonzero.  None when a step budget runs out.  With ``unpack=False`` the
-    remainder stays packed, for a caller that only tests it for emptiness.
+    nonzero.  None when a step budget runs out.
 
     Membership in that ring is the same question the degree ladder asks,
     although the ladder's coefficients use only the identifiers the target
@@ -534,7 +530,7 @@ def _normal_form(
         remainder = _reduce(packed, polys, layout.guards, _Steps(MAX_REDUCTION_STEPS))
     except _OutOfSteps:
         return None
-    return layout.unpack_terms(remainder) if unpack else remainder
+    return layout.unpack_terms(remainder)
 
 
 # ----------------------------------------------------------------------
@@ -904,7 +900,7 @@ def decompose(
         unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
         if unknowns > MAX_UNKNOWNS:
             # At degree 0 the generators alone pass the cap: refused first.
-            if degree and consult and _normal_form(target, generators, unpack=False):
+            if degree and consult and _normal_form(target, generators):
                 return NotFound(degree_bound, mode, exact=True)
             raise SearchTooLargeError(
                 f"membership search up to coefficient degree {degree} would "
@@ -931,10 +927,10 @@ def decompose(
                 )
             return result
         if consult:
-            if _normal_form(target, generators, unpack=False):
+            if _normal_form(target, generators):
                 return NotFound(degree_bound, mode, exact=True)
             consult = False  # a member above this degree, or a budget ran out
-    if consult and _normal_form(target, generators, unpack=False):
+    if consult and _normal_form(target, generators):
         return NotFound(degree_bound, mode, exact=True)
     return NotFound(degree_bound, mode)
 

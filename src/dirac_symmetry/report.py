@@ -109,9 +109,9 @@ def _levels_dict(chain: ConstraintChain) -> dict:
     return {
         level: [
             {"name": name, "constraint": _text(poly)}
-            for name, poly in zip(chain.level_names(level), chain.level_polys(level))
+            for name, poly in zip(names, polys)
         ]
-        for level in LEVELS
+        for level, names, polys in zip(LEVELS, chain.names, chain.levels)
     }
 
 
@@ -139,16 +139,12 @@ def chain_report(
             "span of all known constraints"
         ),
         "levels": _levels_dict(chain),
-        "counts": {
-            "primary": chain.counts[0],
-            "secondary": chain.counts[1],
-            "tertiary": chain.counts[2],
-        },
+        "counts": dict(zip(LEVELS, chain.counts)),
         "ordering_ok": chain.ordering_ok,
         "strict_level_form": chain.strict_level_form,
         "tables": {
-            key: _table_dict(getattr(chain, key))
-            for _, key, _, _ in _TABLES + _OFF_LEVEL_TABLES
+            key: _table_dict(chain.table(*blocks))
+            for _, key, *blocks in _TABLES + _OFF_LEVEL_TABLES
         },
         "tertiary_closure": [
             {
@@ -157,7 +153,7 @@ def chain_report(
                 "certificate": certificate_dict(cert, ideal_names),
             }
             for name, bracket, cert in zip(
-                chain.tertiary_names, chain.tertiary_brackets, chain.tertiary_closure
+                chain.names[2], chain.brackets[2], chain.tertiary_closure
             )
         ],
     }
@@ -183,22 +179,18 @@ def _table_lines(
     return [f"{title}:", *entries]
 
 
-# (title, table key, row level, column levels) of the chain's bracket tables,
-# in the key order of the report's "tables"; the off-level ones are printed
-# only when the strict level form fails.
+# (title, table key, row level, first and stop column levels) of the chain's
+# bracket tables, as ``ConstraintChain.table`` takes the levels, in the key
+# order of the report's "tables"; the off-level ones are printed only when
+# the strict level form fails.
 _TABLES = (
-    ("primary->secondary coefficients", "primary_to_secondary", "primary", ("secondary",)),
-    ("primary->tertiary coefficients", "primary_to_tertiary", "primary", ("tertiary",)),
-    ("secondary->tertiary coefficients", "secondary_to_tertiary", "secondary", ("tertiary",)),
+    ("primary->secondary coefficients", "primary_to_secondary", 0, 1, 2),
+    ("primary->tertiary coefficients", "primary_to_tertiary", 0, 2, 3),
+    ("secondary->tertiary coefficients", "secondary_to_tertiary", 1, 2, 3),
 )
 _OFF_LEVEL_TABLES = (
-    ("off-level components of primary brackets", "primary_spill", "primary", ("primary",)),
-    (
-        "off-level components of secondary brackets",
-        "secondary_spill",
-        "secondary",
-        ("primary", "secondary"),
-    ),
+    ("off-level components of primary brackets", "primary_spill", 0, 0, 1),
+    ("off-level components of secondary brackets", "secondary_spill", 1, 0, 2),
 )
 
 
@@ -206,7 +198,7 @@ def chain_text(report: dict) -> str:
     space = report["space"]
     levels = report["levels"]
     counts = report["counts"]
-    names = {level: [c["name"] for c in levels[level]] for level in LEVELS}
+    names = [[c["name"] for c in levels[level]] for level in LEVELS]
     lines = [
         _bold(f"constraint chain for {report['file']}"),
         f"phase space: n_dof={space['n_dof']}, "
@@ -217,8 +209,7 @@ def chain_text(report: dict) -> str:
         lines.append(f"{level} constraints ({len(levels[level])}):")
         lines += [f"  {c['name']} = {c['constraint']}" for c in levels[level]]
     lines += [
-        f"counts: N_p={counts['primary']}, N_s={counts['secondary']}, "
-        f"N_t={counts['tertiary']}",
+        "counts: " + ", ".join(f"N_{level[0]}={counts[level]}" for level in LEVELS),
         "ordering N_p >= N_s >= N_t: "
         + _verdict_mark(report["ordering_ok"], bad="VIOLATED"),
         "strict level form: "
@@ -226,9 +217,9 @@ def chain_text(report: dict) -> str:
         f"reduction policy: {report['reduction_policy']}",
     ]
     tables = _TABLES if report["strict_level_form"] else _TABLES + _OFF_LEVEL_TABLES
-    for title, key, row_level, col_levels in tables:
-        col_names = [name for level in col_levels for name in names[level]]
-        lines += _table_lines(title, report["tables"][key], names[row_level], col_names)
+    for title, key, row, first, stop in tables:
+        col_names = [name for level in names[first:stop] for name in level]
+        lines += _table_lines(title, report["tables"][key], names[row], col_names)
     if report["tertiary_closure"]:
         lines.append("tertiary closure:")
         lines += [
@@ -255,7 +246,6 @@ def chain_text(report: dict) -> str:
 def total_hamiltonian_report(
     chain: ConstraintChain, total: TotalHamiltonian, file_label: str
 ) -> dict:
-    v_names, u_names, w_names = total.multiplier_names
     constraint_names = chain.all_names()
     return {
         "command": "total-hamiltonian",
@@ -264,9 +254,7 @@ def total_hamiltonian_report(
         "h_d": _text(chain.system.h_d),
         "h_tot": _text(total.h_tot),
         "multipliers": {
-            "primary": list(v_names),
-            "secondary": list(u_names),
-            "tertiary": list(w_names),
+            level: list(names) for level, names in zip(LEVELS, total.multiplier_names)
         },
         "weak_equality_certificate": certificate_dict(
             total.certificate, constraint_names
@@ -372,6 +360,7 @@ def symmetry_report(
     file_label: str,
 ) -> dict:
     ideal_names, _ = chain.on_shell_generators(verdict.include_energy)
+    level_names = dict(zip(LEVELS, chain.names))
     generators = []
     for gv in verdict.generator_verdicts:
         level_entries = []
@@ -381,7 +370,7 @@ def symmetry_report(
                 "constraint": image.name,
                 "image": _text(image.image),
                 "within_level": certificate_dict(
-                    image.within_level, chain.level_names(image.level)
+                    image.within_level, level_names[image.level]
                 ),
             }
             if image.across_levels is not None:

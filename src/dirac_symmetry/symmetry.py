@@ -148,11 +148,7 @@ def check_level_preservation(
     offending pairs named.  A zero image is not searched: every zero image of
     a level shares one all-zero certificate over that level.
     """
-    levels = (
-        (LEVELS[0], chain.primaries, chain.primary_names),
-        (LEVELS[1], chain.secondaries, chain.secondary_names),
-        (LEVELS[2], chain.tertiaries, chain.tertiary_names),
-    )
+    levels = tuple(zip(LEVELS, chain.levels, chain.names))
     all_polys = chain.all_constraints()
     targets = None  # (level, name) of every constraint, once a mixing needs it
     images: list[ConstraintImage] = []

@@ -33,6 +33,7 @@ from dirac_symmetry import (
     recombine_level,
     three_level_chain,
 )
+from dirac_symmetry.chain import LEVELS
 from dirac_symmetry.cli import main as cli_main
 from dirac_symmetry.membership import IdealDecomposition
 
@@ -128,9 +129,9 @@ def test_criterion_04_three_level_chain_values():
     chain = generate_chain(model.system)
     elapsed = time.perf_counter() - start
     assert chain.counts == (1, 1, 1)
-    assert chain.primary_to_secondary[0][0].constant_value() == F(-1)
-    assert chain.secondary_to_tertiary[0][0].constant_value() == F(-1)
-    assert chain.tertiary_brackets[0].is_zero()
+    assert chain.table(0, 1, 2)[0][0].constant_value() == F(-1)
+    assert chain.table(1, 2, 3)[0][0].constant_value() == F(-1)
+    assert chain.brackets[2][0].is_zero()
     assert chain.ordering_ok
     assert elapsed < 1.0, f"chain generation took {elapsed:.3f}s"
     report_pass(
@@ -192,7 +193,7 @@ def test_criterion_06_so3_recovery():
 def test_criterion_07_on_shell_but_not_strict():
     model = em_modes(1)
     chain = generate_chain(model.system)
-    constraint = chain.primaries[0]
+    constraint = chain.levels[0][0]
     generator = constraint * poly("q3", chain.space)  # constraint * polynomial
     commutation, bracket, certificate = check_dynamical_symmetry(
         generator, model.system, chain
@@ -257,8 +258,8 @@ def test_criterion_09_verdict_invariances():
                 )
                 verdict = classify(scaled, model.system, chain)
                 assert verdict.overall is base[set_name].overall, (name, set_name)
-        for level in ("primary", "secondary", "tertiary"):
-            size = len(chain.level_polys(level))
+        for level, polys in zip(LEVELS, chain.levels):
+            size = len(polys)
             if size == 0:
                 continue
             recombined = recombine_level(chain, level, matrix_cache[size])
@@ -306,8 +307,8 @@ def test_criterion_10_determinism_and_roundtrip(capsys):
         chain_a = generate_chain(model.system)
         chain_b = generate_chain(reparsed.system)
         assert chain_a.counts == chain_b.counts
-        assert chain_a.secondaries == chain_b.secondaries
-        assert chain_a.primary_to_secondary == chain_b.primary_to_secondary
+        assert chain_a.levels[1] == chain_b.levels[1]
+        assert chain_a.table(0, 1, 2) == chain_b.table(0, 1, 2)
         for set_name, gen_set in model.generator_sets.items():
             v_a = classify(gen_set, model.system, chain_a)
             v_b = classify(
@@ -321,10 +322,8 @@ def test_criterion_10_determinism_and_roundtrip(capsys):
     report = json.loads(capsys.readouterr().out)
     model = three_level_chain()
     chain = generate_chain(model.system)
-    for level in ("primary", "secondary", "tertiary"):
-        for entry, expected in zip(
-            report["levels"][level], chain.level_polys(level)
-        ):
+    for level, polys in zip(LEVELS, chain.levels):
+        for entry, expected in zip(report["levels"][level], polys):
             assert parse_polynomial(entry["constraint"], chain.space) == expected
     assert F(report["tables"]["primary_to_secondary"][0][0]) == F(-1)
     assert F(report["tables"]["secondary_to_tertiary"][0][0]) == F(-1)

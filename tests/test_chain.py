@@ -37,51 +37,51 @@ def cascade_system():
     return ConstrainedSystem(space, h_d, (poly("p1", space),), ("P1",))
 
 
+def assert_tables_tile_rows(chain):
+    """The five ``table`` blocks, laid side by side in level order, are the
+    rows: each primary row is its spill and its secondary and tertiary
+    coordinates, each secondary row its spill and its tertiary ones."""
+    primary = zip(chain.table(0, 0, 1), chain.table(0, 1, 2), chain.table(0, 2, 3))
+    secondary = zip(chain.table(1, 0, 2), chain.table(1, 2, 3))
+    tiled = [spill + to_s + to_t for spill, to_s, to_t in primary]
+    tiled += [spill + to_t for spill, to_t in secondary]
+    assert tuple(tiled) == chain.rows
+    assert chain.strict_level_form == all(
+        c.is_zero() for spill in chain.table(0, 0, 1) + chain.table(1, 0, 2) for c in spill
+    )
+
+
 def assert_relations_reexpand(chain):
     """Recompute every bracket {constraint, H_d} and re-expand its recorded
-    relation: each table row, spill included, and each tertiary certificate."""
+    relation: each row over all constraints, and each tertiary certificate."""
     h_d = chain.system.h_d
-
-    def expand(row, polys):
-        assert len(row) == len(polys)
+    constraints = chain.all_constraints()
+    for level, brackets in zip(chain.levels, chain.brackets):
+        assert brackets == tuple(poisson(phi, h_d) for phi in level)
+    brackets = chain.brackets[0] + chain.brackets[1]
+    assert len(chain.rows) == len(brackets)
+    for row, bracket in zip(chain.rows, brackets):
+        assert len(row) == len(constraints)
         total = poly("0", chain.space)
-        for coeff, phi in zip(row, polys):
+        for coeff, phi in zip(row, constraints):
             total = total + coeff * phi
-        return total
-
-    for i, primary in enumerate(chain.primaries):
-        expected = poisson(primary, h_d)
-        assert chain.primary_brackets[i] == expected
-        assert expected == (
-            expand(chain.primary_spill[i], chain.primaries)
-            + expand(chain.primary_to_secondary[i], chain.secondaries)
-            + expand(chain.primary_to_tertiary[i], chain.tertiaries)
-        )
-    for j, secondary in enumerate(chain.secondaries):
-        expected = poisson(secondary, h_d)
-        assert chain.secondary_brackets[j] == expected
-        assert expected == (
-            expand(chain.secondary_spill[j], chain.primaries + chain.secondaries)
-            + expand(chain.secondary_to_tertiary[j], chain.tertiaries)
-        )
-    assert len(chain.tertiary_closure) == len(chain.tertiaries)
-    for k, tertiary in enumerate(chain.tertiaries):
-        expected = poisson(tertiary, h_d)
-        assert chain.tertiary_brackets[k] == expected
-        certificate = chain.tertiary_closure[k]
-        assert certificate.target == expected
-        assert certificate.expand() == expected
+        assert total == bracket
+    assert_tables_tile_rows(chain)
+    assert len(chain.tertiary_closure) == len(chain.levels[2])
+    for bracket, certificate in zip(chain.brackets[2], chain.tertiary_closure):
+        assert certificate.target == bracket
+        assert certificate.expand() == bracket
 
 
 class TestGenerateChain:
     def test_three_level_cascade(self):
         chain = generate_chain(cascade_system())
         assert chain.counts == (1, 1, 1)
-        assert chain.secondaries == (poly("p2", chain.space),)
-        assert chain.tertiaries == (poly("p3", chain.space),)
-        assert chain.primary_to_secondary[0][0] == poly("-1", chain.space)
-        assert chain.secondary_to_tertiary[0][0] == poly("-1", chain.space)
-        assert chain.tertiary_brackets[0].is_zero()
+        assert chain.levels[1] == (poly("p2", chain.space),)
+        assert chain.levels[2] == (poly("p3", chain.space),)
+        assert chain.table(0, 1, 2)[0][0] == poly("-1", chain.space)
+        assert chain.table(1, 2, 3)[0][0] == poly("-1", chain.space)
+        assert chain.brackets[2][0].is_zero()
         assert chain.ordering_ok
         assert chain.strict_level_form
 
@@ -187,9 +187,9 @@ class TestGenerateChain:
     def test_determinism(self):
         first = generate_chain(cascade_system())
         second = generate_chain(cascade_system())
-        assert first.secondaries == second.secondaries
-        assert first.tertiaries == second.tertiaries
-        assert first.primary_to_secondary == second.primary_to_secondary
+        assert first.levels[1] == second.levels[1]
+        assert first.levels[2] == second.levels[2]
+        assert first.table(0, 1, 2) == second.table(0, 1, 2)
 
     def test_count_sanity(self):
         for n in (1, 2, 3):
@@ -210,8 +210,8 @@ class TestRecombineLevel:
     )
     def test_recombined_tables_still_reexpand(self, system, matrix):
         chain = generate_chain(system())
-        for level in ("primary", "secondary", "tertiary"):
-            size = len(chain.level_polys(level))
+        for level, polys in zip(chain_module.LEVELS, chain.levels):
+            size = len(polys)
             square = [row[:size] for row in matrix[:size]]
             recombined = recombine_level(chain, level, square)
             assert recombined.counts == chain.counts
@@ -273,8 +273,8 @@ def random_cascade_chains(seed, count):
 def random_recombinations(chain, rng):
     """The chain with each nonempty level recombined by a random invertible
     rational matrix."""
-    for level in ("primary", "secondary", "tertiary"):
-        size = len(chain.level_polys(level))
+    for level, polys in zip(chain_module.LEVELS, chain.levels):
+        size = len(polys)
         while size:
             matrix = [
                 [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
@@ -288,26 +288,16 @@ def random_recombinations(chain, rng):
 
 
 def assert_tables_match_constant_decompose(chain):
-    """Every table row, spill included, equals the constant-mode certificate
-    of its bracket over all constraints, the unique one since the
-    constraints are rationally independent."""
+    """Every row, spill included, equals the constant-mode certificate of its
+    bracket over all constraints, the unique one since the constraints are
+    rationally independent."""
     constraints = chain.all_constraints()
-    rows = [
-        spill + to_s + to_t
-        for spill, to_s, to_t in zip(
-            chain.primary_spill, chain.primary_to_secondary, chain.primary_to_tertiary
-        )
-    ] + [
-        spill + to_t for spill, to_t in zip(chain.secondary_spill, chain.secondary_to_tertiary)
-    ]
-    brackets = chain.primary_brackets + chain.secondary_brackets
-    assert len(rows) == len(brackets)
-    for row, bracket in zip(rows, brackets):
+    brackets = chain.brackets[0] + chain.brackets[1]
+    assert len(chain.rows) == len(brackets)
+    for row, bracket in zip(chain.rows, brackets):
         oracle = decompose(bracket, constraints, mode=CoefficientMode.CONSTANT)
         assert row == oracle.coefficients
-    assert chain.strict_level_form == all(
-        c.is_zero() for spill in chain.primary_spill + chain.secondary_spill for c in spill
-    )
+    assert_tables_tile_rows(chain)
 
 
 class TestTablesAgainstDecompose:
@@ -329,15 +319,16 @@ class TestTablesAgainstDecompose:
         rng = random.Random(7)
         chains = random_cascade_chains(2024, 100)
         for chain in chains:
+            assert chain.ordering_ok
             assert_tables_match_constant_decompose(chain)
             # Generated constraints are normalized: leading coefficient +1.
-            for constraint in chain.secondaries + chain.tertiaries:
+            for constraint in chain.levels[1] + chain.levels[2]:
                 assert constraint.terms[max(constraint.terms, key=_grlex_key)] == 1
             for recombined in random_recombinations(chain, rng):
                 assert_tables_match_constant_decompose(recombined)
         # The seeds cover off-level spill and all three levels.
         assert sum(not chain.strict_level_form for chain in chains) >= 50
-        assert sum(bool(chain.tertiaries) for chain in chains) >= 10
+        assert sum(bool(chain.levels[2]) for chain in chains) >= 10
 
 
 class TestReexpansionGuard:
@@ -398,8 +389,8 @@ class TestTotalHamiltonian:
         total = assemble_total_hamiltonian(model.system, chain)
         expected = (
             model.system.h_d.in_space(total.space)
-            + poly("v1", total.space) * chain.primaries[0].in_space(total.space)
-            + poly("u1", total.space) * chain.secondaries[0].in_space(total.space)
+            + poly("v1", total.space) * chain.levels[0][0].in_space(total.space)
+            + poly("u1", total.space) * chain.levels[1][0].in_space(total.space)
         )
         assert total.h_tot == expected
 

@@ -1,3 +1,4 @@
+import io
 import json
 import runpy
 import sys
@@ -223,6 +224,17 @@ class TestErrorExitCodes:
             "error: invalid input: model file name is not valid text: 'utf-8' codec "
             "can't encode character '\\ud800' in position 0: surrogates not allowed\n"
         )
+
+    def test_message_the_stderr_encoding_cannot_hold_is_escaped(self, monkeypatch):
+        # A strict UTF-8 stderr cannot encode the surrogate that stands for
+        # the name's byte 0xff; the message is still written, with escapes.
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["chain", "/nonexistent/m\udcff.model"]) == 3
+        stderr.flush()
+        err = stderr.buffer.getvalue().decode("ascii")
+        assert err.startswith("error: invalid input: cannot read model file ")
+        assert "/nonexistent/m\\udcff.model" in err
 
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.model"

@@ -19,10 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "tests" / "data" / "cli_contract.json").read_text())
 
 
-def _run(*argv):
+def _run(*argv, encoding="utf-8"):
     env = dict(os.environ)
     env.pop("DIRAC_SYMMETRY_COLOR", None)
-    env["PYTHONIOENCODING"] = "utf-8"  # the contract digests UTF-8 bytes
+    env["PYTHONIOENCODING"] = encoding  # the contract digests UTF-8 bytes
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "dirac_symmetry.cli", *argv],
@@ -60,6 +60,15 @@ def test_a_model_path_that_is_not_utf8_is_labelled_with_escapes(fmt, tmp_path):
         assert out.startswith(f"constraint chain for {label}\n")
     else:
         assert json.loads(out)["file"] == label
+
+
+def test_a_report_an_ascii_stdout_cannot_hold_is_written_with_escapes(tmp_path):
+    path = tmp_path / "\u00e9.model"
+    path.write_bytes((ROOT / "models" / "em_modes_1.model").read_bytes())
+    result = _run("chain", str(path), "--format=structured", encoding="ascii")
+    assert result.returncode == 0, result.stderr
+    # JSON keeps the \u00e9 of the label; the ASCII stream takes its escape.
+    assert b'\\xe9.model",\n' in result.stdout
 
 
 def test_help_exits_zero():

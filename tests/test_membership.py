@@ -65,7 +65,7 @@ class TestDecompose:
 
     def test_zero_target_trivially_succeeds(self):
         outcome = found(decompose(PhasePolynomial.zero(SPACE), [poly("p1", SPACE)]))
-        assert outcome.is_zero_certificate()
+        assert not any(outcome.coefficients)
         empty = found(decompose(PhasePolynomial.zero(SPACE), []))
         assert empty.coefficients == ()
 
@@ -168,7 +168,7 @@ class TestSparseCertificates:
         generators = [poly(g, SPACE) for g in self.GENERATORS]
         outcome = found(decompose(PhasePolynomial.zero(SPACE), generators))
         assert len(outcome.coefficients) == len(generators)
-        assert outcome.is_zero_certificate()
+        assert not any(outcome.coefficients)
         assert outcome.expand() == PhasePolynomial.zero(SPACE)
 
 
@@ -292,7 +292,7 @@ class TestWeakEquals:
         f = poly("q1^2*p2 + 3", SPACE)
         ok, certificate = weak_equals(f, f, [poly("p1", SPACE)], degree_bound=2)
         assert ok
-        assert certificate.is_zero_certificate()
+        assert not any(certificate.coefficients)
 
     def test_single_generator(self):
         ok, certificate = weak_equals(

@@ -62,7 +62,7 @@ def test_em_modes_gauss_relation_carries_mode_weight():
         chain = generate_chain(em_modes(n).system)
         for k in range(n):
             # {pi0_k, H_d} = -k * G_k after normalization of the Gauss mode.
-            row = chain.primary_to_secondary[k]
+            row = chain.table(0, 1, 2)[k]
             assert row[k].constant_value() == -(k + 1)
 
 
@@ -77,9 +77,9 @@ def test_export_reingests_to_identical_pipeline(name):
     assert set(parsed.generator_sets) == set(model.generator_sets)
     chain_a = generate_chain(model.system)
     chain_b = generate_chain(parsed.system)
-    assert chain_a.secondaries == chain_b.secondaries
-    assert chain_a.tertiaries == chain_b.tertiaries
-    assert chain_a.primary_to_secondary == chain_b.primary_to_secondary
+    assert chain_a.levels[1] == chain_b.levels[1]
+    assert chain_a.levels[2] == chain_b.levels[2]
+    assert chain_a.table(0, 1, 2) == chain_b.table(0, 1, 2)
     for set_name in model.generator_sets:
         verdict_a = classify(model.generator_sets[set_name], model.system, chain_a)
         verdict_b = classify(parsed.generator_sets[set_name], parsed.system, chain_b)

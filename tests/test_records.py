@@ -56,11 +56,8 @@ from conftest import poly
 # The records with no validation, each with its fields in declaration order.
 PLAIN_RECORDS = {
     ConstraintChain: (
-        "system", "secondaries", "tertiaries", "secondary_names", "tertiary_names",
-        "primary_brackets", "secondary_brackets", "tertiary_brackets",
-        "primary_to_secondary", "primary_to_tertiary", "secondary_to_tertiary",
-        "primary_spill", "secondary_spill", "tertiary_closure", "ordering_ok",
-        "strict_level_form", "degree_bound",
+        "system", "levels", "names", "brackets", "rows", "tertiary_closure",
+        "degree_bound",
     ),
     TotalHamiltonian: ("space", "h_tot", "multiplier_names", "certificate"),
     PairBracketCheck: ("name_a", "name_b", "bracket", "first_class", "certificate"),

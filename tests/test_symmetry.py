@@ -52,7 +52,7 @@ class TestCommutation:
         )
         assert cls is CommutationClass.STRICT
         assert bracket.is_zero()
-        assert certificate.is_zero_certificate()
+        assert not any(certificate.coefficients)
 
     def test_dilation_on_free_particle_fails(self):
         # {q1*p1, p1^2/2} = p1^2, which has no certificate over (H_d - E):
@@ -98,13 +98,13 @@ class TestCommutation:
     def test_gauge_generators_on_shell(self):
         model = em_modes(1)
         chain = generate_chain(model.system)
-        pi0 = chain.primaries[0]
+        pi0 = chain.levels[0][0]
         cls, bracket, certificate = check_dynamical_symmetry(
             pi0, model.system, chain
         )
         assert cls is CommutationClass.ON_SHELL
-        assert bracket == -1 * chain.secondaries[0]
-        gauss = chain.secondaries[0]
+        assert bracket == -1 * chain.levels[1][0]
+        gauss = chain.levels[1][0]
         cls_g, bracket_g, _ = check_dynamical_symmetry(gauss, model.system, chain)
         assert cls_g is CommutationClass.STRICT
         assert bracket_g.is_zero()
@@ -476,7 +476,7 @@ class TestClassify:
         chain = generate_chain(model.system)
         verdict = classify(model.generator_sets["rotations"], model.system, chain)
         for gv in verdict.generator_verdicts:
-            assert gv.commutation_certificate.is_zero_certificate()
+            assert not any(gv.commutation_certificate.coefficients)
 
 
 class TestVerdictInvariances:
