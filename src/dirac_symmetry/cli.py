@@ -18,8 +18,10 @@ code  meaning
 
 from __future__ import annotations
 
+import codecs
 import functools
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import report as rpt
@@ -264,15 +266,26 @@ COMMANDS = {
 }
 
 
-def _write(stream, text: str) -> None:
+def _json_escape(error: UnicodeEncodeError) -> tuple[str, int]:
+    """Unencodable characters as JSON escapes (é as \\u00e9, a surrogate pair
+    above U+FFFF); JSON has non-ASCII only in strings, so it stays JSON."""
+    return encode_basestring_ascii(error.object[error.start:error.end])[1:-1], error.end
+
+
+codecs.register_error("dirac_symmetry.json", _json_escape)
+
+
+def _write(stream, text: str, structured: bool = False) -> None:
     """Write `text` to `stream`, each character that the stream's encoding
-    cannot hold as a backslash escape (é as \\xe9).  A write that fails to
-    encode leaves nothing behind, so the text is then written whole again."""
+    cannot hold as an escape: a JSON one in a `structured` report, else a
+    backslash escape (é as \\xe9).  A write that fails to encode leaves
+    nothing behind, so the text is then written whole again."""
     try:
         stream.write(text)
     except UnicodeEncodeError:
         encoding = stream.encoding
-        stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
+        errors = "dirac_symmetry.json" if structured else "backslashreplace"
+        stream.write(text.encode(encoding, errors).decode(encoding))
 
 
 def _run(args) -> int:
@@ -285,7 +298,7 @@ def _run(args) -> int:
     )
     options = _resolve_options(args, model)
     report, text_view, code = COMMANDS[args.command](args, model, *options)
-    _write(sys.stdout, rpt.render(report, text_view, args.format))
+    _write(sys.stdout, rpt.render(report, text_view, args.format), args.format == "structured")
     return code
 
 

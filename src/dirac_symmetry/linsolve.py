@@ -13,17 +13,18 @@ query keeps after ``RationalSpan`` reduced it are its coordinates.
 
 ``solve_sparse`` takes its columns as ``Columns``, a list that keeps the
 echelon of its columns once the first solve has built it; later targets
-are reduced against that echelon, which ``Echelon.reduce`` never changes,
-so every target gets the solution a fresh elimination would give.  Unit
-columns that come first in the list need not be stored: an echelon can
-take an *implicit* pivot lookup that returns, on demand, the pivot row and
-tags such a column would have added.
+are reduced against that echelon, whose rows ``Echelon.reduce`` never
+changes, so every target gets the solution a fresh elimination would give.
+Unit columns that come first in the list need not be stored: an echelon
+can take an *implicit* pivot lookup that returns, on demand, the pivot row
+and tags such a column would have added.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import filterfalse
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -76,6 +77,10 @@ class Echelon:
     consults it only after ``pivots`` misses.  Such pivots serve the
     default ``full=False`` path only: ``full`` looks for pivot columns among
     the keys of ``pivots``.
+
+    A *deferred* value of ``pivots`` is a callable that returns the pivot
+    row and tags; ``reduce`` calls it on its first read and keeps the
+    result in its place (threads reading it at once keep the same row).
     """
 
     def __init__(
@@ -102,8 +107,11 @@ class Echelon:
         while row:
             col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
             pivot = pivots.get(col)
-            if pivot is None and (implicit is None or (pivot := implicit(col)) is None):
-                break
+            if pivot is None:
+                if implicit is None or (pivot := implicit(col)) is None:
+                    break
+            elif pivot.__class__ is not tuple:  # deferred: built on its first read
+                pivot = pivots[col] = pivot()
             prow, ptags = pivot
             a, b = row[col], prow[col]
             row, tags = _reduce_gcd(_combine(b, row, a, prow), _combine(b, tags, a, ptags))
@@ -117,6 +125,33 @@ class Echelon:
         return row, tags, col
 
 
+class Shifted:
+    """The row ``{shift + key: value}`` over ``keys`` (ascending) and
+    ``values``, unbuilt: shifted copies of one row share its terms.  It
+    iterates its keys in order, its length is their count; ``row`` builds it."""
+
+    __slots__ = ("shift", "keys", "values")
+
+    def __init__(self, shift: int, keys: tuple[int, ...], values: tuple[int, ...]):
+        self.shift, self.keys, self.values = shift, keys, values
+
+    def __iter__(self):
+        return map(self.shift.__add__, self.keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def row(self) -> Row:
+        return dict(zip(self, self.values))
+
+
+def _replay(column: Shifted, unknown: Hashable, implicit: Callable | None) -> Pivot:
+    """The pivot that inserting `column` keeps when implicit pivots take
+    every key below its lead: the steps on those keys, again."""
+    row, tags, _ = Echelon(implicit=implicit).reduce(column.row(), {unknown: 1})
+    return row, tags
+
+
 class Columns(list):
     """``(column, unknown)`` pairs of a linear system, integer columns with
     any unknown but None.  ``echelon`` inserts them in list order, each
@@ -126,7 +161,14 @@ class Columns(list):
     is 0 in every solution either way.
 
     ``implicit`` is handed to the echelon (see ``Echelon``): the pivots of
-    columns that would come before every listed one and are not stored."""
+    columns that would come before every listed one and are not stored.
+
+    A column may be a ``Shifted`` view.  Inserting it would first cancel
+    the keys implicit pivots take, smallest first, each step only scaling
+    the rest, so the first other key is its lead.  With no pivot stored
+    there, the view is kept as a deferred pivot (see ``Echelon``) that
+    replays those steps; else it is built and inserted.  The rows and tags,
+    once built, are those of the built columns."""
 
     def __init__(self, columns: Iterable = (), implicit: Callable | None = None):
         super().__init__(columns)
@@ -134,8 +176,18 @@ class Columns(list):
 
     @cached_property
     def echelon(self) -> Echelon:
-        echelon = Echelon(implicit=self.implicit)
+        implicit = self.implicit
+        echelon = Echelon(implicit=implicit)
+        pivots = echelon.pivots
         for column, unknown in self:
+            if column.__class__ is Shifted:
+                lead = next(filterfalse(implicit, column) if implicit else iter(column), None)
+                if lead is None:
+                    continue  # cancelled whole: no pivot
+                if lead not in pivots:
+                    pivots[lead] = partial(_replay, column, unknown, implicit)
+                    continue
+                column = column.row()
             echelon.add(column, {unknown: 1})
         return echelon
 

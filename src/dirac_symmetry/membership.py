@@ -43,6 +43,10 @@ column would have given (the column-singleton step of sparse elimination).
 Only the later generators' columns are kept, and the system is still
 charged all its unknowns.
 
+A kept column is a ``linsolve.Shifted`` view of g_k's packed terms, sorted
+once per generator; its row is built only when an elimination reads it,
+with the value eager insertion gives (see ``linsolve.Columns``).
+
 Every term of sum_k f_k * g_k is a multiple of some generator term, so a
 target monomial mu in a certificate of degree d is m * t for a term t of
 some g_k dividing mu and deg m <= d.  The target's *reach*, the largest
@@ -91,7 +95,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import phase
 from .errors import SearchTooLargeError
-from .linsolve import Columns, integer_scaled, solve_sparse
+from .linsolve import Columns, Shifted, integer_scaled, solve_sparse
 from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt
 
 
@@ -579,8 +583,9 @@ class _System(NamedTuple):
     the coefficient of ``monomials[i]`` in h_k, and its column is the
     shifted generator ``monomials[i] * s_k * g_k``, with s_k from
     ``scales``.  Monomials are packed in ``fields`` of ``width`` bits.
-    ``columns`` holds the columns that are built, and its echelon the
-    implicit pivots of the others that add one (see ``_build_system``)."""
+    ``columns`` holds the columns that are kept, as ``linsolve.Shifted``
+    views, and its echelon the implicit pivots of the others that add one
+    (see ``_build_system``)."""
 
     columns: Columns
     monomials: list[int]
@@ -616,17 +621,18 @@ def _build_system(
     """The system and its charge in ``_KEPT``, all its unknowns.
 
     The columns of g_k come in the order of ``monomials``, after those of
-    every g_i with i < k.  The leading run of one-term generators builds
+    every g_i with i < k, each a view of g_k's packed terms shifted by its
+    monomial.  The leading run of one-term generators keeps
     no columns: each of their columns is a unit column, and the first one
     on a monomial is its pivot, so they are implicit pivots of the echelon
     (``_unit_pivots``), which later columns and targets reduce against as
     they would against the built ones.  A one-term generator after a
-    multi-term or zero one is built, since its columns may depend on
+    multi-term or zero one keeps its columns, since they may depend on
     earlier ones.
 
     A column lead(g_i) * t * g_k with i < k and deg t + deg g_k <= degree,
     which a Koszul syzygy makes a combination of earlier columns (see the
-    module docstring), is not built either: one set lookup per column.  A
+    module docstring), is not kept either: one set lookup per column.  A
     lead is taken only when a later g_k has such columns; a zero generator
     has no lead, a one-term one its term, a constant one 1.  Every exponent
     stays within deg g_i + degree, so no field overflows."""
@@ -658,8 +664,10 @@ def _build_system(
             unread.clear()
             shifts = monomials[:comb(len(fields) + spare, spare)]
             skip = {lead + t for lead in leads for t in shifts}
+        keys = tuple(sorted(packed))
+        values = tuple(packed[m] for m in keys)
         columns.extend(
-            ({mon + gmon: c for gmon, c in packed.items()}, unknown)
+            (Shifted(mon, keys, values), unknown)
             for unknown, mon in enumerate(monomials, k * len(monomials))
             if mon not in skip
         )

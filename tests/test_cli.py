@@ -236,6 +236,17 @@ class TestErrorExitCodes:
         assert err.startswith("error: invalid input: cannot read model file ")
         assert "/nonexistent/m\\udcff.model" in err
 
+    def test_structured_report_on_an_ascii_stdout_stays_json(self, monkeypatch, tmp_path):
+        # One name of each kind: Latin-1, and above U+FFFF (a surrogate pair).
+        for name in ("é.model", "\U0001d510.model"):
+            path = tmp_path / name
+            path.write_bytes((MODEL_DIR / "em_modes_1.model").read_bytes())
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["chain", str(path), "--format=structured"]) == 0
+            stdout.flush()
+            assert json.loads(stdout.buffer.getvalue())["file"] == str(path)
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text(

@@ -65,10 +65,22 @@ def test_a_model_path_that_is_not_utf8_is_labelled_with_escapes(fmt, tmp_path):
 def test_a_report_an_ascii_stdout_cannot_hold_is_written_with_escapes(tmp_path):
     path = tmp_path / "\u00e9.model"
     path.write_bytes((ROOT / "models" / "em_modes_1.model").read_bytes())
+    result = _run("chain", str(path), "--format=text", encoding="ascii")
+    assert result.returncode == 0, result.stderr
+    # The text view takes a backslash escape for the \u00e9 of the label.
+    label = f"{tmp_path}{os.sep}\\xe9.model"
+    assert result.stdout.decode("ascii").startswith(f"constraint chain for {label}\n")
+
+
+@pytest.mark.parametrize("name", ["\u00e9.model", "\U0001d510.model"])
+def test_a_structured_report_on_an_ascii_stdout_is_json(name, tmp_path):
+    # A Latin-1 name and one above U+FFFF: JSON escapes, the second one a
+    # surrogate pair, keep the report valid JSON.
+    path = tmp_path / name
+    path.write_bytes((ROOT / "models" / "em_modes_1.model").read_bytes())
     result = _run("chain", str(path), "--format=structured", encoding="ascii")
     assert result.returncode == 0, result.stderr
-    # JSON keeps the \u00e9 of the label; the ASCII stream takes its escape.
-    assert b'\\xe9.model",\n' in result.stdout
+    assert json.loads(result.stdout)["file"] == str(path)
 
 
 def test_help_exits_zero():

@@ -4,7 +4,9 @@ from math import lcm
 
 import sympy as sp
 
-from dirac_symmetry.linsolve import Columns, Echelon, RationalSpan, rational_rank, solve_sparse
+from dirac_symmetry.linsolve import (
+    Columns, Echelon, RationalSpan, Shifted, rational_rank, solve_sparse,
+)
 
 F = Fraction
 
@@ -200,6 +202,31 @@ class TestImplicitPivots:
             for _ in range(5):
                 target = integer_equation(random_rows(rng, 1, 7, keys)[0], 0)[0]
                 assert solve_sparse(lazy, target) == solve_sparse(eager, target)
+
+    def test_shifted_views_give_the_eager_echelon(self):
+        # Views of a few base rows at random shifts, inserted with and
+        # without implicit pivots: once read, every stored row and tag is
+        # the one the built columns give, and so is every solution.
+        rng = random.Random(33)
+        for _ in range(60):
+            keys = list(range(10))
+            units, implicit = self.units(rng, keys)
+            views = []
+            for j in range(8):
+                base = tuple(sorted(rng.sample(range(6), rng.randint(0, 3))))
+                values = tuple(rng.choice((-2, -1, 1, 3)) for _ in base)
+                view = Shifted(rng.randrange(5), base, values)
+                assert list(view) == sorted(view.row()) and len(view) == len(base)
+                views.append((view, j))
+            for lookup in (implicit.get, None):
+                lazy = Columns(views, lookup)
+                eager = Columns([(view.row(), j) for view, j in views], lookup)
+                for _ in range(5):
+                    target = integer_equation(random_rows(rng, 1, 10, keys)[0], 0)[0]
+                    assert solve_sparse(lazy, target) == solve_sparse(eager, target)
+                for col in list(lazy.echelon.pivots):
+                    lazy.echelon.reduce({col: 1}, {})  # builds a deferred row
+                assert lazy.echelon.pivots == eager.echelon.pivots
 
     def test_an_echelon_without_a_lookup_is_unchanged(self):
         rng = random.Random(3)

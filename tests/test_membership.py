@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, takewhile
 
 import pytest
@@ -183,14 +184,19 @@ def record_solved(monkeypatch) -> list[linsolve.Columns]:
     return solved
 
 
-def record_insertions(monkeypatch) -> list[int]:
-    """One entry per row inserted into any echelon."""
+def record_insertions(monkeypatch) -> list:
+    """One entry per column inserted into the echelon of a system, built or
+    deferred: the columns of every echelon built."""
     inserted = []
-    real = linsolve.Echelon.add
-    monkeypatch.setattr(
-        linsolve.Echelon, "add",
-        lambda self, *args, **kwargs: inserted.append(1) or real(self, *args, **kwargs),
-    )
+    real = linsolve.Columns.echelon.func
+
+    def echelon(columns):
+        inserted.extend(columns)
+        return real(columns)
+
+    recording = cached_property(echelon)
+    recording.__set_name__(linsolve.Columns, "echelon")
+    monkeypatch.setattr(linsolve.Columns, "echelon", recording)
     return inserted
 
 
@@ -788,13 +794,22 @@ def reachable_monomials(generators, system, degree) -> list[int]:
     return membership._monomials_up_to(system.fields, degree + top)
 
 
+def built_pivots(echelon) -> dict:
+    """The echelon's stored pivots, each deferred one built as
+    ``Echelon.reduce`` builds it: by reducing a row that it leads."""
+    for col in list(echelon.pivots):
+        echelon.reduce({col: 1}, {})
+    return echelon.pivots
+
+
 def echelon_pivots(system, reachable) -> dict:
     """The pivot the system's echelon reduces each reachable monomial
-    against, as ``Echelon.reduce`` finds it: the explicit one, else the
+    against, as ``Echelon.reduce`` finds it: the stored one, built, else the
     implicit one; monomials with neither are left out."""
     echelon = system.columns.echelon
+    stored = built_pivots(echelon)
     implicit = echelon.implicit or (lambda col: None)
-    pivots = {mon: echelon.pivots.get(mon) or implicit(mon) for mon in reachable}
+    pivots = {mon: stored.get(mon) or implicit(mon) for mon in reachable}
     return {mon: pivot for mon, pivot in pivots.items() if pivot is not None}
 
 
@@ -975,3 +990,112 @@ class TestUnitPivots:
         system = assert_eager_echelon(gens, 0, random.Random(0))
         assert [unknown for _, unknown in system.columns] == [1, 2]
         assert len(system.columns.echelon.pivots) == 2
+
+
+# ----------------------------------------------------------------------
+# Columns built when an elimination reads them
+# ----------------------------------------------------------------------
+def cold_system(generators, degree) -> membership._System:
+    """The system of `degree` over the generators' identifiers, its echelon
+    not yet built."""
+    allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
+    return membership._build_system(tuple(generators), allowed, degree)[0]
+
+
+def eager_columns(system) -> linsolve.Columns:
+    """The system's columns built as dicts, with its implicit pivots: the
+    echelon that inserts every column as it comes."""
+    return linsolve.Columns(
+        ((column.row(), unknown) for column, unknown in system.columns),
+        system.columns.implicit,
+    )
+
+
+def stored_kinds(echelon) -> tuple[int, int]:
+    """(pivots built, pivots deferred) of the echelon."""
+    built = sum(type(pivot) is tuple for pivot in echelon.pivots.values())
+    return built, len(echelon.pivots) - built
+
+
+def assert_deferred_rows_are_eager(generators, degree, rng) -> tuple[int, int]:
+    """On a cold system, seeded targets solve as on the eager echelon, and
+    every stored row and tags, deferred ones built on demand, are the eager
+    echelon's.  Returns the echelon's ``stored_kinds`` before any solve."""
+    system = cold_system(generators, degree)
+    eager = eager_columns(system)
+    kinds = stored_kinds(system.columns.echelon)
+    reachable = reachable_monomials(generators, system, degree)
+    every = list(all_columns(generators, system))
+    for target in seeded_targets(rng, reachable, every):
+        assert linsolve.solve_sparse(system.columns, target) == linsolve.solve_sparse(eager, target)
+    assert built_pivots(system.columns.echelon) == eager.echelon.pivots
+    return kinds
+
+
+class TestDeferredColumns:
+    def test_seeded_modules(self):
+        rng = random.Random(33)
+        seen = dict.fromkeys(("built at insertion", "deferred"), 0)
+        for gens in unit_modules(29, 120):
+            for degree in range(4):
+                built, deferred = assert_deferred_rows_are_eager(gens, degree, rng)
+                seen["built at insertion"] += built > 0
+                seen["deferred"] += deferred > 0
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("n, degree", [(1, 3), (2, 3), (3, 2)])
+    def test_on_shell_modules(self, n, degree):
+        _, gens = on_shell_ideal(n)
+        assert_deferred_rows_are_eager(gens, degree, random.Random(n))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_dense_module(self, monkeypatch, degree):
+        gens = tertiary_closure_module(monkeypatch)
+        assert_deferred_rows_are_eager(gens, degree, random.Random(degree))
+
+    def test_rows_built_by_a_cold_degree_3_search(self, empty_cache):
+        # em_modes(2)'s on-shell module at degree 3: every one of its 758
+        # stored columns is deferred at insertion, and the search for one
+        # target builds only the 5 rows its elimination reads.
+        space, gens = on_shell_ideal(2)
+        gens = tuple(gens)
+        assert stored_kinds(cold_system(gens, 3).columns.echelon) == (0, 758)
+        multiplier = poly("q3^3 - 2*q1*q4*p7 + 5*q8^2 + E*p3 + q5", space)
+        target = multiplier * gens[-1] + poly("2*q1*p2", space) * gens[0]
+        found(decompose(target, gens, degree_bound=3))
+        (system, _), = [
+            entry for key, entry in membership._KEPT.entries.items() if key[2:] == (3,)
+        ]
+        assert stored_kinds(system.columns.echelon) == (5, 753)
+
+    def test_threads_build_the_single_threaded_rows(self):
+        # Four threads reduce seeded targets against one cold system, each in
+        # its own order, so they read and build its deferred rows together.
+        _, gens = on_shell_ideal(2)
+        rng = random.Random(4)
+        system = cold_system(gens, 3)
+        reachable = reachable_monomials(gens, system, 3)
+        every = list(all_columns(gens, system))
+        targets = [t for _ in range(3) for t in seeded_targets(rng, reachable, every)]
+        expected = [linsolve.solve_sparse(cold_system(gens, 3).columns, t) for t in targets]
+        results = {}
+
+        def run(worker):
+            order = list(range(len(targets)))
+            random.Random(worker).shuffle(order)
+            results[worker] = {i: linsolve.solve_sparse(system.columns, targets[i]) for i in order}
+
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for w in range(4):
+            assert [results[w][i] for i in range(len(targets))] == expected
+        assert built_pivots(system.columns.echelon) == eager_columns(system).echelon.pivots
