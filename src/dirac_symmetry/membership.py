@@ -24,15 +24,7 @@ columns in the same order give the same echelon and the same solution, so
 a kept system returns the certificate a fresh one would.
 
 The columns come generator by generator, and within g_k by shift monomial:
-ascending total degree, and within one degree descending packed int.  That
-is a monomial order, so the last term of t * g_k in it is t * lead(g_k),
-lead(g) being g's term of highest degree with the smallest packed int.  For
-i < k and deg t + deg g_k <= degree, a Koszul syzygy gives the column of
-lead(g_i) * t * g_k as (t * g_k) * g_i - t * (g_i - lead(g_i)) * g_k, up to
-lead(g_i)'s coefficient: columns of g_i and earlier columns of g_k.  It
-would add no pivot, so it is never built (the criterion of Faugere's F5 on
-Lazard's Macaulay matrices); the echelon, and every solution, are those of
-the full system, and a system is still charged all its unknowns.
+ascending total degree, and within one degree descending packed int.
 
 Constraint modules often start with one-term generators c_k * m_k (the
 conjugate momenta of gauge variables).  Their columns are unit columns,
@@ -195,10 +187,13 @@ def default_degree_bound(
     target: PhasePolynomial, generators: Sequence[PhasePolynomial]
 ) -> int:
     """deg(target) + max generator degree, floored at zero per part."""
-    bound = max(target.total_degree(), 0)
-    if generators:
-        bound += max(max(g.total_degree(), 0) for g in generators)
-    return bound
+    # The checks ask this for each fresh zero bracket, so a zero target
+    # counts as degree 0 without a first read of its degree, and the loop
+    # calls total_degree from Python (cheaper than from map).
+    top = 0
+    for gen in generators:
+        top = max(top, gen.total_degree())
+    return (max(target.total_degree(), 0) if target else 0) + top
 
 
 # ----------------------------------------------------------------------
@@ -583,9 +578,9 @@ class _System(NamedTuple):
     the coefficient of ``monomials[i]`` in h_k, and its column is the
     shifted generator ``monomials[i] * s_k * g_k``, with s_k from
     ``scales``.  Monomials are packed in ``fields`` of ``width`` bits.
-    ``columns`` holds the columns that are kept, as ``linsolve.Shifted``
-    views, and its echelon the implicit pivots of the others that add one
-    (see ``_build_system``)."""
+    ``columns`` holds the columns of every generator after the leading
+    one-term run, as ``linsolve.Shifted`` views, and its echelon the
+    implicit pivots of that run (see ``_build_system``)."""
 
     columns: Columns
     monomials: list[int]
@@ -628,14 +623,7 @@ def _build_system(
     (``_unit_pivots``), which later columns and targets reduce against as
     they would against the built ones.  A one-term generator after a
     multi-term or zero one keeps its columns, since they may depend on
-    earlier ones.
-
-    A column lead(g_i) * t * g_k with i < k and deg t + deg g_k <= degree,
-    which a Koszul syzygy makes a combination of earlier columns (see the
-    module docstring), is not kept either: one set lookup per column.  A
-    lead is taken only when a later g_k has such columns; a zero generator
-    has no lead, a one-term one its term, a constant one 1.  Every exponent
-    stays within deg g_i + degree, so no field overflows."""
+    earlier ones."""
     # No exponent of a column reaches 2**width (see _fields).
     width = max(degree + max(g.total_degree() for g in generators), 1).bit_length()
     fields = _fields(allowed, width)
@@ -649,30 +637,14 @@ def _build_system(
         (mon, c), = terms.items()
         units.append((_pack(mon, fields), c))
     columns = Columns(implicit=_unit_pivots(units, monomials) if units else None)
-    leads = [mon for mon, _ in units]  # lead(g_i) of the nonzero g_i read so far
-    unread = []  # (terms, packed, degree) of the later nonzero g_i
     for k in range(len(units), len(generators)):
-        terms, top = scaled[k], generators[k].total_degree()
-        packed = {_pack(mon, fields): c for mon, c in terms.items()}
-        # The Koszul columns lead(g_i) * t * g_k, for t of degree <= spare.
-        spare = degree - top
-        skip = ()
-        if spare >= 0:
-            for terms_i, packed_i, top_i in unread:
-                # lead(g_i): of its highest degree, the smallest packed int
-                leads.append(min(m for mon, m in zip(terms_i, packed_i) if sum(mon) == top_i))
-            unread.clear()
-            shifts = monomials[:comb(len(fields) + spare, spare)]
-            skip = {lead + t for lead in leads for t in shifts}
+        packed = {_pack(mon, fields): c for mon, c in scaled[k].items()}
         keys = tuple(sorted(packed))
         values = tuple(packed[m] for m in keys)
         columns.extend(
             (Shifted(mon, keys, values), unknown)
             for unknown, mon in enumerate(monomials, k * len(monomials))
-            if mon not in skip
         )
-        if packed:
-            unread.append((terms, packed, top))
     charge = len(monomials) * len(generators)
     return _System(columns, monomials, fields, width, scales), charge
 
@@ -821,6 +793,29 @@ def _certificate(
     )
 
 
+def _checked(
+    target: PhasePolynomial,
+    generators: Sequence[PhasePolynomial],
+    degree_bound: int | None,
+    mode: CoefficientMode,
+) -> tuple[tuple[PhasePolynomial, ...], int]:
+    """The generators as a tuple and the bound ``decompose`` records: 0 in
+    CONSTANT mode, ``default_degree_bound`` for None.  A generator on
+    another phase space is refused first, then a negative bound."""
+    space = target.space
+    generators = tuple(generators)
+    for gen in generators:
+        if gen.space is not space and gen.space != space:
+            raise ValueError("generators must share the target's phase space")
+    if mode is CoefficientMode.CONSTANT:
+        return generators, 0
+    if degree_bound is None:
+        return generators, default_degree_bound(target, generators)
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    return generators, degree_bound
+
+
 def _zero_certificate(
     target: PhasePolynomial,
     generators: Sequence[PhasePolynomial],
@@ -828,24 +823,11 @@ def _zero_certificate(
     mode: CoefficientMode = CoefficientMode.POLYNOMIAL,
 ) -> IdealDecomposition:
     """``decompose``'s answer for a zero target, built without a search:
-    every coefficient zero.  It refuses what ``decompose`` refuses, with the
-    same messages, and records the bound ``decompose`` would: 0 in CONSTANT
-    mode, ``default_degree_bound`` for None.  The checks call it directly for
-    their zero brackets, once per module."""
-    space = target.space
-    generators = tuple(generators)
-    default = 0  # default_degree_bound of a zero target, in the same loop
-    for gen in generators:
-        if gen.space is not space and gen.space != space:
-            raise ValueError("generators must share the target's phase space")
-        default = max(default, gen.total_degree())
-    if mode is CoefficientMode.CONSTANT:
-        degree_bound = 0
-    elif degree_bound is None:
-        degree_bound = default
-    elif degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    zero = PhasePolynomial.zero(space)
+    every coefficient zero.  It refuses what ``decompose`` refuses and
+    records the bound ``decompose`` would (``_checked``).  The checks call
+    it directly for their zero brackets, once per module."""
+    generators, degree_bound = _checked(target, generators, degree_bound, mode)
+    zero = PhasePolynomial.zero(target.space)
     return IdealDecomposition(target, generators, (zero,) * len(generators), degree_bound)
 
 
@@ -874,16 +856,7 @@ def decompose(
     if not target:
         return _zero_certificate(target, generators, degree_bound, mode)
     space = target.space
-    generators = tuple(generators)
-    for gen in generators:
-        if gen.space != space:
-            raise ValueError("generators must share the target's phase space")
-    if mode is CoefficientMode.CONSTANT:
-        degree_bound = 0
-    elif degree_bound is None:
-        degree_bound = default_degree_bound(target, generators)
-    elif degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    generators, degree_bound = _checked(target, generators, degree_bound, mode)
 
     if not any(generators):  # the zero ideal, all-zero generators included
         return NotFound(degree_bound, mode, exact=True)

@@ -13,6 +13,8 @@ from dirac_symmetry.cli import main
 from dirac_symmetry.errors import DiracSymmetryError
 from dirac_symmetry.membership import MAX_UNKNOWNS
 
+from oracles import sympy_bracket
+
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 TLC = str(MODEL_DIR / "three_level_chain.model")
 OSC = str(MODEL_DIR / "central_oscillator.model")
@@ -657,8 +659,33 @@ P2 = q1*p1 - 1
 """
 
 
+# P1 implies the chain's whole hierarchy: {P1, H_d} = -2*q1*P1 vanishes
+# wherever P1 does, so Dirac's consistency step adds no level.  The chain
+# de-duplicates residuals against the rational span of the known
+# constraints, not their ideal, and reports S1 = q1*p1 and T1 = q1^2*p1.
+IMPLIED_LEVELS = """\
+[system]
+n_dof = 2
+hamiltonian = q1^2*p1 + p2^2
+[primaries]
+P1 = p1
+"""
+
+# Second-class primaries: {P1, P2} = -1, so the consistency step fixes the
+# multipliers of the total Hamiltonian and finds no secondary.  The chain
+# brackets with H_d alone and reports S1 = p2.
+SECOND_CLASS_PRIMARIES = """\
+[system]
+n_dof = 2
+hamiltonian = q1*p2 + p2^2
+[primaries]
+P1 = p1
+P2 = q1
+"""
+
+
 class TestKnownWrongAnswers:
-    """Two wrong answers the package still gives, each a strict xfail beside
+    """Four wrong answers the package still gives, each a strict xfail beside
     the independent answer that shows it is wrong."""
 
     def test_member_past_the_bound_per_sympy(self):
@@ -703,3 +730,37 @@ class TestKnownWrongAnswers:
         path.write_text(INCONSISTENT_PRIMARIES, encoding="utf-8")
         code, _, _ = run(capsys, "chain", str(path))
         assert code != 0
+
+    def test_implied_levels_per_sympy(self):
+        q1, q2, p1, p2 = sp.symbols("q1 q2 p1 p2")
+        h_d = q1**2 * p1 + p2**2
+        assert sympy_bracket(p1, h_d, (q1, q2), (p1, p2)) == -2 * q1 * p1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a residual in the ideal of the earlier levels becomes a new "
+        "level: chain reports N_s=1, N_t=1",
+    )
+    def test_implied_levels_are_not_new_constraints(self, capsys, tmp_path):
+        path = tmp_path / "implied.model"
+        path.write_text(IMPLIED_LEVELS, encoding="utf-8")
+        code, out, _ = run(capsys, "chain", str(path))
+        assert "counts: N_p=1, N_s=0, N_t=0" in out
+        assert code == 0
+
+    def test_second_class_primaries_per_sympy(self):
+        q1, q2, p1, p2 = sp.symbols("q1 q2 p1 p2")
+        assert sympy_bracket(p1, q1, (q1, q2), (p1, p2)) == -1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the chain brackets with H_d alone, as if the primaries were "
+        "first class: chain reports S1 = p2 and exits 0",
+    )
+    def test_second_class_primaries_add_no_secondary(self, capsys, tmp_path):
+        # Either product decision mends it: a refusal with a nonzero exit,
+        # or the Dirac-Bergmann step, which finds no secondary.
+        path = tmp_path / "second_class.model"
+        path.write_text(SECOND_CLASS_PRIMARIES, encoding="utf-8")
+        code, out, _ = run(capsys, "chain", str(path))
+        assert code != 0 or "N_s=0" in out

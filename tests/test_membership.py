@@ -228,8 +228,8 @@ class TestSizeCap:
             # Without a basis the ladder decides: degrees 1 to 3 fail, 70
             # unknowns in all, degree 0's 2 counted: at the cap, not over it.
             # p1 is a one-term generator, so only q1*p2 - 1's columns are
-            # built, less p1 * t for deg t <= degree - 2 (Koszul columns).
-            ("q1", ("p1", "q1*p2 - 1"), 10, 0, [4, 9, 16]),
+            # built.
+            ("q1", ("p1", "q1*p2 - 1"), 10, 0, [4, 10, 20]),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(
@@ -516,7 +516,7 @@ class TestIntegerSystems:
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
         # Degrees 0 and 1 are skipped: their columns cannot reach degree 4.
-        assert sizes == [(132, 1610, 1716)]
+        assert sizes == [(136, 1660, 1768)]
 
     def test_certificates_match_on_a_warm_cache(self, monkeypatch):
         membership._KEPT.clear()
@@ -745,7 +745,7 @@ class TestKeptSystems:
 
 
 # ----------------------------------------------------------------------
-# Columns a Koszul syzygy makes dependent
+# Every column after the one-term run, built on demand
 # ----------------------------------------------------------------------
 ITEM_8_MODEL = """
 [system]
@@ -813,77 +813,66 @@ def echelon_pivots(system, reachable) -> dict:
     return {mon: pivot for mon, pivot in pivots.items() if pivot is not None}
 
 
-def eager_system(generators, degree) -> tuple[membership._System, list[int]]:
+def eager_system(generators, degree) -> tuple[membership._System, int]:
     """The system of `degree` over the generators' identifiers, checked
     against the echelon of all its columns, built or not, inserted in
     order: its explicit pivots, and its implicit ones on every other
-    monomial, must be that echelon's pivots, rows and tags.  So each column
-    not built either adds no pivot or is an implicit one.  The charge
-    counts every unknown.  Also returns the unknowns of the columns that
-    add no pivot."""
+    monomial, must be that echelon's pivots, rows and tags.  The system
+    keeps the column of every unknown after the leading one-term run, in
+    order, and the charge counts every unknown.  Also returns how many
+    columns add no pivot."""
     allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
     system, charge = membership._build_system(generators, allowed, degree)
-    assert charge == len(system.monomials) * len(generators)
+    per_generator = len(system.monomials)
+    assert charge == per_generator * len(generators)
+    units = len(list(takewhile(lambda g: len(g.terms) == 1, generators)))
+    assert [unknown for _, unknown in system.columns] == list(
+        range(units * per_generator, charge)
+    )
     full = linsolve.Echelon()
-    dependent = []
+    dependent = 0
     for column, unknown in all_columns(generators, system):
         row, _, _ = full.add(column, {unknown: 1})
-        if not row:
-            dependent.append(unknown)
+        dependent += not row
     reachable = reachable_monomials(generators, system, degree)
     assert echelon_pivots(system, reachable) == full.pivots
     return system, dependent
 
 
-def skipped_columns(generators, degree) -> tuple[int, int]:
-    """(columns not built that add no pivot, columns dependent on earlier
-    ones) of the system of `degree`, checked by ``eager_system``."""
-    system, dependent = eager_system(tuple(generators), degree)
-    built = {unknown for _, unknown in system.columns}
-    return sum(unknown not in built for unknown in dependent), len(dependent)
-
-
-class TestKoszulColumns:
+class TestEagerEchelon:
     def test_random_ideals(self):
-        totals = [0, 0]
+        dependent = 0
         for _, gens, _ in random_ideals(28, 25):
             for degree in (1, 2, 3):
-                for i, count in enumerate(skipped_columns(gens, degree)):
-                    totals[i] += count
-        skipped, dependent = totals
-        assert 0 < skipped <= dependent
+                dependent += eager_system(tuple(gens), degree)[1]
+        assert dependent > 0
 
-    # (n, degree, columns not built); every dependent column is caught.
-    @pytest.mark.parametrize("n, degree, skipped", [(1, 3, 62), (2, 3, 811), (3, 2, 331)])
-    def test_on_shell_modules(self, n, degree, skipped):
-        _, gens = on_shell_ideal(n)
-        assert skipped_columns(gens, degree) == (skipped, skipped)
-
-    @pytest.mark.parametrize("degree, counts", [(2, (3, 9)), (3, (39, 89))])
-    def test_dense_module(self, monkeypatch, degree, counts):
-        assert skipped_columns(tertiary_closure_module(monkeypatch), degree) == counts
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_dense_module(self, monkeypatch, degree):
+        eager_system(tertiary_closure_module(monkeypatch), degree)
 
     @pytest.mark.parametrize(
         "generators",
         [
-            # A zero generator has no lead, and its own columns are empty.
+            # A zero generator's own columns are empty.
             ["q1*p1 - 1", "0", "p2^2 + q1", "0", "q2*p1 + p2"],
-            # A constant's lead is 1: each later column t * g_k within the
-            # degree is a combination of the constant's columns.
+            # A constant's columns span every monomial within the degree,
+            # so each later column t * g_k of that degree range depends on
+            # them.
             ["q1*p1 - q2", "2", "p2^2 - q1", "q1*q2 + p1"],
         ],
     )
     def test_zero_and_constant_generators(self, generators):
-        gens = [poly(g, SPACE) for g in generators]
-        # skipped_columns checks every degree; at degree 1 nothing is skipped.
-        counts = [skipped_columns(gens, degree) for degree in (1, 2, 3)]
-        assert 0 < counts[-1][0] <= counts[-1][1]
+        gens = tuple(poly(g, SPACE) for g in generators)
+        dependent = [eager_system(gens, degree)[1] for degree in (1, 2, 3)]
+        assert dependent[-1] > 0
 
     def test_work_of_a_cold_degree_3_system(self, empty_cache):
         # em_modes(2)'s on-shell module at degree 3: 4080 unknowns, charged
         # in full.  Of the 3269 that become pivots, the 2511 unit columns
-        # of its four one-term generators are implicit, and only the 758
-        # columns of H_d - E that become pivots are built.
+        # of its four one-term generators are implicit.  The 816 columns of
+        # H_d - E are stored, and 758 of them become pivots; the other 58
+        # have every term on an implicit pivot, so insertion drops them.
         space, gens = on_shell_ideal(2)
         gens = tuple(gens)
         target = poly("q3^3", space) * gens[0]
@@ -893,7 +882,7 @@ class TestKoszulColumns:
         ]
         assert charge == len(system.monomials) * len(gens) == 4080
         explicit = system.columns.echelon.pivots
-        assert len(system.columns) == len(explicit) == 758
+        assert (len(system.columns), len(explicit)) == (816, 758)
         reachable = reachable_monomials(gens, system, 3)
         assert len(echelon_pivots(system, reachable).keys() - explicit.keys()) == 2511
 
@@ -1054,9 +1043,10 @@ class TestDeferredColumns:
         assert_deferred_rows_are_eager(gens, degree, random.Random(degree))
 
     def test_rows_built_by_a_cold_degree_3_search(self, empty_cache):
-        # em_modes(2)'s on-shell module at degree 3: every one of its 758
-        # stored columns is deferred at insertion, and the search for one
-        # target builds only the 5 rows its elimination reads.
+        # em_modes(2)'s on-shell module at degree 3: each of the 758 of its
+        # 816 stored columns that adds a pivot is deferred at insertion, and
+        # the search for one target builds only the 5 rows its elimination
+        # reads.
         space, gens = on_shell_ideal(2)
         gens = tuple(gens)
         assert stored_kinds(cold_system(gens, 3).columns.echelon) == (0, 758)
