@@ -23,16 +23,17 @@ from .errors import (
     ReservedParameterError,
 )
 from .linsolve import RationalSpan, rational_rank
-from .membership import IdealDecomposition, NotFound, _zero_certificate, decompose
-from .phase import PhasePolynomial, PhaseSpace, _Frozen, _grlex_key, poisson
+from .membership import IdealDecomposition, NotFound, _reexpand, _zero_certificate, decompose
+from .phase import PhasePolynomial, PhaseSpace, _adopt, _Frozen, _grlex_key, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
 
 
 def _consistent_residual(space: PhaseSpace, residual, source: str) -> PhasePolynomial:
-    """The residual of {source, H_d} as a polynomial; a nonzero residual with
-    no phase-variable support means the system has no solutions."""
-    candidate = PhasePolynomial(space, residual)
+    """The residual of {source, H_d} as a polynomial, adopting `residual`, a
+    fresh dict of nonzero ``Fraction``s; a nonzero residual with no
+    phase-variable support means the system has no solutions."""
+    candidate = _adopt(space, residual)
     n_vars = 2 * space.n_dof
     if all(idx >= n_vars for idx in candidate.used_indices()):
         raise InconsistentSystemError(
@@ -210,8 +211,8 @@ def _build_chain(
         rows.append(tuple(
             PhasePolynomial.constant(space, row[k]) if k in row else zero for k in keys
         ))
-        # Each table row is re-expanded once; this guard must never trip.
-        if not IdealDecomposition(bracket, all_constraints, rows[-1], 0).verify():
+        # Each published row is re-expanded once; this guard must never trip.
+        if _reexpand(bracket, rows[-1], all_constraints) != bracket.terms:
             raise RuntimeError(f"internal error: table row of {name} failed re-expansion")
 
     closure_generators = all_constraints + (system._on_shell,)
@@ -291,6 +292,13 @@ def assemble_total_hamiltonian(
     The returned certificate shows H_tot - H_d decomposing over the lifted
     constraints with the multipliers themselves as coefficients, which is the
     weak equality of the total and dynamical Hamiltonians.
+
+    Each multiplier is its own identifier, appended to the space, so the
+    weighted terms v_j * t of the constraints' terms t have pairwise distinct
+    monomials, none of them a monomial of H_d: H_tot's terms are H_d's and
+    the weighted ones, and the certificate's target is the weighted ones
+    alone, all without a polynomial sum.  The certificate is still verified,
+    multiplying each v_j by its constraint on its own.
     """
     multiplier_names = tuple(
         tuple(f"{letter}{i}" for i in range(1, len(level) + 1))
@@ -303,18 +311,19 @@ def assemble_total_hamiltonian(
             f"multiplier names {clash} collide with declared parameters"
         )
     ext = system.space.extend(fresh)
-    h_tot = system.h_d.in_space(ext)
-    lifted = []
-    coefficients = []
-    for name, poly in zip(fresh, chain.all_constraints()):
-        multiplier = PhasePolynomial.variable(ext, name)
-        lifted.append(poly.in_space(ext))
-        coefficients.append(multiplier)
-        h_tot = h_tot + multiplier * lifted[-1]
+    lifted = tuple(poly.in_space(ext) for poly in chain.all_constraints())
+    base = system.space.n_identifiers
+    weighted = {}
+    for j, poly in enumerate(lifted):
+        # v_j's exponent 1 in place of the lifted zeros of the multipliers
+        pad = (0,) * j + (1,) + (0,) * (len(fresh) - 1 - j)
+        for mon, coeff in poly.terms.items():
+            weighted[mon[:base] + pad] = coeff
+    h_tot = _adopt(ext, {**system.h_d.in_space(ext).terms, **weighted})
     certificate = IdealDecomposition(
-        target=h_tot - system.h_d.in_space(ext),
-        generators=tuple(lifted),
-        coefficients=tuple(coefficients),
+        target=_adopt(ext, weighted),
+        generators=lifted,
+        coefficients=tuple(PhasePolynomial.variable(ext, name) for name in fresh),
         degree_bound=1,
     )
     if not certificate.verify():  # pragma: no cover - structural identity

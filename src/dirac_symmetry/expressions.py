@@ -237,6 +237,8 @@ class _Parser:
 
 def parse_polynomial(text: str, space: PhaseSpace) -> PhasePolynomial:
     """Parse expression text into a canonical-form polynomial on `space`."""
+    if text in space._index:  # a lone declared identifier, no whitespace
+        return PhasePolynomial.variable(space, text)
     parser = _Parser(text, space)
     poly = parser.expression()
     tail = parser.tokens[parser.cursor]

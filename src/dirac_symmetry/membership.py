@@ -82,6 +82,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement, compress
 from math import comb
+from operator import add
 from threading import Lock
 from typing import Callable, NamedTuple, Sequence
 
@@ -130,7 +131,13 @@ class CoefficientMode(Enum):
 
 @dataclass(frozen=True)
 class IdealDecomposition:
-    """Certificate that ``target = sum_k coefficients[k] * generators[k]``."""
+    """Certificate that ``target = sum_k coefficients[k] * generators[k]``.
+
+    ``expand`` and ``verify`` re-expand the sum in one pass into one term
+    dictionary (``_reexpand``), building no polynomial per generator; a
+    coefficient on another phase space raises the ``SpaceMismatchError`` of
+    the dense sum.
+    """
 
     target: PhasePolynomial
     generators: tuple[PhasePolynomial, ...]
@@ -138,27 +145,58 @@ class IdealDecomposition:
     degree_bound: int
 
     def expand(self) -> PhasePolynomial:
-        """sum_k coefficients[k] * generators[k].  Only the nonzero
-        coefficients are multiplied and added; a zero one is still checked
-        against its generator's and the target's phase space, so a
-        certificate on a mismatched space raises ``SpaceMismatchError`` as a
-        dense sum would."""
-        total = PhasePolynomial.zero(self.target.space)
-        for coeff, gen in zip(self.coefficients, self.generators):
-            if coeff:
-                total = total + coeff * gen
-            else:
-                coeff._check_space(gen)
-                total._check_space(coeff)
-        return total
+        """sum_k coefficients[k] * generators[k], on the target's space."""
+        return _adopt(
+            self.target.space, _reexpand(self.target, self.coefficients, self.generators)
+        )
 
     def verify(self) -> bool:
         """Exact re-expansion check; certificates must always satisfy this."""
-        if self.expand() != self.target:
+        if _reexpand(self.target, self.coefficients, self.generators) != self.target.terms:
             return False
         return all(
             c.total_degree() <= self.degree_bound for c in self.coefficients
         )
+
+
+def _reexpand(
+    target: PhasePolynomial,
+    coefficients: Sequence[PhasePolynomial],
+    generators: Sequence[PhasePolynomial],
+) -> dict[Exponents, Fraction]:
+    """The nonzero terms of sum_k f_k * g_k, summed in one dictionary.
+
+    A constant f_k scales g_k's terms, building no exponent tuple; any other
+    nonzero f_k multiplies them term by term, refused as a product is past
+    ``phase.MAX_TERM_PAIRS``.  Every pair is space-checked as the dense sum
+    checks it, the coefficient against its generator and then the target
+    against the coefficient, so a zero coefficient is checked too and a
+    mismatch raises the same ``SpaceMismatchError``.
+    """
+    space = target.space
+    total: dict[Exponents, Fraction] = {}
+    get = total.get
+    for coeff, gen in zip(coefficients, generators):
+        if coeff.space is not space or gen.space is not space:
+            coeff._check_space(gen)
+            target._check_space(coeff)
+        terms = coeff.terms
+        if not terms:
+            continue
+        if len(terms) == 1:
+            (mon, value), = terms.items()
+            if not any(mon):
+                for m, c in gen.terms.items():
+                    old = get(m)
+                    total[m] = value * c if old is None else old + value * c
+                continue
+        phase._check_term_pairs("product", coeff, gen)
+        for m1, c1 in terms.items():
+            for m2, c2 in gen.terms.items():
+                m = tuple(map(add, m1, m2))
+                old = get(m)
+                total[m] = c1 * c2 if old is None else old + c1 * c2
+    return {m: c for m, c in total.items() if c}
 
 
 class NotFound(NamedTuple):

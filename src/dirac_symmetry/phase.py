@@ -441,38 +441,41 @@ class PhasePolynomial(_Frozen):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     def _monomial_str(self, monomial: Exponents) -> str:
-        factors = []
-        for idx, exp in enumerate(monomial):
-            if exp == 1:
-                factors.append(self.space.identifiers[idx])
-            elif exp > 1:
-                factors.append(f"{self.space.identifiers[idx]}^{exp}")
-        return "*".join(factors)
+        """The factors of `monomial`, its nonzero exponents picked out by
+        ``compress`` rather than a Python loop over every exponent."""
+        identifiers = self.space.identifiers
+        return "*".join(
+            identifiers[idx] if monomial[idx] == 1 else f"{identifiers[idx]}^{monomial[idx]}"
+            for idx in compress(range(len(monomial)), monomial)
+        )
 
     def __str__(self) -> str:
+        """Terms in descending graded-lex order; the sign and the unit case
+        are read from each coefficient's numerator and denominator."""
         if not self.terms:
             return "0"
         pieces: list[str] = []
         for position, (monomial, coeff) in enumerate(self.sorted_terms()):
             mon = self._monomial_str(monomial)
+            num = coeff.numerator
+            unit = coeff.denominator == 1 and abs(num) == 1
             if position == 0:
                 # Leading term carries its sign inside the rational literal so
                 # the printed form stays inside the expression grammar.
                 if not mon:
                     pieces.append(str(coeff))
-                elif coeff == 1:
+                elif unit and num == 1:
                     pieces.append(mon)
                 else:
                     pieces.append(f"{coeff}*{mon}")
             else:
-                sign = " + " if coeff > 0 else " - "
-                mag = abs(coeff)
-                if not mon:
-                    pieces.append(f"{sign}{mag}")
-                elif mag == 1:
+                sign = " + " if num > 0 else " - "
+                if mon and unit:
                     pieces.append(f"{sign}{mon}")
                 else:
-                    pieces.append(f"{sign}{mag}*{mon}")
+                    # str raises ValueError past Python's digit limit.
+                    mag = str(coeff).lstrip("-")
+                    pieces.append(f"{sign}{mag}*{mon}" if mon else f"{sign}{mag}")
         return "".join(pieces)
 
     def __repr__(self):

@@ -10,7 +10,9 @@ from dirac_symmetry import (
     CoefficientMode,
     ConstrainedSystem,
     DependentPrimariesError,
+    IdealDecomposition,
     InconsistentSystemError,
+    PhasePolynomial,
     PhaseSpace,
     RationalSpan,
     ReservedParameterError,
@@ -117,6 +119,20 @@ class TestGenerateChain:
         counting(RationalSpan, "split")
         generate_chain(model().system)
         assert counts == {"poisson": brackets, "decompose": closures, "split": brackets}
+
+    def test_em_modes_chain_builds_no_certificate(self, monkeypatch):
+        # The table rows are re-expanded without an IdealDecomposition, and
+        # em_modes has no tertiary to close.
+        built = []
+        real = IdealDecomposition.__init__
+        monkeypatch.setattr(
+            IdealDecomposition, "__init__",
+            lambda self, *args, **kwargs: built.append(args) or real(self, *args, **kwargs),
+        )
+        chain = generate_chain(em_modes(5).system)
+        assert chain.counts == (5, 5, 0) and built == []
+        decompose(chain.brackets[0][0], chain.all_constraints())
+        assert len(built) == 1  # the spy sees a certificate when one is built
 
     def test_cyclic_coordinate_stops_immediately(self):
         space = PhaseSpace(2)
@@ -354,8 +370,90 @@ class TestReexpansionGuard:
         with pytest.raises(RuntimeError, match="internal error"):
             recombine_level(chain, "secondary", [[F(1), F(1)], [F(0), F(1)]])
 
+    def test_a_tampered_published_row_raises(self, monkeypatch):
+        # The split is right; the constants the row publishes are doubled.
+        system = cascade_system()
+        constant = PhasePolynomial.constant
+        monkeypatch.setattr(
+            PhasePolynomial, "constant",
+            classmethod(lambda cls, space, value: constant(space, 2 * value)),
+        )
+        with pytest.raises(RuntimeError, match="internal error: table row of P1"):
+            generate_chain(system)
+
+
+def summed_total_hamiltonian(system, chain):
+    """H_tot and its certificate built by polynomial sums, as the one-pass
+    assembly replaced: H_d plus each v_j * phi_j in turn, and the target
+    H_tot - H_d."""
+    fresh = [
+        f"{letter}{i}"
+        for letter, level in zip("vuw", chain.levels)
+        for i in range(1, len(level) + 1)
+    ]
+    ext = system.space.extend(fresh)
+    h_tot = system.h_d.in_space(ext)
+    lifted, coefficients = [], []
+    for name, constraint in zip(fresh, chain.all_constraints()):
+        coefficients.append(PhasePolynomial.variable(ext, name))
+        lifted.append(constraint.in_space(ext))
+        h_tot = h_tot + coefficients[-1] * lifted[-1]
+    certificate = IdealDecomposition(
+        h_tot - system.h_d.in_space(ext), tuple(lifted), tuple(coefficients), 1
+    )
+    return h_tot, certificate
+
 
 class TestTotalHamiltonian:
+    @staticmethod
+    def assert_matches_the_summed_assembly(system, chain):
+        total = assemble_total_hamiltonian(system, chain)
+        h_tot, certificate = summed_total_hamiltonian(system, chain)
+        assert total.h_tot == h_tot and total.h_tot.space == total.space
+        assert total.certificate == certificate
+        assert total.certificate.verify()
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_MODELS))
+    def test_shipped_models_match_the_summed_assembly(self, name):
+        system = SHIPPED_MODELS[name]().system
+        self.assert_matches_the_summed_assembly(system, generate_chain(system))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_em_modes_match_the_summed_assembly(self, n):
+        system = em_modes(n).system
+        self.assert_matches_the_summed_assembly(system, generate_chain(system))
+
+    def test_cascades_match_the_summed_assembly(self):
+        chains = random_cascade_chains(35, 100)
+        for chain in chains:
+            self.assert_matches_the_summed_assembly(chain.system, chain)
+        assert sum(bool(chain.levels[2]) for chain in chains) >= 10
+
+    def test_a_chain_on_a_smaller_space_matches_the_summed_assembly(self):
+        # The system declares one parameter more than the chain's space.
+        chain = generate_chain(cascade_system())
+        space = chain.space.extend(("m",))
+        system = ConstrainedSystem(
+            space, chain.system.h_d.in_space(space),
+            tuple(p.in_space(space) for p in chain.levels[0]), chain.names[0],
+        )
+        self.assert_matches_the_summed_assembly(system, chain)
+
+    def test_assembly_forms_no_polynomial_sum_or_product(self, monkeypatch):
+        system = em_modes(5).system
+        chain = generate_chain(system)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            real = getattr(PhasePolynomial, name)
+            monkeypatch.setattr(
+                PhasePolynomial, name,
+                lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args),
+            )
+        assemble_total_hamiltonian(system, chain)
+        assert calls == []
+        summed_total_hamiltonian(system, chain)
+        assert {"__add__", "__mul__"} <= set(calls)  # the spy sees a sum when one is formed
+
     def test_cascade_assembly(self):
         system = cascade_system()
         chain = generate_chain(system)

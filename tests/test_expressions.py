@@ -22,6 +22,7 @@ from dirac_symmetry import (
     parse_model_text,
     parse_polynomial,
 )
+from dirac_symmetry import expressions
 
 
 SPACE = PhaseSpace(2, ("E", "m"))
@@ -130,6 +131,26 @@ TOKEN_EDGES = [
 @pytest.mark.parametrize("text, printed", TOKEN_EDGES, ids=[repr(t) for t, _ in TOKEN_EDGES])
 def test_token_edge_parses(text, printed):
     assert str(parse_polynomial(text, SPACE)) == printed
+
+
+@pytest.mark.parametrize("name", SPACE.identifiers)
+def test_a_lone_identifier_is_the_parsed_variable(name):
+    # The parser's own result for the identifier, past the lone-identifier
+    # shortcut, and with whitespace, which always goes through the parser.
+    parser = expressions._Parser(name, SPACE)
+    parsed = parser.expression()
+    assert parser.tokens[parser.cursor] == ""
+    for text in (name, f" {name}", f"{name}\n"):
+        result = parse_polynomial(text, SPACE)
+        assert result == parsed == PhasePolynomial.variable(SPACE, name)
+        assert str(result) == name
+
+
+def test_lone_undeclared_names_keep_their_errors():
+    for text, position in (("q3", 0), ("x", 0), (" q3", 1)):
+        with pytest.raises(UndeclaredIdentifierError) as err:
+            parse_polynomial(text, SPACE)
+        assert err.value.position == position
 
 
 def test_nul_is_an_unexpected_character():

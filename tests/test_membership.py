@@ -173,6 +173,101 @@ class TestSparseCertificates:
         assert outcome.expand() == PhasePolynomial.zero(SPACE)
 
 
+def dense_expand(certificate: IdealDecomposition) -> PhasePolynomial:
+    """The definition ``expand`` re-expands in one pass: a polynomial sum of
+    every product coefficient times generator."""
+    zero = PhasePolynomial.zero(certificate.target.space)
+    return sum(
+        (c * g for c, g in zip(certificate.coefficients, certificate.generators)), zero
+    )
+
+
+def dense_verify(certificate: IdealDecomposition) -> bool:
+    return dense_expand(certificate) == certificate.target and all(
+        c.total_degree() <= certificate.degree_bound for c in certificate.coefficients
+    )
+
+
+class TestOnePassReexpansion:
+    """``expand`` and ``verify`` against their polynomial-sum definitions, on
+    seeded certificates from ``decompose`` and on tampered copies of them."""
+
+    def test_each_kind_of_coefficient(self):
+        generators = [poly(g, SPACE) for g in ("q1 + p1", "p2", "q3^2 - 1", "q1*p1")]
+        coefficients = [poly(c, SPACE) for c in ("3/2", "q1 - 2*p3", "0", "-q1")]
+        target = poly("3/2*q1 + 3/2*p1 + q1*p2 - 2*p2*p3 - q1^2*p1", SPACE)
+        assert membership._reexpand(target, coefficients, generators) == target.terms
+        # Terms that cancel across generators are dropped.
+        f = poly("q1 - 2*p3", SPACE)
+        assert membership._reexpand(target, [f, f], [poly("p2", SPACE), -poly("p2", SPACE)]) == {}
+
+    @staticmethod
+    def certificates(seed, count):
+        rng = random.Random(seed)
+        for space, gens, _ in random_ideals(seed, count):
+            for mode, degree in ((CoefficientMode.POLYNOMIAL, 1), (CoefficientMode.CONSTANT, 0)):
+                coefficients = [
+                    PhasePolynomial.zero(space) if rng.random() < 0.3 else
+                    random_polynomial(rng, space, max_terms=2, max_degree=degree)
+                    for _ in gens
+                ]
+                target = sum((c * g for c, g in zip(coefficients, gens)),
+                             PhasePolynomial.zero(space))
+                outcome = decompose(target, gens, degree_bound=2, mode=mode)
+                assert isinstance(outcome, IdealDecomposition)
+                yield outcome
+
+    @staticmethod
+    def tampered_copies(outcome, rng):
+        space = outcome.target.space
+        coefficients = outcome.coefficients
+        extra = random_polynomial(rng, space, max_terms=2, max_degree=2)
+        for k, coefficient in enumerate(coefficients):
+            changed = [coefficient + extra, coefficient.scale(2)]
+            if not coefficient:
+                changed.append(extra)
+            elif coefficient.total_degree() == 0:
+                changed.append(coefficient + poly("q1", space))
+            for new in changed:
+                yield dataclasses.replace(
+                    outcome, coefficients=coefficients[:k] + (new,) + coefficients[k + 1:]
+                )
+
+    def test_agrees_with_the_polynomial_sum(self):
+        rng = random.Random(35)
+        checked = tampered = 0
+        for outcome in self.certificates(35, 40):
+            assert outcome.verify() and dense_verify(outcome)
+            assert outcome.expand() == dense_expand(outcome) == outcome.target
+            checked += 1
+            for copy in self.tampered_copies(outcome, rng):
+                assert copy.expand() == dense_expand(copy)
+                assert copy.verify() == dense_verify(copy)
+                tampered += not copy.verify()
+        assert checked >= 60 and tampered >= 100
+
+    def test_a_coefficient_on_another_space_gives_the_dense_message(self):
+        other = PhaseSpace(4)
+        for outcome in self.certificates(36, 10):
+            for k in range(len(outcome.coefficients)):
+                for coefficient in (PhasePolynomial.zero(other), poly("q1", other),
+                                    poly("2", other)):
+                    coefficients = list(outcome.coefficients)
+                    coefficients[k] = coefficient
+                    copy = dataclasses.replace(outcome, coefficients=tuple(coefficients))
+                    # The generator moved too: the target is the odd one out.
+                    generators = list(outcome.generators)
+                    generators[k] = poly("p1", other)
+                    moved = dataclasses.replace(copy, generators=tuple(generators))
+                    for certificate in (copy, moved):
+                        with pytest.raises(SpaceMismatchError) as dense:
+                            dense_expand(certificate)
+                        for method in (certificate.verify, certificate.expand):
+                            with pytest.raises(SpaceMismatchError) as sparse:
+                                method()
+                            assert str(sparse.value) == str(dense.value)
+
+
 def record_solved(monkeypatch) -> list[linsolve.Columns]:
     """The columns of every system ``decompose`` solves, in order."""
     solved = []

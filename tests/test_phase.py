@@ -215,6 +215,48 @@ class TestPrinting:
         f = poly("q1 + q1^2 + p2 + q1*p1", SPACE2)
         assert str(f) == "q1^2 + q1*p1 + q1 + p2"
 
+    @staticmethod
+    def walked_str(f: PhasePolynomial) -> str:
+        """The printer before it read signs from numerators: a walk over every
+        exponent and ``Fraction`` comparisons."""
+        if not f.terms:
+            return "0"
+        pieces = []
+        for position, (monomial, coeff) in enumerate(f.sorted_terms()):
+            mon = "*".join(
+                f.space.identifiers[i] + ("" if e == 1 else f"^{e}")
+                for i, e in enumerate(monomial) if e
+            )
+            if position == 0:
+                pieces.append(str(coeff) if not mon else mon if coeff == 1 else f"{coeff}*{mon}")
+            else:
+                sign, mag = (" + " if coeff > 0 else " - "), abs(coeff)
+                pieces.append(
+                    f"{sign}{mag}" if not mon else f"{sign}{mon}" if mag == 1
+                    else f"{sign}{mag}*{mon}"
+                )
+        return "".join(pieces)
+
+    def test_matches_the_walked_printer(self):
+        rng = random.Random(35)
+        space = PhaseSpace(3, ("E", "m"))
+        for _ in range(500):
+            f = random_polynomial(rng, space, max_terms=6, max_degree=4,
+                                  coeff_range=(-3, 3), allow_parameters=True)
+            f = f.scale(Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 1, 2, 5))))
+            assert str(f) == self.walked_str(f)
+
+    def test_a_coefficient_past_the_digit_limit_raises_value_error(self):
+        # report._text turns this ValueError into exit 3.
+        huge = 10**5000
+        q1, p1, one = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0,) * 5
+        for value in (huge, -huge, Fraction(1, huge), Fraction(-3, huge)):
+            for terms in ({q1: value}, {one: value}, {q1: 1, p1: value}, {q1: 1, one: value}):
+                f = PhasePolynomial(SPACE2, terms)
+                for printer in (str, self.walked_str):
+                    with pytest.raises(ValueError):
+                        printer(f)
+
 
 class TestArithmetic:
     def test_additive_inverse(self):
