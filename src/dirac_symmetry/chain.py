@@ -23,7 +23,7 @@ from .errors import (
     ReservedParameterError,
 )
 from .linsolve import RationalSpan, rational_rank
-from .membership import IdealDecomposition, NotFound, _reexpand, _zero_certificate, decompose
+from .membership import IdealDecomposition, NotFound, _reexpand, decompose
 from .phase import PhasePolynomial, PhaseSpace, _adopt, _Frozen, _grlex_key, poisson
 
 LEVELS = ("primary", "secondary", "tertiary")
@@ -356,9 +356,9 @@ def first_class_check(
     """Test every constraint pair's bracket for membership in the on-shell module.
 
     Failures are findings about the system, not faults: the report carries a
-    ``NotFound`` for each flagged pair, exact or bounded by the degree.  Only
-    nonzero brackets are searched; the zero ones share one all-zero
-    certificate.
+    ``NotFound`` for each flagged pair, exact or bounded by the degree.  The
+    zero brackets share one answer, the all-zero certificate ``decompose``
+    gives the first of them.
     """
     names = chain.all_names()
     polys = chain.all_constraints()
@@ -368,11 +368,11 @@ def first_class_check(
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             bracket = poisson(polys[a], polys[b])
-            if bracket:
+            if bracket or zero is None:
                 outcome = decompose(bracket, ideal, degree_bound)
+                if not bracket:
+                    zero = outcome
             else:
-                if zero is None:
-                    zero = _zero_certificate(bracket, ideal, degree_bound)
                 outcome = zero
             pairs.append(
                 PairBracketCheck(

@@ -53,7 +53,9 @@ class SearchTooLargeError(DiracSymmetryError):
 
 class ProductTooLargeError(DiracSymmetryError):
     """A product or Poisson bracket would form more pairs of terms than
-    ``phase.MAX_TERM_PAIRS``; it is refused before any pair is formed."""
+    ``phase.MAX_TERM_PAIRS``, or it or a parsed sum would store more exponent
+    entries than ``phase.MAX_TERM_ENTRIES``; it is refused before any pair is
+    formed, or as the sum's first term past the limit is read."""
 
 
 class UsageError(DiracSymmetryError):

@@ -26,7 +26,9 @@ groups) is refused by ``phase.check_coefficients`` when it builds a
 coefficient past that limit that is larger than every coefficient of its
 factors.  The rule is one of value, not of form: a single literal is taken as
 written, and so is the same literal in parentheses times a monomial, as in
-``(X)*(q1)`` or ``(q1)*X``.
+``(X)*(q1)`` or ``(q1)*X``.  A sum is refused as soon as its distinct terms
+times the space's identifiers pass ``phase.MAX_TERM_ENTRIES``, since every
+term stores one exponent per identifier.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ParseError, UndeclaredIdentifierError
+from . import phase
+from .errors import ParseError, ProductTooLargeError, UndeclaredIdentifierError
 from .phase import (
     _ONE,
     Exponents,
@@ -74,6 +77,8 @@ class _Parser:
         self.tokens.append("")
         self.cursor = 0
         self.depth = 0
+        # A sum of more terms would pass phase.MAX_TERM_ENTRIES.
+        self.most_terms = phase.MAX_TERM_ENTRIES // space.n_identifiers
 
     def error(self, message: str, index: int, kind=ParseError) -> ParseError:
         """A `kind` error for `message` at the position of token `index`."""
@@ -104,7 +109,17 @@ class _Parser:
                 if negate:
                     coeff = -coeff
                 old = get(mon)
-                terms[mon] = coeff if old is None else old + coeff
+                if old is not None:
+                    terms[mon] = old + coeff
+                    continue
+                terms[mon] = coeff
+                if len(terms) > self.most_terms:
+                    raise ProductTooLargeError(
+                        f"sum of more than {self.most_terms} terms over "
+                        f"{self.space.n_identifiers} identifiers would store "
+                        f"more exponent entries than the limit of "
+                        f"{phase.MAX_TERM_ENTRIES}"
+                    )
             text = tokens[self.cursor]
             if text != "+" and text != "-":
                 return _adopt(self.space, {m: c for m, c in terms.items() if c})

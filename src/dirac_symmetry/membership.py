@@ -831,44 +831,6 @@ def _certificate(
     )
 
 
-def _checked(
-    target: PhasePolynomial,
-    generators: Sequence[PhasePolynomial],
-    degree_bound: int | None,
-    mode: CoefficientMode,
-) -> tuple[tuple[PhasePolynomial, ...], int]:
-    """The generators as a tuple and the bound ``decompose`` records: 0 in
-    CONSTANT mode, ``default_degree_bound`` for None.  A generator on
-    another phase space is refused first, then a negative bound."""
-    space = target.space
-    generators = tuple(generators)
-    for gen in generators:
-        if gen.space is not space and gen.space != space:
-            raise ValueError("generators must share the target's phase space")
-    if mode is CoefficientMode.CONSTANT:
-        return generators, 0
-    if degree_bound is None:
-        return generators, default_degree_bound(target, generators)
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    return generators, degree_bound
-
-
-def _zero_certificate(
-    target: PhasePolynomial,
-    generators: Sequence[PhasePolynomial],
-    degree_bound: int | None,
-    mode: CoefficientMode = CoefficientMode.POLYNOMIAL,
-) -> IdealDecomposition:
-    """``decompose``'s answer for a zero target, built without a search:
-    every coefficient zero.  It refuses what ``decompose`` refuses and
-    records the bound ``decompose`` would (``_checked``).  The checks call
-    it directly for their zero brackets, once per module."""
-    generators, degree_bound = _checked(target, generators, degree_bound, mode)
-    zero = PhasePolynomial.zero(target.space)
-    return IdealDecomposition(target, generators, (zero,) * len(generators), degree_bound)
-
-
 def decompose(
     target: PhasePolynomial,
     generators: Sequence[PhasePolynomial],
@@ -890,11 +852,28 @@ def decompose(
     before a degree that would pass ``MAX_UNKNOWNS`` or at the end of the
     ladder, whichever comes first; a nonzero one ends the search with an
     exact ``NotFound``.  A certificate at the reach needs no basis.
+
+    A generator on another phase space is refused first, then a negative
+    bound; CONSTANT mode records the bound 0 and None records
+    ``default_degree_bound``.  A zero target is then answered at once with
+    every coefficient zero, before any search; ``first_class_check`` and
+    ``check_level_preservation`` ask once per module for their zero brackets
+    and share that answer.
     """
-    if not target:
-        return _zero_certificate(target, generators, degree_bound, mode)
     space = target.space
-    generators, degree_bound = _checked(target, generators, degree_bound, mode)
+    generators = tuple(generators)
+    for gen in generators:
+        if gen.space is not space and gen.space != space:
+            raise ValueError("generators must share the target's phase space")
+    if mode is CoefficientMode.CONSTANT:
+        degree_bound = 0
+    elif degree_bound is None:
+        degree_bound = default_degree_bound(target, generators)
+    elif degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    if not target:
+        zero = PhasePolynomial.zero(space)
+        return IdealDecomposition(target, generators, (zero,) * len(generators), degree_bound)
 
     if not any(generators):  # the zero ideal, all-zero generators included
         return NotFound(degree_bound, mode, exact=True)

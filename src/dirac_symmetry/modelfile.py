@@ -284,6 +284,8 @@ def load_model_file(path: str | os.PathLike[str]) -> ModelFile:
     except UnicodeEncodeError as exc:  # a lone surrogate, which no file name holds
         # The message escapes the character, so any stderr can print it.
         raise ModelFileError(f"model file name is not valid text: {exc}") from exc
+    except ValueError as exc:  # a NUL character, which no path holds
+        raise ModelFileError(f"model file name is not a valid path: {exc}") from exc
     if len(data) > MAX_MODEL_BYTES:
         raise ModelFileError(
             f"model file {path} is larger than {MAX_MODEL_BYTES} bytes"

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from itertools import compress
 from operator import add, attrgetter
-from typing import Callable, Collection, Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 from .errors import ProductTooLargeError, SpaceMismatchError
 
@@ -40,6 +40,14 @@ _VARIABLE_SHAPE_RE = re.compile(r"[qp][0-9]+\Z")
 # benchmark's workloads form at most 38 pairs.
 MAX_TERM_PAIRS = 100_000
 
+# Most exponent entries one product, bracket or parsed sum may store: its
+# terms (a product's or bracket's term pairs) times the space's identifiers,
+# since every term is a tuple of one entry per identifier.  At the cap the
+# tuples hold 16 MB of entry pointers (8 bytes each on a 64-bit build).  The
+# test suite forms at most 46314 (a bracket of a 1-term and a 186-term
+# polynomial over 249 identifiers) and parses at most 40002.
+MAX_TERM_ENTRIES = 2_000_000
+
 # Most degrees of freedom a phase space may declare.  Exponent tuples have
 # 2 * n_dof + len(parameters) entries: `chain` on a one-line model with a
 # million took 3.3 s of CPU and 336 MB (Python 3.11 on a 2-vCPU Xeon VM).
@@ -50,13 +58,6 @@ MAX_DOF = 10_000
 # `check_power`.  8192 bits are 2467 decimal digits, below Python's limit of
 # 4300 digits for printing an integer; `2^15000` would pass that limit.
 MAX_COEFFICIENT_BITS = 8192
-
-
-def _field_tuple(names: tuple[str, ...]) -> Callable[[object], tuple]:
-    """``attrgetter(*names)``, returning a tuple for one name or none too."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    return lambda instance: tuple(getattr(instance, name) for name in names)
 
 
 class _Frozen:
@@ -71,17 +72,17 @@ class _Frozen:
     does.  ``_compared`` names the constructor's arguments in order: a copy
     or an unpickled instance is rebuilt by calling the class on them, so it
     passes the constructor's checks and derives its private slots afresh.
-    The fields are fetched by one getter per class, built when it is defined.
+    The fields are fetched by one ``attrgetter`` per class, built when it is
+    defined; every subclass compares at least two fields, so it gives a tuple.
     """
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
     _shown: tuple[str, ...] = ()
-    _compared_fields = staticmethod(_field_tuple(_compared))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._compared_fields = staticmethod(_field_tuple(cls._compared))
+        cls._compared_fields = attrgetter(*cls._compared)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -556,6 +557,13 @@ def _check_term_pairs(operation: str, f: PhasePolynomial, g: PhasePolynomial) ->
             f"{operation} of a {len(f.terms)}-term and a {len(g.terms)}-term "
             f"polynomial would form {pairs} term pairs, over the limit of "
             f"{MAX_TERM_PAIRS}"
+        )
+    entries = pairs * len(f.space.identifiers)
+    if entries > MAX_TERM_ENTRIES:
+        raise ProductTooLargeError(
+            f"{operation} of a {len(f.terms)}-term and a {len(g.terms)}-term "
+            f"polynomial over {f.space.n_identifiers} identifiers could store "
+            f"{entries} exponent entries, over the limit of {MAX_TERM_ENTRIES}"
         )
 
 

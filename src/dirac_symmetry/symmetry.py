@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 from .chain import LEVELS, ConstrainedSystem, ConstraintChain
 from .linsolve import rational_rank
-from .membership import (
-    CoefficientMode,
-    IdealDecomposition,
-    NotFound,
-    _zero_certificate,
-    decompose,
-)
+from .membership import CoefficientMode, IdealDecomposition, NotFound, decompose
 from .phase import PhasePolynomial, _Frozen, poisson
 
 
@@ -87,18 +81,16 @@ def check_dynamical_symmetry(
 ) -> tuple[CommutationClass, PhasePolynomial, IdealDecomposition | NotFound]:
     """Classify {A, H_d}: identically zero, weakly zero, or neither.
 
-    Returns (class, bracket, certificate).  A zero bracket is STRICT, with the
-    all-zero certificate built without a search; only a nonzero bracket is
-    decomposed over the on-shell module.  A FAILS answer is conclusive only
-    up to the degree bound recorded on the certificate.
+    Returns (class, bracket, certificate).  The bracket is decomposed over
+    the on-shell module; a zero bracket is STRICT, and ``decompose`` answers
+    it with the all-zero certificate before any search.  A FAILS answer is
+    conclusive only up to the degree bound recorded on the certificate.
     """
     bracket = poisson(generator, system.h_d)
     _, ideal = chain.on_shell_generators(include_energy)
-    if not bracket:
-        return CommutationClass.STRICT, bracket, _zero_certificate(
-            bracket, ideal, degree_bound
-        )
     outcome = decompose(bracket, ideal, degree_bound)
+    if not bracket:
+        return CommutationClass.STRICT, bracket, outcome
     if isinstance(outcome, IdealDecomposition):
         return CommutationClass.ON_SHELL, bracket, outcome
     return CommutationClass.FAILS, bracket, outcome
@@ -145,8 +137,8 @@ def check_level_preservation(
     A failure that succeeds over the full constraint set is constraint
     mixing; a failure even there means the generator maps the constraint
     outside the constraint module entirely.  Both are reported with the
-    offending pairs named.  A zero image is not searched: every zero image of
-    a level shares one all-zero certificate over that level.
+    offending pairs named.  Every zero image of a level shares one answer,
+    the all-zero certificate ``decompose`` gives the first of them.
     """
     levels = tuple(zip(LEVELS, chain.levels, chain.names))
     all_polys = chain.all_constraints()
@@ -158,11 +150,11 @@ def check_level_preservation(
         zero = None
         for phi, name in zip(polys, names):
             image = poisson(generator, phi)
-            if image:
+            if image or zero is None:
                 within = decompose(image, polys, degree_bound, mode)
+                if not image:
+                    zero = within
             else:
-                if zero is None:
-                    zero = _zero_certificate(image, polys, degree_bound, mode)
                 within = zero
             across = None
             if isinstance(within, NotFound):

@@ -2,6 +2,7 @@ import io
 import json
 import runpy
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,6 +228,15 @@ class TestErrorExitCodes:
             "can't encode character '\\ud800' in position 0: surrogates not allowed\n"
         )
 
+    def test_path_with_a_nul_is_invalid_input(self, capsys):
+        # Only an in-process caller can pass one; no argv holds it.
+        code, out, err = run(capsys, "chain", "a\x00b")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: invalid input: model file name is not a valid path: embedded null byte\n"
+        )
+
     def test_message_the_stderr_encoding_cannot_hold_is_escaped(self, monkeypatch):
         # A strict UTF-8 stderr cannot encode the surrogate that stands for
         # the name's byte 0xff; the message is still written, with escapes.
@@ -345,6 +355,41 @@ class TestErrorExitCodes:
         assert out == ""
         assert err.startswith("error: invalid input: [system] hamiltonian: product of a 715-term")
         assert f"511225 term pairs, over the limit of {phase.MAX_TERM_PAIRS}" in err
+
+    @pytest.mark.parametrize(
+        "declarations, hamiltonian, most",
+        [
+            # 20001 identifiers; H = q1^1 + ... + q1^800.
+            ("n_dof = 10000", " + ".join(f"q1^{i}" for i in range(1, 801)), 99),
+            # 10002 identifiers; H = a0 + ... + a299.
+            (
+                "n_dof = 1\nparameters = E " + " ".join(f"a{i}" for i in range(9999)),
+                " + ".join(f"a{i}" for i in range(300)),
+                199,
+            ),
+        ],
+        ids=["wide-space", "many-parameters"],
+    )
+    def test_sum_of_wide_terms_is_invalid_input(
+        self, capsys, tmp_path, declarations, hamiltonian, most
+    ):
+        # Every term stores one exponent per identifier: these parsed to
+        # 16 and 3 million entries before the sum was charged for them.
+        path = tmp_path / "wide-terms.model"
+        path.write_text(
+            f"[system]\n{declarations}\nhamiltonian = {hamiltonian}\n"
+            "[primaries]\nP1 = p1\n",
+            encoding="utf-8",
+        )
+        start = time.process_time()
+        code, out, err = run(capsys, "chain", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"error: invalid input: [system] hamiltonian: sum of more than {most} terms"
+        )
+        assert f"than the limit of {phase.MAX_TERM_ENTRIES}\n" in err
 
     @pytest.mark.parametrize(
         "hamiltonian, bits",

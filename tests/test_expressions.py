@@ -22,7 +22,7 @@ from dirac_symmetry import (
     parse_model_text,
     parse_polynomial,
 )
-from dirac_symmetry import expressions
+from dirac_symmetry import expressions, phase
 
 
 SPACE = PhaseSpace(2, ("E", "m"))
@@ -231,6 +231,27 @@ class TestLiteralPowers:
         assert parse_polynomial("q1*(q1 + p1)*2*(q1 - p1)", SPACE) == parse_polynomial(
             "2*q1^3 - 2*q1*p1^2", SPACE
         )
+
+
+class TestStoredEntries:
+    # SPACE has six identifiers, so every term stores six exponent entries.
+    def test_sum_at_the_limit_parses_and_one_term_more_is_refused(self, monkeypatch):
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 18)
+        assert len(parse_polynomial("q1 + q2 + p1 + q1", SPACE).terms) == 3
+        with pytest.raises(
+            ProductTooLargeError,
+            match="^sum of more than 3 terms over 6 identifiers would store more "
+            "exponent entries than the limit of 18$",
+        ):
+            parse_polynomial("q1 + q2 + p1 + p2", SPACE)
+
+    def test_each_group_is_a_sum_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 18)
+        assert parse_polynomial("(q1 + q2 + p1) - (q1 + q2)", SPACE) == parse_polynomial(
+            "p1", SPACE
+        )
+        with pytest.raises(ProductTooLargeError, match="^sum of more than 3 terms"):
+            parse_polynomial("m*(q1 + q2 + p1 + p2)", SPACE)
 
 
 # Random expression trees.  An atom is (text, sympy value, kind), a factor

@@ -217,6 +217,14 @@ class TestSizeCap:
             load_model_file(path)
 
 
+    @pytest.mark.parametrize("name", ["a\x00b", b"a\x00b"], ids=["str", "bytes"])
+    def test_path_with_a_nul_is_refused(self, name):
+        with pytest.raises(
+            ModelFileError, match="^model file name is not a valid path: embedded null byte$"
+        ):
+            load_model_file(name)
+
+
 def read(text: str) -> dict[str, dict[str, str]]:
     return modelfile._read_sections(text)
 

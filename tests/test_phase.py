@@ -505,6 +505,25 @@ class TestTermPairCap:
         with pytest.raises(ProductTooLargeError, match="bracket of a 3-term and a 4-term"):
             poisson(f, g)
 
+    def test_entries_are_charged_after_the_pairs(self, monkeypatch):
+        # 12 pairs over SPACE2's five identifiers could store 60 entries.
+        f = poly("q1 + q2 + p1", SPACE2)
+        g = poly("p1 + p2 + q1*p1 + q2^2", SPACE2)
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 60)
+        assert len((f * g).terms) == 12
+        assert poisson(f, g) == poly("q1 - p1 + 2", SPACE2)
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 59)
+        for operation, form in (("product", lambda: f * g), ("bracket", lambda: poisson(f, g))):
+            with pytest.raises(
+                ProductTooLargeError,
+                match=f"^{operation} of a 3-term and a 4-term polynomial over 5 "
+                "identifiers could store 60 exponent entries, over the limit of 59$",
+            ):
+                form()
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 11)
+        with pytest.raises(ProductTooLargeError, match="12 term pairs, over the limit of 11$"):
+            f * g
+
 
 POLYS2 = polynomial_strategy(PhaseSpace(2), max_degree=3, max_terms=3)
 POLYS3 = polynomial_strategy(PhaseSpace(3), max_degree=4, max_terms=3)

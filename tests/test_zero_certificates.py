@@ -2,20 +2,24 @@
 
 A zero target's certificate is known before any search: every coefficient
 zero, over the given generators, with the bound ``decompose`` records.
-``membership._zero_certificate`` is its one definition; ``decompose``'s zero
-branch returns through it, and the checks call it directly for their zero
-brackets, once per module and call.  It refuses a negative bound and
-generators on another phase space with ``decompose``'s messages, so no check
-answers where it raised before.
+``decompose`` gives it right after its validation, so it refuses a negative
+bound and generators on another phase space with its usual messages, and no
+check answers where it raised before.  ``first_class_check`` and
+``check_level_preservation`` ask ``decompose`` once per module and call for
+their zero brackets and share that answer; ``check_dynamical_symmetry`` asks
+for every bracket.
 
 The call counts below are timing-free performance pins: they count the
 ``decompose`` calls the package's checks make, at the ``chain`` and
-``symmetry`` binding sites, on command-line invocations.
+``symmetry`` binding sites, on command-line invocations.  A spy on
+``membership._reach``, the first step of every search, shows that no zero
+target gets that far.
 """
 
 import contextlib
 import io
 import sys
+from collections import Counter
 
 import pytest
 
@@ -46,7 +50,7 @@ def on_shell_module(n):
 
 
 # ----------------------------------------------------------------------
-# the builder
+# decompose on a zero target
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "degree_bound, mode, recorded",
@@ -58,38 +62,37 @@ def on_shell_module(n):
     ],
     ids=["default-bound", "explicit-bound", "constant", "constant-negative-bound"],
 )
-def test_builder_gives_decomposes_answer(degree_bound, mode, recorded):
+def test_zero_target_gets_the_all_zero_certificate(degree_bound, mode, recorded):
     generators = on_shell_module(2)
     zero = PhasePolynomial.zero(generators[0].space)
-    built = membership._zero_certificate(zero, generators, degree_bound, mode)
+    certificate = membership.decompose(zero, generators, degree_bound, mode)
     if recorded is None:
         recorded = default_degree_bound(zero, generators)
         assert recorded == 2  # H_d - E is quadratic
-    assert built == membership.decompose(zero, generators, degree_bound, mode)
-    assert built.target == zero
-    assert built.generators == tuple(generators)
-    assert built.coefficients == (zero,) * len(generators)
-    assert built.degree_bound == recorded
-    assert built.verify() and not any(built.coefficients)
+    assert certificate.target == zero
+    assert certificate.generators == tuple(generators)
+    assert certificate.coefficients == (zero,) * len(generators)
+    assert certificate.degree_bound == recorded
+    assert certificate.verify() and not any(certificate.coefficients)
 
 
-def test_builder_over_no_generators():
+def test_zero_target_over_no_generators():
     zero = PhasePolynomial.zero(PhaseSpace(2))
-    built = membership._zero_certificate(zero, (), None, CoefficientMode.POLYNOMIAL)
-    assert built == membership.decompose(zero, ())
-    assert built.generators == built.coefficients == ()
-    assert built.degree_bound == 0
-    assert built.verify()
+    certificate = membership.decompose(zero, (), None, CoefficientMode.POLYNOMIAL)
+    assert certificate.target == zero
+    assert certificate.generators == certificate.coefficients == ()
+    assert certificate.degree_bound == 0
+    assert certificate.verify()
 
 
-def test_builder_refuses_what_decompose_refuses():
+def test_zero_target_is_refused_as_any_target():
     generators = on_shell_module(2)
     zero = PhasePolynomial.zero(generators[0].space)
     with pytest.raises(ValueError, match=r"^degree bound must be >= 0, got -1$"):
-        membership._zero_certificate(zero, generators, -1, CoefficientMode.POLYNOMIAL)
+        membership.decompose(zero, generators, -1, CoefficientMode.POLYNOMIAL)
     elsewhere = PhasePolynomial.zero(PhaseSpace(3))
     with pytest.raises(ValueError, match="^generators must share the target's phase space$"):
-        membership._zero_certificate(elsewhere, generators, None, CoefficientMode.CONSTANT)
+        membership.decompose(elsewhere, generators, None, CoefficientMode.CONSTANT)
 
 
 # ----------------------------------------------------------------------
@@ -129,9 +132,7 @@ def test_zero_bracket_commutes_strictly_with_the_built_certificate():
     assert commutation is CommutationClass.STRICT
     assert not bracket
     _, ideal = chain.on_shell_generators(True)
-    assert certificate == membership._zero_certificate(
-        bracket, ideal, 4, CoefficientMode.POLYNOMIAL
-    )
+    assert certificate == membership.decompose(bracket, ideal, 4)
 
 
 def test_one_zero_certificate_per_module_and_call():
@@ -182,30 +183,66 @@ def decompose_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """Whether the target is nonzero, for every search ``decompose`` starts."""
+    targets = []
+    real = membership._reach
+
+    def spy(target, *args):
+        targets.append(bool(target))
+        return real(target, *args)
+
+    monkeypatch.setattr(membership, "_reach", spy)
+    return targets
+
+
 def run(invocation) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(invocation.split()) == CONTRACT[invocation]["exit"], invocation
 
 
+def zero_calls(calls) -> dict[str, int]:
+    return dict(Counter(caller for caller, target in calls if not target))
+
+
 @pytest.mark.parametrize(
-    "invocation, nonzero",
+    "invocation, nonzero, zero",
     [
-        ("check-symmetry models/em_modes_5.model --set gauge --format=text", 5),
-        ("first-class models/em_modes_5.model --format=text", 0),
-        ("check-symmetry models/three_level_chain.model --set good --format=text", 2),
+        # Ten gauge generators: level preservation asks once per generator
+        # and level (primary, secondary), commutation once per zero bracket.
+        (
+            "check-symmetry models/em_modes_5.model --set gauge --format=text",
+            5,
+            {"check_level_preservation": 20, "check_dynamical_symmetry": 5},
+        ),
+        ("first-class models/em_modes_5.model --format=text", 0, {"first_class_check": 1}),
+        # q1*p1 maps p2 and p3 to zero, one per level; the tertiary's weak
+        # closure is the chain's one zero target.
+        (
+            "check-symmetry models/three_level_chain.model --set good --format=text",
+            2,
+            {"check_level_preservation": 2, "_build_chain": 1},
+        ),
     ],
 )
-def test_zero_brackets_never_reach_the_search(decompose_calls, invocation, nonzero):
+def test_zero_brackets_never_reach_the_search(
+    decompose_calls, searched, invocation, nonzero, zero
+):
     run(invocation)
-    # three_level_chain's one zero target is its tertiary's weak closure.
-    zero = [caller for caller, target in decompose_calls if not target]
-    assert zero == (["_build_chain"] if "three_level_chain" in invocation else [])
-    assert len(decompose_calls) - len(zero) == nonzero
+    assert zero_calls(decompose_calls) == zero
+    assert sum(target for _, target in decompose_calls) == nonzero
+    assert all(searched)
 
 
-def test_contract_invocations_search_only_nonzero_checks(decompose_calls):
+def test_contract_invocations_search_only_nonzero_checks(decompose_calls, searched):
     for invocation in sorted(CONTRACT):
         run(invocation)
-    zero = [caller for caller, target in decompose_calls if not target]
-    assert zero == ["_build_chain"] * 10  # the tertiary closures
-    assert len(decompose_calls) - len(zero) == 44
+    assert zero_calls(decompose_calls) == {
+        "check_level_preservation": 96,
+        "check_dynamical_symmetry": 28,
+        "_build_chain": 10,  # the tertiary closures
+        "first_class_check": 10,
+    }
+    assert sum(target for _, target in decompose_calls) == 44
+    assert searched and all(searched)
