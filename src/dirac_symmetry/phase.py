@@ -567,6 +567,22 @@ def _check_term_pairs(operation: str, f: PhasePolynomial, g: PhasePolynomial) ->
         )
 
 
+def _shared_pairs(f: PhasePolynomial, g: PhasePolynomial) -> int:
+    """Bitmask of the canonical pairs i with q_i in one of f, g and p_i in
+    the other; zero exactly when {f, g} is zero by the masks alone.
+
+    Only those pairs can give a term of the bracket, so a caller may skip a
+    bracket this answers 0 for.  It refuses first what ``poisson`` refuses,
+    in the same order: operands on different spaces (SpaceMismatchError),
+    then too many term pairs (ProductTooLargeError), zero bracket or not.
+    """
+    f._check_space(g)
+    _check_term_pairs("bracket", f, g)
+    fq, fp = f._pair_masks()
+    gq, gp = g._pair_masks()
+    return fq & gp | fp & gq
+
+
 def poisson(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     """Poisson bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
 
@@ -574,16 +590,12 @@ def poisson(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     Computed term by term: a term m1 of f and a term m2 of g give, for each
     pair i, the weight m1[q_i]*m2[p_i] - m1[p_i]*m2[q_i] on the monomial
     m1*m2 / (q_i*p_i).  Only the pairs that both operands touch, q_i in one
-    and p_i in the other (read from the masks each keeps in its ``_pairs``
-    slot, see ``PhasePolynomial._pair_masks``), can give a nonzero weight:
-    with none the bracket is zero and no term is visited, and otherwise only
-    those of them in which m1 has q_i or p_i are visited.
+    and p_i in the other (``_shared_pairs``, from the masks each keeps in its
+    ``_pairs`` slot, see ``PhasePolynomial._pair_masks``), can give a nonzero
+    weight: with none the bracket is zero and no term is visited, and
+    otherwise only those of them in which m1 has q_i or p_i are visited.
     """
-    f._check_space(g)
-    _check_term_pairs("bracket", f, g)
-    fq, fp = f._pair_masks()
-    gq, gp = g._pair_masks()
-    shared = fq & gp | fp & gq
+    shared = _shared_pairs(f, g)
     if not shared:
         return _adopt(f.space, {})
     n = f.space.n_dof

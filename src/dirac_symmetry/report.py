@@ -361,6 +361,18 @@ def symmetry_report(
 ) -> dict:
     ideal_names, _ = chain.on_shell_generators(verdict.include_energy)
     level_names = dict(zip(LEVELS, chain.names))
+    all_names = chain.all_names()
+    # One dict per answer object and names: the zero images of a level share
+    # one answer.  The verdict keeps every answer alive, so no id is reused.
+    certificates: dict[tuple[int, int], dict] = {}
+
+    def certificate(outcome, names):
+        key = (id(outcome), id(names))
+        entry = certificates.get(key)
+        if entry is None:
+            entry = certificates[key] = certificate_dict(outcome, names)
+        return entry
+
     generators = []
     for gv in verdict.generator_verdicts:
         level_entries = []
@@ -369,14 +381,10 @@ def symmetry_report(
                 "level": image.level,
                 "constraint": image.name,
                 "image": _text(image.image),
-                "within_level": certificate_dict(
-                    image.within_level, level_names[image.level]
-                ),
+                "within_level": certificate(image.within_level, level_names[image.level]),
             }
             if image.across_levels is not None:
-                entry["across_levels"] = certificate_dict(
-                    image.across_levels, chain.all_names()
-                )
+                entry["across_levels"] = certificate(image.across_levels, all_names)
             level_entries.append(entry)
         generators.append(
             {

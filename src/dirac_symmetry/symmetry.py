@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .chain import LEVELS, ConstrainedSystem, ConstraintChain
 from .linsolve import rational_rank
 from .membership import CoefficientMode, IdealDecomposition, NotFound, decompose
-from .phase import PhasePolynomial, _Frozen, poisson
+from .phase import _ZERO, PhasePolynomial, _Frozen, _shared_pairs, poisson
 
 
 class CommutationClass(Enum):
@@ -205,8 +205,10 @@ def check_counts(
     not-applicable otherwise.  Each image's row is its within-level
     coefficients, or zero where only an across-level search (with its larger
     default degree bound) found a certificate, on the image's own level.  A
-    zero row adds no pivot, so the images whose within-level coefficients are
-    all zero (every zero image among them) are left out of the rank.
+    zero row adds no pivot, so the zero images, whose certificate is the
+    all-zero one ``decompose`` gives a zero target, are left out before their
+    coefficients are read.  A nonzero image's certificate sums to it, so it
+    has a nonzero coefficient.
     """
     if not level_report.level_preserving:
         return CountsReport(False, {level: None for level in LEVELS})
@@ -219,8 +221,8 @@ def check_counts(
             }
             for image in level_report.images
             if image.level == level
+            and image.image
             and isinstance(image.within_level, IdealDecomposition)
-            and any(image.within_level.coefficients)
         )
         for level in LEVELS
     }
@@ -234,11 +236,16 @@ class StructureConstants(_Frozen):
     """Constant tensor C[k][i][j] with {A_i, A_j} = sum_k C[k][i][j] A_k.
 
     The nonzero entries are collected once, on construction, into
-    ``nonzero`` as (k, i, j, value) in (k, i, j) order.  The Lie-law guards
-    then run over that list, so they cost in proportion to the nonzero
-    entries rather than n^5, and store their results in ``antisymmetric``
-    and ``jacobi``.  Both stay exact checks on any tensor.  Two instances
-    are equal when their names and tensors are.
+    ``nonzero`` as (k, i, j, value) in (k, i, j) order.  The scan skips
+    every row equal to a row of ``phase._ZERO`` and keeps the last row it
+    skipped to test the next one against: the zero rows of a tensor that
+    ``closure_and_structure_constants`` built are one shared tuple, so all
+    but the first are passed by one identity test.  Any other row (int
+    zeros, distinct zero objects, lists) is read entry by entry, with the
+    same result.  The Lie-law guards then run over the nonzero entries,
+    so they cost in proportion to them rather than n^5, and store their
+    results in ``antisymmetric`` and ``jacobi``.  Both stay exact checks on
+    any tensor.  Two instances are equal when their names and tensors are.
     """
 
     __slots__ = ("names", "tensor", "nonzero", "antisymmetric", "jacobi")
@@ -252,14 +259,15 @@ class StructureConstants(_Frozen):
     ):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tensor", tensor)
-        nonzero = tuple(
-            (k, i, j, value)
-            for k, plane in enumerate(tensor)
-            for i, row in enumerate(plane)
-            for j, value in enumerate(row)
-            if value
-        )
-        object.__setattr__(self, "nonzero", nonzero)
+        zero_row = (_ZERO,) * len(names)
+        nonzero = []
+        for k, plane in enumerate(tensor):
+            for i, row in enumerate(plane):
+                if row is zero_row or row == zero_row:
+                    zero_row = row  # so a shared zero row is next passed by identity
+                    continue
+                nonzero += [(k, i, j, value) for j, value in enumerate(row) if value]
+        object.__setattr__(self, "nonzero", tuple(nonzero))
         object.__setattr__(self, "antisymmetric", self.antisymmetry_ok())
         object.__setattr__(self, "jacobi", self.jacobi_ok())
 
@@ -309,20 +317,28 @@ def closure_and_structure_constants(
     Closure demands truly constant coefficients.  When a pair only
     decomposes with field-dependent (polynomial) coefficients, that is
     flagged as a distinct diagnostic, not accepted as closure.
+
+    A pair whose generators share no canonical pair (``phase._shared_pairs``
+    is 0) has a zero bracket, which decomposes uniquely with zero
+    constants: it is decided from the two generators' pair masks, and no
+    bracket is formed.  Only the rows C[k][i] that hold a nonzero entry are
+    built; every other row of ``tensor`` is one shared row of
+    ``phase._ZERO``.  So an abelian set of n generators costs n^2 / 2 mask
+    tests and n^2 row references, and no bracket.
     """
     n = len(gen_set)
-    zero = Fraction(0)
-    tensor = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    generators = gen_set.generators
+    rows: dict[tuple[int, int], list[Fraction]] = {}  # (k, i) -> C[k][i]
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = poisson(gen_set.generators[i], gen_set.generators[j])
+            if not _shared_pairs(generators[i], generators[j]):
+                continue
+            bracket = poisson(generators[i], generators[j])
             if not bracket:
                 continue  # decomposes uniquely with zero constants: C stays 0
-            outcome = decompose(
-                bracket, gen_set.generators, mode=CoefficientMode.CONSTANT
-            )
+            outcome = decompose(bracket, generators, mode=CoefficientMode.CONSTANT)
             if isinstance(outcome, NotFound):
-                retry = decompose(bracket, gen_set.generators, degree_bound)
+                retry = decompose(bracket, generators, degree_bound)
                 closes = isinstance(retry, IdealDecomposition)
                 return NotClosed(
                     (gen_set.names[i], gen_set.names[j]),
@@ -333,12 +349,13 @@ def closure_and_structure_constants(
             for k, coeff in enumerate(outcome.coefficients):
                 if coeff:
                     value = coeff.constant_value()
-                    tensor[k][i][j] = value
-                    tensor[k][j][i] = -value
-    constants = StructureConstants(
-        gen_set.names,
-        tuple(tuple(tuple(row) for row in plane) for plane in tensor),
-    )
+                    rows.setdefault((k, i), [_ZERO] * n)[j] = value
+                    rows.setdefault((k, j), [_ZERO] * n)[i] = -value
+    zero_row = (_ZERO,) * n
+    tensor = [[zero_row] * n for _ in range(n)]
+    for (k, i), row in rows.items():
+        tensor[k][i] = tuple(row)
+    constants = StructureConstants(gen_set.names, tuple(map(tuple, tensor)))
     if not (constants.antisymmetric and constants.jacobi):
         # Unique decompositions over an independent set inherit both laws.
         raise RuntimeError("internal error: structure constants violate Lie laws")

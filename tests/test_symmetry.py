@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from dirac_symmetry import (
     GeneratorSet,
     NotClosed,
     PhaseSpace,
+    ProductTooLargeError,
     StructureConstants,
     VerdictClass,
     central_oscillator,
@@ -24,8 +26,10 @@ from dirac_symmetry import (
     three_level_chain,
 )
 
-from dirac_symmetry import symmetry
-from conftest import poly
+from dirac_symmetry import phase, symmetry
+from dirac_symmetry.membership import NotFound, decompose
+from dirac_symmetry.phase import PhasePolynomial, poisson
+from conftest import poly, random_polynomial
 
 F = Fraction
 
@@ -253,6 +257,28 @@ class TestClosure:
             (2, 0, 1, 1), (2, 1, 0, -1),
         )
 
+    @staticmethod
+    def record_poisson(monkeypatch) -> list:
+        """The operands of every bracket the closure forms."""
+        pairs = []
+        real = symmetry.poisson
+        monkeypatch.setattr(
+            symmetry, "poisson", lambda f, g: pairs.append((f, g)) or real(f, g)
+        )
+        return pairs
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gauge_closure_forms_no_bracket(self, monkeypatch, n):
+        # Every gauge pair of em_modes(n) is decided zero by its pair masks.
+        pairs = self.record_poisson(monkeypatch)
+        constants = closure_and_structure_constants(em_modes(n).generator_sets["gauge"])
+        assert pairs == [] and constants.nonzero == ()
+
+    def test_rotations_closure_forms_three_brackets(self, monkeypatch):
+        pairs = self.record_poisson(monkeypatch)
+        closure_and_structure_constants(central_oscillator().generator_sets["rotations"])
+        assert len(pairs) == 3
+
     def test_abelian_momenta(self):
         space = PhaseSpace(2)
         gens = GeneratorSet(("A1", "A2"), (poly("p1", space), poly("p2", space)))
@@ -420,6 +446,163 @@ class TestLieLawGuards:
         assert len(constants.names) == 2 * n
         assert constants.is_abelian() and constants.nonzero == ()
         assert constants.antisymmetric and constants.jacobi
+
+
+def dense_closure(gen_set):
+    """Reference: every pair bracketed with ``poisson`` and decomposed with
+    constant coefficients, zero brackets included, into a dense tensor; or
+    the first pair that does not close, with its bracket."""
+    n = len(gen_set)
+    gens = gen_set.generators
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = poisson(gens[i], gens[j])
+            outcome = decompose(bracket, gens, mode=CoefficientMode.CONSTANT)
+            if isinstance(outcome, NotFound):
+                return (gen_set.names[i], gen_set.names[j]), bracket
+            for k, coeff in enumerate(outcome.coefficients):
+                c[k][i][j] = coeff.constant_value()
+                c[k][j][i] = -coeff.constant_value()
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def on_pair(rng, space, i):
+    """A random polynomial in q_i and p_i alone."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * space.n_identifiers
+        exps[i], exps[space.n_dof + i] = rng.randint(0, 2), rng.randint(0, 2)
+        terms[tuple(exps)] = rng.choice((-2, -1, 1, 3))
+    return PhasePolynomial(space, terms)
+
+
+def random_generator_set(rng, kind):
+    """A seeded generator set of one kind; generators on pairs of their own
+    commute with every other generator by their pair masks alone."""
+    space = PhaseSpace(6)
+    a, b, c, *own = rng.sample(range(1, 7), 6)
+    if kind == "abelian":
+        # Generators on pairs of their own, one of them also as its square
+        # (a bracket formed that cancels), and momenta.
+        gens = [on_pair(rng, space, i - 1) for i in own]
+        square = gens[0] * gens[0]
+        gens += [square] if square.total_degree() > gens[0].total_degree() else []
+        gens += [poly(f"p{a} - {rng.randint(1, 3)}*p{b}^2", space), poly("1", space)]
+    elif kind == "so3":
+        # Rescaled rotations of (a, b, c), the invariant r^2 (whose brackets
+        # with them are formed and cancel) and generators on other pairs.
+        gens = [
+            poly(f"q{b}*p{c} - q{c}*p{b}", space),
+            poly(f"q{c}*p{a} - q{a}*p{c}", space),
+            poly(f"q{a}*p{b} - q{b}*p{a}", space),
+        ]
+        gens = [g.scale(F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))) for g in gens]
+        gens += rng.sample(
+            [poly(f"q{a}^2 + q{b}^2 + q{c}^2", space), *(on_pair(rng, space, i - 1) for i in own)],
+            rng.randint(0, 3),
+        )
+    elif kind == "heisenberg":
+        gens = [poly(f"q{a}", space), poly(f"p{a}", space), poly("1", space)]
+        gens += [on_pair(rng, space, i - 1) for i in rng.sample(own, rng.randint(1, 3))]
+    else:  # "random": mostly not closing
+        gens = [random_polynomial(rng, space, 3, 2, (-2, 2)) for _ in range(rng.randint(2, 4))]
+        gens += [on_pair(rng, space, own[0] - 1)]
+    rng.shuffle(gens)
+    return GeneratorSet(tuple(f"G{x}" for x in range(len(gens))), tuple(gens))
+
+
+class TestClosureAgainstDenseReference:
+    KINDS = ("abelian", "so3", "heisenberg", "random")
+
+    def generator_sets(self, seed, count):
+        rng = random.Random(seed)
+        made = 0
+        while made < count:
+            try:
+                gen_set = random_generator_set(rng, self.KINDS[made % len(self.KINDS)])
+            except ValueError:  # dependent or zero generators; draw again
+                continue
+            made += 1
+            yield gen_set
+
+    def test_closure_matches_dense_reference(self, monkeypatch):
+        brackets = TestClosure.record_poisson(monkeypatch)
+        seen = set()
+        for gen_set in self.generator_sets(20261021, 120):
+            n = len(gen_set)
+            brackets.clear()
+            outcome = closure_and_structure_constants(gen_set)
+            expected = dense_closure(gen_set)
+            if isinstance(outcome, NotClosed):
+                assert (outcome.pair, outcome.bracket) == expected
+                seen.add("not closed")
+                continue
+            assert outcome.tensor == expected
+            assert outcome.nonzero == tuple(
+                (k, i, j, value)
+                for k in range(n)
+                for i in range(n)
+                for j in range(n)
+                if (value := expected[k][i][j])
+            )
+            assert outcome.antisymmetric is dense_antisymmetry(expected) is True
+            # Jacobi sums are quadratic in C: scaled to integers they vanish
+            # exactly where they did, and the dense sums run on ints.
+            scale = math.lcm(*(v.denominator for plane in expected for row in plane for v in row))
+            assert outcome.jacobi is dense_jacobi(
+                [[[int(v * scale) for v in row] for row in plane] for plane in expected]
+            ) is True
+            reference = StructureConstants(gen_set.names, expected)
+            assert outcome == reference and hash(outcome) == hash(reference)
+            assert repr(outcome) == repr(reference)
+            # The same entries from tensors with no shared zero row.
+            ints = tuple(
+                tuple(tuple(int(v) if not v else v for v in row) for row in plane)
+                for plane in expected
+            )
+            fresh = tuple(
+                tuple(tuple(v if v else F(0) for v in row) for row in plane)
+                for plane in expected
+            )
+            lists = [[list(row) for row in plane] for plane in expected]
+            for tensor in (ints, fresh, lists):
+                built = StructureConstants(gen_set.names, tensor)
+                assert built.nonzero == outcome.nonzero
+                assert (built.antisymmetric, built.jacobi) == (True, True)
+            masks = [g._pair_masks() for g in gen_set.generators]
+            masked = sum(  # pairs with no q_i in one and p_i in the other
+                not (fq & gp | fp & gq)
+                for x, (fq, fp) in enumerate(masks)
+                for gq, gp in masks[x + 1:]
+            )
+            assert len(brackets) == n * (n - 1) // 2 - masked
+            seen.add("abelian" if outcome.is_abelian() else "not abelian")
+            if masked and brackets:
+                seen.add("mixed")
+        assert seen == {"not closed", "abelian", "not abelian", "mixed"}
+
+    def test_mask_zero_pair_past_the_term_pair_cap_is_refused(self, monkeypatch):
+        space = PhaseSpace(3)
+        gen_set = GeneratorSet(
+            ("L", "A", "B"),
+            (
+                poly("q3*p3", space),
+                poly("q1 + q1^2 + q1^3", space),
+                poly("q2 + p2 + q2*p2 + p2^2", space),
+            ),
+        )
+        monkeypatch.setattr(phase, "MAX_TERM_PAIRS", 11)
+        message = (
+            "^bracket of a 3-term and a 4-term polynomial would form 12 term "
+            "pairs, over the limit of 11$"
+        )
+        # (L, A) and (L, B) pass the cap; (A, B) has a zero bracket by its
+        # masks and is refused as the dense closure's bracket is.
+        with pytest.raises(ProductTooLargeError, match=message):
+            dense_closure(gen_set)
+        with pytest.raises(ProductTooLargeError, match=message):
+            closure_and_structure_constants(gen_set)
 
 
 class TestClassify:

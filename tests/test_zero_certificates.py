@@ -24,8 +24,10 @@ from collections import Counter
 import pytest
 
 from dirac_symmetry import (
+    SHIPPED_MODELS,
     CoefficientMode,
     CommutationClass,
+    IdealDecomposition,
     PhasePolynomial,
     PhaseSpace,
     check_counts,
@@ -38,10 +40,13 @@ from dirac_symmetry import (
     three_level_chain,
 )
 from dirac_symmetry import chain as chain_module
-from dirac_symmetry import membership, symmetry
+from dirac_symmetry import membership, report, symmetry
+from dirac_symmetry.chain import LEVELS
 from dirac_symmetry.cli import main
+from dirac_symmetry.linsolve import rational_rank
 
 from conftest import poly
+from test_chain import random_cascade_chains
 from test_cli_contract import CONTRACT, ROOT
 
 
@@ -164,6 +169,57 @@ def test_zero_rows_leave_the_ranks_unchanged():
     }
 
 
+def reference_ranks(level_report):
+    """check_counts' ranks with every image's coefficients read, zero
+    images included."""
+    if not level_report.level_preserving:
+        return {level: None for level in LEVELS}
+    return {
+        level: rational_rank(
+            {
+                (target, monomial): value
+                for target, coeff in enumerate(image.within_level.coefficients)
+                for monomial, value in coeff.terms.items()
+            }
+            for image in level_report.images
+            if image.level == level and isinstance(image.within_level, IdealDecomposition)
+        )
+        for level in LEVELS
+    }
+
+
+def rank_cases():
+    """(chain, generator) pairs: every declared generator of the shipped
+    models and of em_modes(1..6), and on 60 seeded random cascades every p_i,
+    q_i and q_i*p_j."""
+    for name in sorted(SHIPPED_MODELS):
+        model = SHIPPED_MODELS[name]()
+        chain = generate_chain(model.system)
+        for gen_set in model.generator_sets.values():
+            yield from ((chain, g) for g in gen_set.generators)
+    for n in range(1, 7):
+        model = em_modes(n)
+        chain = generate_chain(model.system)
+        yield from ((chain, g) for g in model.generator_sets["gauge"].generators)
+    for chain in random_cascade_chains(1021, 60):
+        n = chain.space.n_dof
+        for i in range(1, n + 1):
+            for text in (f"p{i}", f"q{i}", *(f"q{i}*p{j}" for j in range(1, n + 1))):
+                yield chain, poly(text, chain.space)
+
+
+def test_zero_images_are_skipped_without_moving_a_rank():
+    applicable = with_zero_images = 0
+    for chain, generator in rank_cases():
+        level_report = check_level_preservation(generator, chain)
+        counts = check_counts(chain, level_report)
+        assert counts.ranks == reference_ranks(level_report)
+        if counts.applicable and any(counts.ranks.values()):
+            applicable += 1
+            with_zero_images += any(not image.image for image in level_report.images)
+    assert applicable > 40 and with_zero_images > 20
+
+
 # ----------------------------------------------------------------------
 # call counts
 # ----------------------------------------------------------------------
@@ -246,3 +302,24 @@ def test_contract_invocations_search_only_nonzero_checks(decompose_calls, search
     }
     assert sum(target for _, target in decompose_calls) == 44
     assert searched and all(searched)
+
+
+def test_one_certificate_dict_per_answer(monkeypatch):
+    """The report builds one dict per answer object: em_modes_5's ten gauge
+    generators give 10 commutation answers and 20 within-level ones, one per
+    generator and level, where each of the 100 images once built its own."""
+    answers = []
+    real = report.certificate_dict
+    monkeypatch.setattr(
+        report, "certificate_dict",
+        lambda outcome, names: answers.append(id(outcome)) or real(outcome, names),
+    )
+    monkeypatch.chdir(ROOT)
+    built = {}
+    for invocation in sorted(CONTRACT):
+        if invocation.startswith("check-symmetry"):
+            answers.clear()
+            run(invocation)
+            assert len(answers) == len(set(answers)), invocation
+            built[invocation] = len(answers)
+    assert built["check-symmetry models/em_modes_5.model --set gauge --format=text"] == 30
