@@ -47,8 +47,8 @@ class ChainBeyondTertiaryError(DiracSymmetryError):
 
 class SearchTooLargeError(DiracSymmetryError):
     """A bounded membership search would solve for more unknowns, summed over
-    its degrees, than ``membership.MAX_UNKNOWNS``; it is refused before the
-    degree that passes the limit is built."""
+    the degrees it builds, than ``membership.MAX_UNKNOWNS``; it is refused
+    before the degree that passes the limit is built."""
 
 
 class ProductTooLargeError(DiracSymmetryError):

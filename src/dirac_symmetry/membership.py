@@ -8,10 +8,10 @@ they are.  Each generator g_k is scaled by the lcm s_k of its
 denominators, and the target by its own lcm t, so every column is built
 in integers; a solution h_k maps back to f_k = h_k * s_k / t.  The search
 runs degree by degree, so the certificate it returns has coefficients of
-the smallest achievable maximum degree.  A search whose systems would have
-more than ``MAX_UNKNOWNS`` unknowns in all is refused with
-``SearchTooLargeError`` before the degree that passes the cap is built, so
-no search runs without limit.
+the smallest achievable maximum degree.  A search is refused with
+``SearchTooLargeError`` before it builds the degree at which the unknowns
+of the degrees it builds pass ``MAX_UNKNOWNS``, so no search runs without
+limit.
 
 Monomials are packed into one int each, a fixed-width exponent field per
 identifier the search allows, so a shifted column is one integer addition
@@ -48,7 +48,7 @@ and a monomial that no generator term divides proves non-membership at
 every degree (the monomial-ideal argument of Cox, Little & O'Shea, *Ideals,
 Varieties, and Algorithms*, 2.4).  Such a target gets an ``exact``
 ``NotFound`` at once, from a term index kept per generator tuple, with no
-basis and no system; the ladder skips the degrees below the reach.
+basis and no system; the ladder starts at the reach.
 
 When a solve fails, before a degree that would pass the size cap, and at
 the end of the ladder, whichever comes first, the target is reduced modulo
@@ -93,7 +93,7 @@ from .phase import Exponents, PhasePolynomial, PhaseSpace, _adopt
 
 
 # Unknowns (coefficient monomials x generators), summed over the degrees a
-# search tries, beyond which it is refused.  The sum, not the largest single
+# search builds, beyond which it is refused.  The sum, not the largest single
 # system, bounds the work: with one identifier each degree adds only one
 # monomial, and a ladder towards a degree bound of a million would run for
 # hours.  The largest search of the benchmark workloads has 4845 unknowns in
@@ -844,14 +844,15 @@ def decompose(
     bound.  Coefficients may involve every declared identifier, parameters
     included, except in CONSTANT mode where they are plain rationals.
 
-    The ladder starts at the target's reach (``_reach``).  A target with a
-    monomial that no generator term divides tries no degree, and in
-    POLYNOMIAL mode at a bound of 1 or more its ``NotFound`` is exact at
-    once.  In that mode and range, the Groebner normal form (see
-    ``_normal_form``) is consulted once, after the first failing solve,
-    before a degree that would pass ``MAX_UNKNOWNS`` or at the end of the
-    ladder, whichever comes first; a nonzero one ends the search with an
-    exact ``NotFound``.  A certificate at the reach needs no basis.
+    The ladder starts at the target's reach (``_reach``), and only the
+    degrees it builds count towards ``MAX_UNKNOWNS``.  A target with a
+    monomial that no generator term divides tries no degree, whatever the
+    number of generators; in POLYNOMIAL mode at a bound of 1 or more its
+    ``NotFound`` is exact at once.  In that mode and range, the Groebner
+    normal form (``_normal_form``) is consulted once, after the first
+    failing solve, before a degree that would pass the cap or at the end of
+    the ladder, whichever comes first; a nonzero one ends the search with
+    an exact ``NotFound``.  A certificate at the reach needs no basis.
 
     A generator on another phase space is refused first, then a negative
     bound; CONSTANT mode records the bound 0 and None records
@@ -882,8 +883,7 @@ def decompose(
     # bound of 1 or more; there the normal form is yet to be consulted.
     consult = mode is CoefficientMode.POLYNOMIAL and degree_bound > 0
     reach = _reach(target, generators)
-    # When the generators alone pass the cap, degree 0 is refused below.
-    if reach is None and len(generators) <= MAX_UNKNOWNS:
+    if reach is None:
         return NotFound(degree_bound, mode, exact=consult)
 
     allowed: set[int] = set(target.used_indices())
@@ -893,8 +893,7 @@ def decompose(
     max_useful = degree_bound if allowed_order else 0
     target_scale, target_terms = integer_scaled(target.terms)
     unknowns = 0
-    for degree in range(max_useful + 1):
-        # Skipped degrees are charged too, so every refusal stays the same.
+    for degree in range(reach, max_useful + 1):
         unknowns += comb(len(allowed_order) + degree, degree) * len(generators)
         if unknowns > MAX_UNKNOWNS:
             # At degree 0 the generators alone pass the cap: refused first.
@@ -906,8 +905,6 @@ def decompose(
                 f"over {len(allowed_order)} identifiers), above the limit of "
                 f"{MAX_UNKNOWNS}; a smaller degree bound keeps it within the limit"
             )
-        if degree < reach:
-            continue  # no certificate of this degree exists
         system = _KEPT.get(
             (generators, allowed_order, degree),
             _build_system, generators, allowed_order, degree,

@@ -23,6 +23,10 @@ Format (``#`` starts a comment, blank lines ignored)::
 
 Unknown sections or keys are rejected.  A model file may hold at most
 ``MAX_MODEL_BYTES`` bytes, and model text at most that many characters.
+Every sum a model stores (the Hamiltonian, the primaries, the declared
+levels and the generators) is charged its terms times the space's
+identifiers, one exponent entry each, against one budget for the whole
+model, ``phase.MAX_TERM_ENTRIES``; the sum that passes it is refused.
 
 Lines are read in one pass, split at ``\n`` only:
 
@@ -53,6 +57,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
+from . import phase
 from .chain import ConstrainedSystem
 from .errors import DiracSymmetryError, ModelFileError
 from .expressions import parse_polynomial
@@ -133,18 +138,6 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     }
 
 
-def _parse_named_expressions(
-    entries: dict[str, str], section: str, space: PhaseSpace
-) -> tuple[tuple[str, PhasePolynomial], ...]:
-    parsed = []
-    for name, text in entries.items():
-        try:
-            parsed.append((name, parse_polynomial(text, space)))
-        except DiracSymmetryError as exc:
-            raise ModelFileError(f"[{section}] {name}: {exc}") from exc
-    return tuple(parsed)
-
-
 def parse_model_text(text: str) -> ModelFile:
     if len(text) > MAX_MODEL_BYTES:
         raise ModelFileError(
@@ -184,14 +177,30 @@ def parse_model_text(text: str) -> ModelFile:
     except ValueError as exc:
         raise ModelFileError(f"[system]: {exc}") from exc
 
-    try:
-        h_d = parse_polynomial(settings["hamiltonian"], space)
-    except DiracSymmetryError as exc:
-        raise ModelFileError(f"[system] hamiltonian: {exc}") from exc
+    stored = 0  # exponent entries of the sums parsed so far
 
-    primaries: tuple[tuple[str, PhasePolynomial], ...] = ()
-    if "primaries" in sections:
-        primaries = _parse_named_expressions(sections["primaries"], "primaries", space)
+    def parse(section: str, name: str, text: str) -> PhasePolynomial:
+        nonlocal stored
+        try:
+            poly = parse_polynomial(text, space)
+        except DiracSymmetryError as exc:
+            raise ModelFileError(f"[{section}] {name}: {exc}") from exc
+        stored += len(poly.terms) * space.n_identifiers
+        if stored > phase.MAX_TERM_ENTRIES:
+            raise ModelFileError(
+                f"[{section}] {name}: the model's sums up to here store {stored} "
+                f"exponent entries, over the limit of {phase.MAX_TERM_ENTRIES} "
+                f"for one model"
+            )
+        return poly
+
+    def named(section: str) -> tuple[tuple[str, PhasePolynomial], ...]:
+        return tuple(
+            (name, parse(section, name, text)) for name, text in sections[section].items()
+        )
+
+    h_d = parse("system", "hamiltonian", settings["hamiltonian"])
+    primaries = named("primaries") if "primaries" in sections else ()
     system = ConstrainedSystem(
         space,
         h_d,
@@ -200,20 +209,18 @@ def parse_model_text(text: str) -> ModelFile:
     )
 
     declared_secondaries, declared_tertiaries = (
-        _parse_named_expressions(sections[section], section, space)
-        if section in sections
-        else None
+        named(section) if section in sections else None
         for section in ("secondaries", "tertiaries")
     )
 
     generator_sets: dict[str, GeneratorSet] = {}
-    for section, entries in sections.items():
+    for section in sections:
         if not section.startswith("generators."):
             continue
         set_name = section[len("generators.") :]
         if not set_name:
             raise ModelFileError("generator set name must be nonempty")
-        generators = _parse_named_expressions(entries, section, space)
+        generators = named(section)
         if not generators:
             raise ModelFileError(f"[{section}] declares no generators")
         try:

@@ -45,7 +45,9 @@ MAX_TERM_PAIRS = 100_000
 # since every term is a tuple of one entry per identifier.  At the cap the
 # tuples hold 16 MB of entry pointers (8 bytes each on a 64-bit build).  The
 # test suite forms at most 46314 (a bracket of a 1-term and a 186-term
-# polynomial over 249 identifiers) and parses at most 40002.
+# polynomial over 249 identifiers) and parses at most 40002.  The sums of
+# one model file share one such budget (``modelfile.parse_model_text``):
+# the shipped models and the test suite's store at most 1845 in all.
 MAX_TERM_ENTRIES = 2_000_000
 
 # Most degrees of freedom a phase space may declare.  Exponent tuples have

@@ -391,6 +391,26 @@ class TestErrorExitCodes:
         )
         assert f"than the limit of {phase.MAX_TERM_ENTRIES}\n" in err
 
+    def test_many_wide_sums_are_invalid_input(self, capsys, tmp_path):
+        # Each 99-term sum over 20001 identifiers stores just under the
+        # entries limit; four of them loaded to about 80 MB of memory before
+        # the model's sums were charged together.
+        sums = (" + ".join(f"q{k}^{i}" for i in range(1, 100)) for k in range(1, 5))
+        path = tmp_path / "wide-sums.model"
+        path.write_text(
+            "[system]\nn_dof = 10000\nhamiltonian = q1*p1\n[primaries]\nP1 = p2\n"
+            "[generators.g]\n" + "".join(f"G{k} = {s}\n" for k, s in enumerate(sums, 1)),
+            encoding="utf-8",
+        )
+        start = time.process_time()
+        code, out, err = run(capsys, "chain", str(path))
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: invalid input: [generators.g] G1: the model's sums up to here "
+            "store 2020101 exponent entries, over the limit of 2000000 for one model\n"
+        )
+
     @pytest.mark.parametrize(
         "hamiltonian, bits",
         [("2^15000*q1*p1", 15000), ("(2*q1)^20000*p1", 20000), ("2^10000000000", 10**10)],

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, takewhile
@@ -27,7 +28,7 @@ from dirac_symmetry import (
 from dirac_symmetry import chain, generate_chain, linsolve, membership
 from dirac_symmetry.modelfile import parse_model_text
 from conftest import poly, random_polynomial
-from test_normal_form import on_shell_ideal, random_ideals
+from test_normal_form import on_shell_ideal, random_ideals, spy
 
 SPACE = PhaseSpace(3)
 
@@ -314,21 +315,22 @@ class TestSizeCap:
     TARGET = "q1^9*p1*p2"
 
     @pytest.mark.parametrize(
-        "target, generators, bound, basis_steps, solved",
+        "target, generators, bound, basis_steps, solved, degree, unknowns",
         [
             # The target's reach is 10, so no degree below the cap is
-            # solved; its normal form is zero, so the cap refuses it.
-            (TARGET, ("p1", "p1^2"), None, membership.MAX_BASIS_STEPS, []),
+            # solved; its normal form is zero, so the cap refuses it at the
+            # reach, the first degree the ladder builds: 2 * C(13, 10).
+            (TARGET, ("p1", "p1^2"), None, membership.MAX_BASIS_STEPS, [], 10, 572),
             # q1 is no member, and the constant term divides it (reach 1).
-            # Without a basis the ladder decides: degrees 1 to 3 fail, 70
-            # unknowns in all, degree 0's 2 counted: at the cap, not over it.
-            # p1 is a one-term generator, so only q1*p2 - 1's columns are
-            # built.
-            ("q1", ("p1", "q1*p2 - 1"), 10, 0, [4, 10, 20]),
+            # Without a basis the ladder decides: degrees 1 to 3 fail, 68
+            # unknowns in all: under the cap.  p1 is a one-term generator,
+            # so only q1*p2 - 1's columns are built.
+            ("q1", ("p1", "q1*p2 - 1"), 10, 0, [4, 10, 20], 4, 138),
         ],
     )
     def test_refused_before_building_the_degree_over_the_cap(
-        self, monkeypatch, empty_cache, target, generators, bound, basis_steps, solved
+        self, monkeypatch, empty_cache, target, generators, bound, basis_steps, solved,
+        degree, unknowns,
     ):
         monkeypatch.setattr(membership, "MAX_UNKNOWNS", 70)
         monkeypatch.setattr(membership, "MAX_BASIS_STEPS", basis_steps)
@@ -338,8 +340,8 @@ class TestSizeCap:
             decompose(poly(target, SPACE), generators, degree_bound=bound)
         assert [len(columns) for columns in built] == solved
         message = str(info.value)
-        assert "up to coefficient degree 4" in message
-        assert "140 unknowns" in message and "limit of 70" in message
+        assert f"up to coefficient degree {degree} " in message
+        assert f"{unknowns} unknowns" in message and "limit of 70" in message
 
     def test_non_member_over_the_cap_is_answered_exactly(self, monkeypatch):
         # q1^9*p2 is no multiple of p1, nor of any generator term: the screen
@@ -378,6 +380,43 @@ class TestSizeCap:
         assert isinstance(outcome, NotFound)
         assert outcome.degree_bound == 2
         assert not outcome.exact  # a member, beyond the bound
+
+    def test_a_bound_below_the_reach_builds_nothing(self, monkeypatch, empty_cache):
+        # Over p1 the reach of q1^1000000*p1 is 1000000: no degree below it
+        # is built or charged, so a bound below it is a plain NotFound.
+        built = spy(monkeypatch, membership, "_build_system")
+        start = time.process_time()
+        outcome = decompose(poly("q1^1000000*p1", SPACE), [poly("p1", SPACE)], 999999)
+        assert isinstance(outcome, NotFound) and not outcome.exact
+        assert outcome.degree_bound == 999999
+        assert built == []
+        assert time.process_time() - start < 0.5
+
+    def test_the_refusal_names_the_first_degree_built(self, monkeypatch, empty_cache):
+        # At the default bound the ladder starts at the reach, whose
+        # C(1000002, 2) unknowns pass the cap at once.
+        built = spy(monkeypatch, membership, "_build_system")
+        with pytest.raises(SearchTooLargeError) as info:
+            decompose(poly("q1^1000000*p1", SPACE), [poly("p1", SPACE)])
+        assert (
+            "up to coefficient degree 1000000 would solve for 500001500001 unknowns"
+            in str(info.value)
+        )
+        assert built == []
+
+    def test_a_screened_target_is_answered_whatever_the_generator_count(
+        self, monkeypatch, empty_cache
+    ):
+        # No term of p1 or q2 divides q1, so no certificate exists, and the
+        # generators passing the cap do not matter: nothing is built.
+        monkeypatch.setattr(membership, "MAX_UNKNOWNS", 1)
+        built = spy(monkeypatch, membership, "_build_system")
+        generators = [poly("p1", SPACE), poly("q2", SPACE)]
+        for bound in (None, 1, 2, 3):
+            outcome = decompose(poly("q1", SPACE), generators, bound)
+            assert isinstance(outcome, NotFound) and outcome.exact
+        assert not decompose(poly("q1", SPACE), generators, 0).exact
+        assert built == []
 
     def test_one_identifier_ladder_is_refused(self):
         # Each degree adds a single monomial in q1, so no one system gets

@@ -13,7 +13,7 @@ from dirac_symmetry import (
     ModelFileError,
     parse_model_text,
 )
-from dirac_symmetry import modelfile
+from dirac_symmetry import modelfile, phase
 from dirac_symmetry.modelfile import load_model_file
 
 from conftest import mutate_model_text, poly
@@ -202,6 +202,29 @@ class TestSizeCap:
         with pytest.raises(ModelFileError, match=f"larger than {cap} bytes"):
             load_model_file(path)
         assert sum(sizes) == cap + 1
+
+    def test_one_entries_budget_for_every_sum_of_the_model(self, monkeypatch):
+        # VALID stores 2 + 1 + 1 + 1 terms over 7 identifiers: 35 entries,
+        # and each sum alone is far within the budget.
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 35)
+        assert set(parse_model_text(VALID).generator_sets) == {"good"}
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 34)
+        with pytest.raises(ModelFileError) as info:
+            parse_model_text(VALID)
+        assert str(info.value) == (
+            "[generators.good] D1: the model's sums up to here store 35 exponent "
+            "entries, over the limit of 34 for one model"
+        )
+
+    def test_shipped_models_are_far_within_the_entries_budget(self, monkeypatch):
+        # The largest total of the shipped models, em_modes_5's, and of the
+        # test suite's models: 1845 entries, against 2 million.
+        paths = sorted((ROOT / "models").glob("*.model"))
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 1845)
+        assert len([load_model_file(path) for path in paths]) == 6
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 1844)
+        with pytest.raises(ModelFileError, match="over the limit of 1844 for one model"):
+            load_model_file(ROOT / "models" / "em_modes_5.model")
 
     def test_text_over_the_cap_is_refused(self, monkeypatch):
         monkeypatch.setattr(modelfile, "MAX_MODEL_BYTES", len(VALID) - 1)

@@ -343,6 +343,40 @@ class TestReach:
                     checked += 1
         assert checked == 120
 
+    def test_the_ladder_starts_at_the_reach(self, monkeypatch):
+        # Seeded targets, members and not, over the on-shell modules of
+        # em_modes(1..3) and the random ideals, each on a cold cache: the
+        # first system built is the one at the target's reach.
+        rng = random.Random(3102)
+        modules = [on_shell_ideal(n) for n in (1, 2, 3)]
+        modules += [(space, gens) for space, gens, _ in random_ideals(3102, 20)]
+        built = spy(monkeypatch, membership, "_build_system")
+        checked = []
+        try:
+            for space, gens in modules:
+                targets = [
+                    random_polynomial(rng, space, max_terms=3, max_degree=3, allow_parameters=True)
+                    for _ in range(2)
+                ]
+                member = PhasePolynomial.zero(space)
+                for g in gens:
+                    h = random_polynomial(rng, space, max_terms=2, max_degree=2)
+                    member = member + h * g
+                for target in [t for t in targets + [member] if t]:
+                    membership._KEPT.clear()
+                    built.clear()
+                    decompose(target, gens, 3)
+                    reach = membership._reach(target, tuple(gens))
+                    if reach is None:
+                        assert built == []
+                    elif built:
+                        assert built[0][2] == reach
+                        checked.append(reach)
+        finally:
+            membership._KEPT.clear()
+        # 52 targets build a system, 46 of them above degree 0.
+        assert len(checked) == 52 and sum(reach > 0 for reach in checked) == 46
+
     def test_a_target_of_generator_terms_needs_no_index(self, monkeypatch):
         space = PhaseSpace(2)
         gens = (poly("q1*p1 - 1", space), poly("p2", space))
