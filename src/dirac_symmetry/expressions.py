@@ -28,7 +28,8 @@ factors.  The rule is one of value, not of form: a single literal is taken as
 written, and so is the same literal in parentheses times a monomial, as in
 ``(X)*(q1)`` or ``(q1)*X``.  A sum is refused as soon as its distinct terms
 times the space's identifiers pass ``phase.MAX_TERM_ENTRIES``, since every
-term stores one exponent per identifier.
+term stores one exponent per identifier; a model file hands the parser
+the entries its earlier sums left instead (see ``modelfile``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class _Parser:
     are found only when an error is raised.
     """
 
-    def __init__(self, text: str, space: PhaseSpace):
+    def __init__(self, text: str, space: PhaseSpace, entries: int | None = None):
         bad = _BAD_CHARACTER_RE.search(text)
         if bad:
             raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
@@ -77,8 +78,10 @@ class _Parser:
         self.tokens.append("")
         self.cursor = 0
         self.depth = 0
-        # A sum of more terms would pass phase.MAX_TERM_ENTRIES.
-        self.most_terms = phase.MAX_TERM_ENTRIES // space.n_identifiers
+        # A sum of more terms would store more exponent entries than
+        # `entries`, by default phase.MAX_TERM_ENTRIES.
+        self.entries = phase.MAX_TERM_ENTRIES if entries is None else entries
+        self.most_terms = self.entries // space.n_identifiers
 
     def error(self, message: str, index: int, kind=ParseError) -> ParseError:
         """A `kind` error for `message` at the position of token `index`."""
@@ -114,11 +117,15 @@ class _Parser:
                     continue
                 terms[mon] = coeff
                 if len(terms) > self.most_terms:
+                    stored = phase.MAX_TERM_ENTRIES - self.entries
                     raise ProductTooLargeError(
                         f"sum of more than {self.most_terms} terms over "
-                        f"{self.space.n_identifiers} identifiers would store "
-                        f"more exponent entries than the limit of "
-                        f"{phase.MAX_TERM_ENTRIES}"
+                        f"{self.space.n_identifiers} identifiers would "
+                        + (f"take the model's sums, {stored} exponent entries "
+                           f"before it, over the limit of "
+                           f"{phase.MAX_TERM_ENTRIES} for one model" if stored else
+                           f"store more exponent entries than the limit of "
+                           f"{phase.MAX_TERM_ENTRIES}")
                     )
             text = tokens[self.cursor]
             if text != "+" and text != "-":
@@ -250,11 +257,17 @@ class _Parser:
         return poly
 
 
-def parse_polynomial(text: str, space: PhaseSpace) -> PhasePolynomial:
-    """Parse expression text into a canonical-form polynomial on `space`."""
-    if text in space._index:  # a lone declared identifier, no whitespace
+def parse_polynomial(
+    text: str, space: PhaseSpace, _entries: int | None = None
+) -> PhasePolynomial:
+    """Parse expression text into a canonical-form polynomial on `space`.
+
+    ``_entries``, the exponent entries a model's earlier sums left of
+    ``phase.MAX_TERM_ENTRIES``, takes the place of that limit."""
+    # A lone declared identifier, no whitespace, that the entries can hold.
+    if text in space._index and (_entries is None or _entries >= space.n_identifiers):
         return PhasePolynomial.variable(space, text)
-    parser = _Parser(text, space)
+    parser = _Parser(text, space, _entries)
     poly = parser.expression()
     tail = parser.tokens[parser.cursor]
     if tail:

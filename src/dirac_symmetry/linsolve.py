@@ -15,9 +15,8 @@ query keeps after ``RationalSpan`` reduced it are its coordinates.
 echelon of its columns once the first solve has built it; later targets
 are reduced against that echelon, whose rows ``Echelon.reduce`` never
 changes, so every target gets the solution a fresh elimination would give.
-Unit columns that come first in the list need not be stored: an echelon
-can take an *implicit* pivot lookup that returns, on demand, the pivot row
-and tags such a column would have added.
+A column may be a ``Shifted`` view, a shifted copy of a row without the
+keys in a given set; its row is built only when an elimination reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import filterfalse
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Container, Hashable, Iterable, Mapping
 
 from .phase import Exponents, _grlex_key
 
@@ -63,34 +62,21 @@ def _reduce_gcd(row: Row, tags: Row) -> tuple[Row, Row]:
     return row, tags
 
 
-Pivot = tuple[Row, Row]
-
-
 class Echelon:
     """Sparse tagged integer rows in echelon form, one per pivot column.
 
     ``lead`` picks a row's pivot among its columns; every other column of a
     pivot row comes after the pivot in that order.
 
-    ``implicit``, when given, maps a column that ``pivots`` lacks to the
-    pivot row and tags kept for it elsewhere, or to None; ``reduce``
-    consults it only after ``pivots`` misses.  Such pivots serve the
-    default ``full=False`` path only: ``full`` looks for pivot columns among
-    the keys of ``pivots``.
-
-    A *deferred* value of ``pivots`` is a callable that returns the pivot
-    row and tags; ``reduce`` calls it on its first read and keeps the
-    result in its place (threads reading it at once keep the same row).
+    A value of ``pivots`` is a pivot row and its tags, or a *deferred* pair
+    of a ``Shifted`` view and its unknown, which ``reduce`` builds into the
+    view's row tagged ``{unknown: 1}`` on its first read and keeps in its
+    place (threads reading it at once keep the same row).
     """
 
-    def __init__(
-        self,
-        lead: Callable[[Iterable], Hashable] = min,
-        implicit: Callable[[Hashable], Pivot | None] | None = None,
-    ):
+    def __init__(self, lead: Callable[[Iterable], Hashable] = min):
         self.lead = lead
-        self.implicit = implicit
-        self.pivots: dict[Hashable, Pivot] = {}
+        self.pivots: dict[Hashable, tuple] = {}
 
     def reduce(self, row: Row, tags: Row, full: bool = False):
         """Cancel pivot columns of the tagged row, cross-multiplying with
@@ -102,17 +88,16 @@ class Echelon:
         not on entry: every caller passes tags holding a 1 or an
         ``integer_scaled`` scale, which is coprime to its row, except
         ``rational_rank``, which reads only the rank."""
-        pivots, lead, implicit = self.pivots, self.lead, self.implicit
+        pivots, lead = self.pivots, self.lead
         col = None
         while row:
             col = lead(row.keys() & pivots.keys() or row) if full else lead(row)
             pivot = pivots.get(col)
             if pivot is None:
-                if implicit is None or (pivot := implicit(col)) is None:
-                    break
-            elif pivot.__class__ is not tuple:  # deferred: built on its first read
-                pivot = pivots[col] = pivot()
+                break
             prow, ptags = pivot
+            if prow.__class__ is Shifted:  # deferred: built on its first read
+                prow, ptags = pivots[col] = prow.row(), {ptags: 1}
             a, b = row[col], prow[col]
             row, tags = _reduce_gcd(_combine(b, row, a, prow), _combine(b, tags, a, ptags))
         return row, tags, col
@@ -127,29 +112,25 @@ class Echelon:
 
 class Shifted:
     """The row ``{shift + key: value}`` over ``keys`` (ascending) and
-    ``values``, unbuilt: shifted copies of one row share its terms.  It
-    iterates its keys in order, its length is their count; ``row`` builds it."""
+    ``values``, without the shifted keys in ``skip``, unbuilt: shifted
+    copies of one row share its terms.  It iterates its kept keys in order,
+    its length is their count; ``row`` builds it."""
 
-    __slots__ = ("shift", "keys", "values")
+    __slots__ = ("shift", "keys", "values", "skip")
 
-    def __init__(self, shift: int, keys: tuple[int, ...], values: tuple[int, ...]):
-        self.shift, self.keys, self.values = shift, keys, values
+    def __init__(self, shift: int, keys: tuple, values: tuple, skip: Container):
+        self.shift, self.keys, self.values, self.skip = shift, keys, values, skip
 
     def __iter__(self):
-        return map(self.shift.__add__, self.keys)
+        return filterfalse(self.skip.__contains__, map(self.shift.__add__, self.keys))
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return sum(1 for _ in self)
 
     def row(self) -> Row:
-        return dict(zip(self, self.values))
-
-
-def _replay(column: Shifted, unknown: Hashable, implicit: Callable | None) -> Pivot:
-    """The pivot that inserting `column` keeps when implicit pivots take
-    every key below its lead: the steps on those keys, again."""
-    row, tags, _ = Echelon(implicit=implicit).reduce(column.row(), {unknown: 1})
-    return row, tags
+        skip = self.skip
+        shifted = zip(map(self.shift.__add__, self.keys), self.values)
+        return {key: value for key, value in shifted if key not in skip}
 
 
 class Columns(list):
@@ -160,32 +141,24 @@ class Columns(list):
     adds no pivot, so leaving it out gives the same echelon; its unknown
     is 0 in every solution either way.
 
-    ``implicit`` is handed to the echelon (see ``Echelon``): the pivots of
-    columns that would come before every listed one and are not stored.
-
-    A column may be a ``Shifted`` view.  Inserting it would first cancel
-    the keys implicit pivots take, smallest first, each step only scaling
-    the rest, so the first other key is its lead.  With no pivot stored
-    there, the view is kept as a deferred pivot (see ``Echelon``) that
-    replays those steps; else it is built and inserted.  The rows and tags,
-    once built, are those of the built columns."""
-
-    def __init__(self, columns: Iterable = (), implicit: Callable | None = None):
-        super().__init__(columns)
-        self.implicit = implicit
+    A ``Shifted`` view whose first key is no pivot yet would be stored as
+    it is, so it is kept as a deferred pivot (see ``Echelon``) and built on
+    its first read; any other view is built and inserted, and a view with no
+    keys adds nothing.  The rows and tags, once built, are those of the
+    built columns."""
 
     @cached_property
     def echelon(self) -> Echelon:
-        implicit = self.implicit
-        echelon = Echelon(implicit=implicit)
+        echelon = Echelon()
         pivots = echelon.pivots
-        for column, unknown in self:
+        for entry in self:
+            column, unknown = entry
             if column.__class__ is Shifted:
-                lead = next(filterfalse(implicit, column) if implicit else iter(column), None)
+                lead = next(iter(column), None)
                 if lead is None:
-                    continue  # cancelled whole: no pivot
+                    continue  # no key: no pivot
                 if lead not in pivots:
-                    pivots[lead] = partial(_replay, column, unknown, implicit)
+                    pivots[lead] = entry
                     continue
                 column = column.row()
             echelon.add(column, {unknown: 1})

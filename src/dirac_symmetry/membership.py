@@ -3,10 +3,11 @@
 ``decompose`` searches for coefficient polynomials f_k with
 ``target = sum_k f_k * generators[k]`` by solving an exact linear system.
 Its unknown for monomial m in f_k has the shifted generator m * g_k as its
-column, and ``linsolve.solve_sparse`` takes these columns and the target as
-they are.  Each generator g_k is scaled by the lcm s_k of its
-denominators, and the target by its own lcm t, so every column is built
-in integers; a solution h_k maps back to f_k = h_k * s_k / t.  The search
+column, and ``linsolve.solve_sparse`` solves for the target over the
+columns that are stored (see below).  Each generator g_k is scaled by the
+lcm s_k of its denominators, and the target by its own lcm t, so every
+column is built in integers; a solution h_k maps back to
+f_k = h_k * s_k / t.  The search
 runs degree by degree, so the certificate it returns has coefficients of
 the smallest achievable maximum degree.  A search is refused with
 ``SearchTooLargeError`` before it builds the degree at which the unknowns
@@ -27,17 +28,21 @@ The columns come generator by generator, and within g_k by shift monomial:
 ascending total degree, and within one degree descending packed int.
 
 Constraint modules often start with one-term generators c_k * m_k (the
-conjugate momenta of gauge variables).  Their columns are unit columns,
-and the first one on a monomial mu becomes the pivot {mu: c_k}, so the
-leading run of them is not stored at all: the echelon asks for such a
-pivot when mu is no stored pivot, and gets the row and tag the stored
-column would have given (the column-singleton step of sparse elimination).
-Only the later generators' columns are kept, and the system is still
+conjugate momenta of gauge variables).  The columns of that leading run are
+unit columns, which together span exactly the *covered* monomials m_k * x,
+deg x <= degree; the first k that covers a monomial owns it.  So the run is
+a projection, and none of its columns is stored: a later column is
+independent of the earlier ones exactly when it stays independent once the
+covered monomials are dropped from every column.  ``decompose`` drops them
+from the target too and solves over the later columns; each unit unknown
+then takes what the target, minus the solved columns, leaves on its
+covered monomial, divided by c_k.  The greedy-basis solution is unique, so
+this is the certificate the whole system gives.  The system is still
 charged all its unknowns.
 
-A kept column is a ``linsolve.Shifted`` view of g_k's packed terms, sorted
-once per generator; its row is built only when an elimination reads it,
-with the value eager insertion gives (see ``linsolve.Columns``).
+A stored column is a ``linsolve.Shifted`` view of g_k's packed terms,
+sorted once per generator, without the covered monomials; its row is
+built only when an elimination reads it (see ``linsolve.Columns``).
 
 Every term of sum_k f_k * g_k is a multiple of some generator term, so a
 target monomial mu in a certificate of degree d is m * t for a term t of
@@ -80,7 +85,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations_with_replacement, compress
+from itertools import chain, combinations_with_replacement, compress, takewhile
 from math import comb
 from operator import add
 from threading import Lock
@@ -616,36 +621,19 @@ class _System(NamedTuple):
     the coefficient of ``monomials[i]`` in h_k, and its column is the
     shifted generator ``monomials[i] * s_k * g_k``, with s_k from
     ``scales``.  Monomials are packed in ``fields`` of ``width`` bits.
-    ``columns`` holds the columns of every generator after the leading
-    one-term run, as ``linsolve.Shifted`` views, and its echelon the
-    implicit pivots of that run (see ``_build_system``)."""
+    ``units`` holds c_k of each generator of the leading one-term run,
+    ``covered`` maps each monomial that run covers to the unknown of its
+    first unit column, and ``columns`` holds the columns of every later
+    generator, as ``linsolve.Shifted`` views without the covered monomials
+    (see ``_build_system``)."""
 
     columns: Columns
     monomials: list[int]
     fields: _Fields
     width: int
     scales: tuple[int, ...]
-
-
-def _unit_pivots(units: list[tuple[int, int]], monomials: list[int]):
-    """The implicit pivots of the leading one-term generators c_k * m_k, as
-    (m_k, c_k) in `units`: column mu is the pivot of the first k for which
-    mu - m_k is in `monomials`, its row {mu: c_k} and its tag the unknown of
-    that shift.  A subtraction mu - m_k that borrows leaves some field at
-    2**width - deg m_k or more, and 2**width > degree + deg m_k for the
-    system's field width, so the result is no monomial of the system."""
-    index = {mon: i for i, mon in enumerate(monomials)}
-    # (m_k, c_k, the unknown of g_k's first column)
-    firsts = [(mon, c, k * len(monomials)) for k, (mon, c) in enumerate(units)]
-
-    def implicit(col: int):
-        for mon, c, first in firsts:
-            i = index.get(col - mon)
-            if i is not None:
-                return {col: c}, {first + i: 1}
-        return None
-
-    return implicit
+    units: list[int]
+    covered: dict[int, int]
 
 
 def _build_system(
@@ -655,36 +643,57 @@ def _build_system(
 
     The columns of g_k come in the order of ``monomials``, after those of
     every g_i with i < k, each a view of g_k's packed terms shifted by its
-    monomial.  The leading run of one-term generators keeps
-    no columns: each of their columns is a unit column, and the first one
-    on a monomial is its pivot, so they are implicit pivots of the echelon
-    (``_unit_pivots``), which later columns and targets reduce against as
-    they would against the built ones.  A one-term generator after a
-    multi-term or zero one keeps its columns, since they may depend on
-    earlier ones."""
+    monomial.  The leading run of one-term generators keeps no columns,
+    only the monomials it covers (see the module docstring).  A one-term
+    generator after a multi-term or zero one keeps its columns, since they
+    may depend on earlier ones."""
     # No exponent of a column reaches 2**width (see _fields).
     width = max(degree + max(g.total_degree() for g in generators), 1).bit_length()
     fields = _fields(allowed, width)
     monomials = _monomials_up_to(fields, degree)
+    size = len(monomials)
     # Integer terms: generator k scaled by s_k, packed once for all its columns.
     scales, scaled = zip(*(integer_scaled(g.terms) for g in generators))
-    units = []  # (m_k, c_k) of the leading one-term generators
-    for terms in scaled:
-        if len(terms) != 1:
-            break
-        (mon, c), = terms.items()
-        units.append((_pack(mon, fields), c))
-    columns = Columns(implicit=_unit_pivots(units, monomials) if units else None)
+    units = [c for terms in takewhile(lambda t: len(t) == 1, scaled) for c in terms.values()]
+    covered: dict[int, int] = {}
+    for k in reversed(range(len(units))):  # the first k on a monomial wins
+        shift = _pack(next(iter(scaled[k])), fields)
+        covered.update(zip(map(shift.__add__, monomials), range(k * size, (k + 1) * size)))
+    columns = Columns()
     for k in range(len(units), len(generators)):
         packed = {_pack(mon, fields): c for mon, c in scaled[k].items()}
         keys = tuple(sorted(packed))
         values = tuple(packed[m] for m in keys)
         columns.extend(
-            (Shifted(mon, keys, values), unknown)
-            for unknown, mon in enumerate(monomials, k * len(monomials))
+            (Shifted(mon, keys, values, covered), unknown)
+            for unknown, mon in enumerate(monomials, k * size)
         )
-    charge = len(monomials) * len(generators)
-    return _System(columns, monomials, fields, width, scales), charge
+    charge = size * len(generators)
+    return _System(columns, monomials, fields, width, scales, units, covered), charge
+
+
+def _solve(system: _System, target: dict[int, int]) -> dict[int, Fraction] | None:
+    """``solve_sparse`` of the whole system for the packed target: the
+    stored columns solve for its uncovered monomials, and each unit unknown
+    takes what is left on its covered monomial, divided by its c_k."""
+    covered, size = system.covered, len(system.monomials)
+    kept, left = {}, {}
+    for key, value in target.items():
+        (left if key in covered else kept)[key] = value
+    solution = solve_sparse(system.columns, kept)
+    if solution is None:
+        return None
+    columns, first = system.columns, len(system.units) * size
+    for unknown, value in solution.items():
+        view = columns[unknown - first][0]
+        for key, c in zip(map(view.shift.__add__, view.keys), view.values):
+            if key in covered:
+                left[key] = left.get(key, 0) - value * c
+    for key, value in left.items():
+        if value:
+            unknown = covered[key]
+            solution[unknown] = Fraction(value, system.units[unknown // size])
+    return solution
 
 
 # ----------------------------------------------------------------------
@@ -912,7 +921,7 @@ def decompose(
         # From degree >= reach, every target monomial has degree at most
         # degree plus a generator's, so its exponents fit the fields.
         packed = {_pack(mon, system.fields): c for mon, c in target_terms.items()}
-        solution = solve_sparse(system.columns, packed)
+        solution = _solve(system, packed)
         if solution is not None:
             coefficients = _certificate(space, solution, system, target_scale)
             result = IdealDecomposition(target, generators, coefficients, degree_bound)

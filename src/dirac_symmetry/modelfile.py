@@ -26,7 +26,10 @@ Unknown sections or keys are rejected.  A model file may hold at most
 Every sum a model stores (the Hamiltonian, the primaries, the declared
 levels and the generators) is charged its terms times the space's
 identifiers, one exponent entry each, against one budget for the whole
-model, ``phase.MAX_TERM_ENTRIES``; the sum that passes it is refused.
+model, ``phase.MAX_TERM_ENTRIES``.  The parser is handed what the earlier
+sums left and holds a sum to it as it reads it, counting every distinct
+monomial read, cancelled ones included, so the sum that passes the budget
+is refused before it is built whole.
 
 Lines are read in one pass, split at ``\n`` only:
 
@@ -177,21 +180,15 @@ def parse_model_text(text: str) -> ModelFile:
     except ValueError as exc:
         raise ModelFileError(f"[system]: {exc}") from exc
 
-    stored = 0  # exponent entries of the sums parsed so far
+    left = phase.MAX_TERM_ENTRIES  # exponent entries the sums to come may store
 
     def parse(section: str, name: str, text: str) -> PhasePolynomial:
-        nonlocal stored
+        nonlocal left
         try:
-            poly = parse_polynomial(text, space)
+            poly = parse_polynomial(text, space, left)
         except DiracSymmetryError as exc:
             raise ModelFileError(f"[{section}] {name}: {exc}") from exc
-        stored += len(poly.terms) * space.n_identifiers
-        if stored > phase.MAX_TERM_ENTRIES:
-            raise ModelFileError(
-                f"[{section}] {name}: the model's sums up to here store {stored} "
-                f"exponent entries, over the limit of {phase.MAX_TERM_ENTRIES} "
-                f"for one model"
-            )
+        left -= len(poly.terms) * space.n_identifiers
         return poly
 
     def named(section: str) -> tuple[tuple[str, PhasePolynomial], ...]:

@@ -122,7 +122,7 @@ class PhaseSpace(_Frozen):
     alike, when their ``n_dof`` and ``parameters`` are.
     """
 
-    __slots__ = ("n_dof", "parameters", "identifiers", "_index")
+    __slots__ = ("n_dof", "parameters", "identifiers", "n_identifiers", "_index")
     _compared = _shown = ("n_dof", "parameters")
 
     def __init__(self, n_dof: int, parameters: Iterable[str] = ("E",)):
@@ -152,11 +152,8 @@ class PhaseSpace(_Frozen):
             + list(params)
         )
         object.__setattr__(self, "identifiers", idents)
+        object.__setattr__(self, "n_identifiers", len(idents))
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(idents)})
-
-    @property
-    def n_identifiers(self) -> int:
-        return len(self.identifiers)
 
     def index(self, name: str) -> int:
         """Position of an identifier in the declared order; KeyError if absent."""
@@ -560,7 +557,7 @@ def _check_term_pairs(operation: str, f: PhasePolynomial, g: PhasePolynomial) ->
             f"polynomial would form {pairs} term pairs, over the limit of "
             f"{MAX_TERM_PAIRS}"
         )
-    entries = pairs * len(f.space.identifiers)
+    entries = pairs * f.space.n_identifiers
     if entries > MAX_TERM_ENTRIES:
         raise ProductTooLargeError(
             f"{operation} of a {len(f.terms)}-term and a {len(g.terms)}-term "

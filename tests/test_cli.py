@@ -407,8 +407,9 @@ class TestErrorExitCodes:
         assert time.process_time() - start < 1.0
         assert (code, out) == (3, "")
         assert err == (
-            "error: invalid input: [generators.g] G1: the model's sums up to here "
-            "store 2020101 exponent entries, over the limit of 2000000 for one model\n"
+            "error: invalid input: [generators.g] G1: sum of more than 97 terms over "
+            "20001 identifiers would take the model's sums, 40002 exponent entries "
+            "before it, over the limit of 2000000 for one model\n"
         )
 
     @pytest.mark.parametrize(

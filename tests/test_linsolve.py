@@ -163,79 +163,59 @@ class TestSolveSparse:
         assert True in outcomes and False in outcomes
 
 
-class TestImplicitPivots:
-    @staticmethod
-    def units(rng, keys):
-        """Unit columns {key: c} on some keys, tagged ("unit", key), and the
-        pivots they add when inserted first."""
-        units = [({k: rng.choice((-3, 1, 2))}, ("unit", k)) for k in keys if rng.random() < 0.4]
-        return units, {k: (column, {tag: 1}) for column, tag in units for k in column}
-
-    def test_the_lookup_is_consulted_only_on_a_miss(self):
-        asked = []
-
-        def implicit(col):
-            asked.append(col)
-            return ({1: 2}, {"unit": 1}) if col == 1 else None
-
-        echelon = Echelon(implicit=implicit)
-        echelon.add({0: 1, 2: 1}, {"a": 1})  # 0 misses: a new pivot
-        assert asked == [0]
-        # 0 is a pivot and is not asked for; 1 is implicit, 2 is neither.
-        row, tags, col = echelon.reduce({0: 1, 1: 1, 2: 3}, {None: 1})
-        assert asked == [0, 1, 2]
-        assert (row, tags, col) == ({2: 4}, {None: 2, "a": -2, "unit": -1}, 2)
-        assert list(echelon.pivots) == [0]
-
-    def test_implicit_unit_pivots_give_the_eager_echelon(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            keys = list(range(7))
-            units, implicit = self.units(rng, keys)
-            pairs = [
-                (integer_equation(row, 0)[0], j)
-                for j, row in enumerate(random_rows(rng, 6, 7, keys)) if row
-            ]
-            eager = Columns(units + pairs)
-            lazy = Columns(pairs, implicit.get)
-            assert {**implicit, **lazy.echelon.pivots} == eager.echelon.pivots
-            for _ in range(5):
-                target = integer_equation(random_rows(rng, 1, 7, keys)[0], 0)[0]
-                assert solve_sparse(lazy, target) == solve_sparse(eager, target)
+class TestShiftedViews:
+    def test_a_view_leaves_out_its_skipped_keys(self):
+        view = Shifted(2, (0, 1, 3, 4), (5, -1, 2, 7), {3, 6})
+        assert list(view) == [2, 5] and len(view) == 2
+        assert view.row() == {2: 5, 5: 2}
+        assert list(Shifted(2, (0, 1), (1, 1), {2, 3})) == [] and not Shifted(0, (), (), ())
+        assert Shifted(1, (0, 2), (4, 3), ()).row() == {1: 4, 3: 3}
 
     def test_shifted_views_give_the_eager_echelon(self):
-        # Views of a few base rows at random shifts, inserted with and
-        # without implicit pivots: once read, every stored row and tag is
-        # the one the built columns give, and so is every solution.
+        # Views of a few base rows at random shifts, with and without a set
+        # of keys left out: once read, every stored row and tag is the one
+        # the built columns give, and so is every solution.
         rng = random.Random(33)
         for _ in range(60):
             keys = list(range(10))
-            units, implicit = self.units(rng, keys)
-            views = []
-            for j in range(8):
-                base = tuple(sorted(rng.sample(range(6), rng.randint(0, 3))))
-                values = tuple(rng.choice((-2, -1, 1, 3)) for _ in base)
-                view = Shifted(rng.randrange(5), base, values)
-                assert list(view) == sorted(view.row()) and len(view) == len(base)
-                views.append((view, j))
-            for lookup in (implicit.get, None):
-                lazy = Columns(views, lookup)
-                eager = Columns([(view.row(), j) for view, j in views], lookup)
+            skipped = {k for k in keys if rng.random() < 0.4}
+            for skip in (skipped, frozenset()):
+                views = []
+                for j in range(8):
+                    base = tuple(sorted(rng.sample(range(6), rng.randint(0, 3))))
+                    values = tuple(rng.choice((-2, -1, 1, 3)) for _ in base)
+                    view = Shifted(rng.randrange(5), base, values, skip)
+                    assert list(view) == sorted(view.row()) and len(view) == len(view.row())
+                    views.append((view, j))
+                lazy = Columns(views)
+                eager = Columns([(view.row(), j) for view, j in views])
                 for _ in range(5):
                     target = integer_equation(random_rows(rng, 1, 10, keys)[0], 0)[0]
+                    target = {k: v for k, v in target.items() if k not in skip}
                     assert solve_sparse(lazy, target) == solve_sparse(eager, target)
                 for col in list(lazy.echelon.pivots):
                     lazy.echelon.reduce({col: 1}, {})  # builds a deferred row
                 assert lazy.echelon.pivots == eager.echelon.pivots
 
-    def test_an_echelon_without_a_lookup_is_unchanged(self):
-        rng = random.Random(3)
-        rows = [integer_equation(row, 0)[0] for row in random_rows(rng, 8, 6)]
-        plain, asking = Echelon(), Echelon(implicit=lambda col: None)
-        assert plain.implicit is None and Columns(()).echelon.implicit is None
-        for j, row in enumerate(rows):
-            assert plain.add(row, {j: 1}) == asking.add(row, {j: 1})
-        assert plain.pivots == asking.pivots
+    def test_leaving_out_the_keys_of_unit_columns_is_a_projection(self):
+        # Unit columns on the skipped keys, inserted before the full views,
+        # take exactly those keys as pivots; the views without those keys
+        # take the other pivots of that echelon.
+        rng = random.Random(29)
+        for _ in range(40):
+            keys = list(range(12))
+            skip = {k for k in keys if rng.random() < 0.4}
+            units = [({k: rng.choice((-3, 1, 2))}, ("unit", k)) for k in sorted(skip)]
+            views = []
+            for j in range(8):
+                base = tuple(sorted(rng.sample(range(7), rng.randint(0, 4))))
+                values = tuple(rng.choice((-2, -1, 1, 3)) for _ in base)
+                views.append((Shifted(rng.randrange(5), base, values, skip), j))
+            full = [({v.shift + k: c for k, c in zip(v.keys, v.values)}, j) for v, j in views]
+            whole = Columns(units + full)
+            projected = Columns(views).echelon.pivots
+            assert whole.echelon.pivots.keys() == skip | projected.keys()
+            assert not skip & projected.keys()
 
 
 class TestRationalRank:

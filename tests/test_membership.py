@@ -650,7 +650,9 @@ class TestIntegerSystems:
         outcome = found(decompose(target, ideal, degree_bound=2))
         assert max(c.total_degree() for c in outcome.coefficients) == 2
         # Degrees 0 and 1 are skipped: their columns cannot reach degree 4.
-        assert sizes == [(136, 1660, 1768)]
+        # The stored columns leave out the monomials that the leading one-term
+        # generators (the primaries, p2 and p6) cover.
+        assert sizes == [(136, 1512, 1614)]
 
     def test_certificates_match_on_a_warm_cache(self, monkeypatch):
         membership._KEPT.clear()
@@ -928,6 +930,13 @@ def reachable_monomials(generators, system, degree) -> list[int]:
     return membership._monomials_up_to(system.fields, degree + top)
 
 
+def eager_reference(generators, system) -> linsolve.Columns:
+    """Every column of the system built as a plain dict row, unit columns
+    included, in the system's order: the whole system, solved by
+    ``solve_sparse`` as it comes."""
+    return linsolve.Columns(all_columns(generators, system))
+
+
 def built_pivots(echelon) -> dict:
     """The echelon's stored pivots, each deferred one built as
     ``Echelon.reduce`` builds it: by reducing a row that it leads."""
@@ -936,41 +945,65 @@ def built_pivots(echelon) -> dict:
     return echelon.pivots
 
 
-def echelon_pivots(system, reachable) -> dict:
-    """The pivot the system's echelon reduces each reachable monomial
-    against, as ``Echelon.reduce`` finds it: the stored one, built, else the
-    implicit one; monomials with neither are left out."""
-    echelon = system.columns.echelon
-    stored = built_pivots(echelon)
-    implicit = echelon.implicit or (lambda col: None)
-    pivots = {mon: stored.get(mon) or implicit(mon) for mon in reachable}
-    return {mon: pivot for mon, pivot in pivots.items() if pivot is not None}
+def used_identifiers(*polynomials) -> tuple[int, ...]:
+    return tuple(sorted(set().union(*(p.used_indices() for p in polynomials))))
 
 
-def eager_system(generators, degree) -> tuple[membership._System, int]:
+def projected_system(generators, degree) -> tuple[membership._System, int]:
     """The system of `degree` over the generators' identifiers, checked
-    against the echelon of all its columns, built or not, inserted in
-    order: its explicit pivots, and its implicit ones on every other
-    monomial, must be that echelon's pivots, rows and tags.  The system
-    keeps the column of every unknown after the leading one-term run, in
-    order, and the charge counts every unknown.  Also returns how many
-    columns add no pivot."""
-    allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
+    against the whole system's echelon: the covered monomials and the
+    stored pivots are its pivot columns, and each covered monomial's unknown
+    is the unit column that takes it there.  The system keeps the column of
+    every unknown after the leading one-term run, in order, and the charge
+    counts every unknown.  Also returns how many stored columns add no
+    pivot."""
+    allowed = used_identifiers(*generators)
     system, charge = membership._build_system(generators, allowed, degree)
     per_generator = len(system.monomials)
     assert charge == per_generator * len(generators)
     units = len(list(takewhile(lambda g: len(g.terms) == 1, generators)))
+    assert len(system.units) == units
     assert [unknown for _, unknown in system.columns] == list(
         range(units * per_generator, charge)
     )
-    full = linsolve.Echelon()
-    dependent = 0
-    for column, unknown in all_columns(generators, system):
-        row, _, _ = full.add(column, {unknown: 1})
-        dependent += not row
-    reachable = reachable_monomials(generators, system, degree)
-    assert echelon_pivots(system, reachable) == full.pivots
-    return system, dependent
+    whole = eager_reference(generators, system).echelon.pivots
+    stored, covered = system.columns.echelon.pivots, system.covered
+    assert whole.keys() == covered.keys() | stored.keys()
+    assert not covered.keys() & stored.keys()
+    for mon, unknown in covered.items():
+        assert whole[mon] == ({mon: system.units[unknown // per_generator]}, {unknown: 1})
+    return system, len(system.columns) - len(stored)
+
+
+def eager_certificate(target, generators, degree_bound):
+    """The certificate of the first degree, from the target's reach up to
+    the bound, at which the whole system solves for the target, or None."""
+    generators = tuple(generators)
+    reach = membership._reach(target, generators)
+    if reach is None:
+        return None
+    scale, terms = linsolve.integer_scaled(target.terms)
+    for degree in range(reach, degree_bound + 1):
+        system, _ = membership._build_system(
+            generators, used_identifiers(target, *generators), degree
+        )
+        packed = {membership._pack(mon, system.fields): c for mon, c in terms.items()}
+        solution = linsolve.solve_sparse(eager_reference(generators, system), packed)
+        if solution is not None:
+            return membership._certificate(target.space, solution, system, scale)
+    return None
+
+
+def assert_eager_certificate(target, generators, degree_bound) -> bool:
+    """``decompose`` gives the eager reference's certificate, or a
+    ``NotFound`` where it has none; True for a certificate."""
+    expected = eager_certificate(target, generators, degree_bound)
+    outcome = decompose(target, generators, degree_bound=degree_bound)
+    if expected is None:
+        assert isinstance(outcome, NotFound)
+        return False
+    assert found(outcome).coefficients == expected
+    return True
 
 
 class TestEagerEchelon:
@@ -978,12 +1011,12 @@ class TestEagerEchelon:
         dependent = 0
         for _, gens, _ in random_ideals(28, 25):
             for degree in (1, 2, 3):
-                dependent += eager_system(tuple(gens), degree)[1]
+                dependent += projected_system(tuple(gens), degree)[1]
         assert dependent > 0
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_dense_module(self, monkeypatch, degree):
-        eager_system(tertiary_closure_module(monkeypatch), degree)
+        projected_system(tertiary_closure_module(monkeypatch), degree)
 
     @pytest.mark.parametrize(
         "generators",
@@ -998,15 +1031,15 @@ class TestEagerEchelon:
     )
     def test_zero_and_constant_generators(self, generators):
         gens = tuple(poly(g, SPACE) for g in generators)
-        dependent = [eager_system(gens, degree)[1] for degree in (1, 2, 3)]
+        dependent = [projected_system(gens, degree)[1] for degree in (1, 2, 3)]
         assert dependent[-1] > 0
 
     def test_work_of_a_cold_degree_3_system(self, empty_cache):
         # em_modes(2)'s on-shell module at degree 3: 4080 unknowns, charged
-        # in full.  Of the 3269 that become pivots, the 2511 unit columns
-        # of its four one-term generators are implicit.  The 816 columns of
-        # H_d - E are stored, and 758 of them become pivots; the other 58
-        # have every term on an implicit pivot, so insertion drops them.
+        # in full.  Its four one-term generators cover 2511 monomials.  The
+        # 816 columns of H_d - E are stored, and 758 of them become pivots;
+        # the other 58 have every term on a covered monomial, so insertion
+        # drops them.
         space, gens = on_shell_ideal(2)
         gens = tuple(gens)
         target = poly("q3^3", space) * gens[0]
@@ -1015,14 +1048,12 @@ class TestEagerEchelon:
             entry for key, entry in membership._KEPT.entries.items() if key[2:] == (3,)
         ]
         assert charge == len(system.monomials) * len(gens) == 4080
-        explicit = system.columns.echelon.pivots
-        assert (len(system.columns), len(explicit)) == (816, 758)
-        reachable = reachable_monomials(gens, system, 3)
-        assert len(echelon_pivots(system, reachable).keys() - explicit.keys()) == 2511
+        assert (len(system.columns), len(system.columns.echelon.pivots)) == (816, 758)
+        assert len(system.covered) == 2511
 
 
 # ----------------------------------------------------------------------
-# One-term generators as implicit pivots
+# One-term generators as a projection
 # ----------------------------------------------------------------------
 def unit_modules(seed: int, count: int):
     """Seeded modules whose generators start with a run of one-term ones:
@@ -1068,23 +1099,34 @@ def seeded_targets(rng, reachable, columns) -> list[dict]:
     return targets
 
 
-def assert_eager_echelon(generators, degree, rng) -> membership._System:
-    """``eager_system``, and the same solutions from the system's columns
-    as from all of them, on seeded targets."""
+def target_polynomial(space, system, packed) -> PhasePolynomial:
+    """A packed target of the system as a polynomial."""
+    return PhasePolynomial(space, {
+        membership._unpack(mon, system.fields, system.width, space.n_identifiers): c
+        for mon, c in packed.items()
+    })
+
+
+def assert_eager_solutions(generators, degree, rng) -> membership._System:
+    """``projected_system``, and on seeded targets the whole system's
+    solution: ``membership._solve`` gives it, and ``decompose`` the eager
+    reference's certificate of the first two."""
     generators = tuple(generators)
-    system, _ = eager_system(generators, degree)
-    every = linsolve.Columns(all_columns(generators, system))
+    system, _ = projected_system(generators, degree)
+    every = eager_reference(generators, system)
     reachable = reachable_monomials(generators, system, degree)
-    for target in seeded_targets(rng, reachable, every):
-        expected = linsolve.solve_sparse(every, target)
-        assert linsolve.solve_sparse(system.columns, target) == expected
+    for n, target in enumerate(seeded_targets(rng, reachable, every)):
+        assert membership._solve(system, target) == linsolve.solve_sparse(every, target)
+        if n < 2:
+            poly_target = target_polynomial(generators[0].space, system, target)
+            assert_eager_certificate(poly_target, generators, degree)
     return system
 
 
 class TestUnitPivots:
     def test_seeded_modules(self):
         rng = random.Random(29)
-        seen = dict.fromkeys(("implicit", "constant", "zero", "unit after", "shared"), 0)
+        seen = dict.fromkeys(("units", "constant", "zero", "unit after", "shared"), 0)
         for gens in unit_modules(29, 120):
             units = list(takewhile(lambda g: len(g.terms) == 1, gens))
             rest = gens[len(units):]
@@ -1096,23 +1138,53 @@ class TestUnitPivots:
                 any(x and y for x, y in zip(a, b)) for a, b in combinations(monos, 2)
             )
             for degree in range(4):
-                system = assert_eager_echelon(gens, degree, rng)
-                seen["implicit"] += system.columns.implicit is not None
+                system = assert_eager_solutions(gens, degree, rng)
+                seen["units"] += bool(system.covered)
         assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("n, degree", [(1, 3), (2, 3), (3, 2)])
     def test_on_shell_modules(self, n, degree):
-        _, gens = on_shell_ideal(n)
-        assert_eager_echelon(gens, degree, random.Random(n))
+        space, gens = on_shell_ideal(n)
+        assert_eager_solutions(gens, degree, random.Random(n))
+        multiplier = poly("q1*q2 - 2*E*p1 + 3", space)
+        target = multiplier * gens[-1] + poly("q1*p2", space) * gens[0]
+        assert assert_eager_certificate(target, tuple(gens), degree)
 
     def test_a_later_one_term_generator_is_built(self):
         # Only q1 leads the generators with one term.  The unit column of
         # p1 reduces against the pivot p1 of q1*p1 - p1 to a new pivot
         # q1*p1, so it is built, after the column of q1*p1 - p1.
         gens = (poly("q1", SPACE), poly("q1*p1 - p1", SPACE), poly("p1", SPACE))
-        system = assert_eager_echelon(gens, 0, random.Random(0))
+        system = assert_eager_solutions(gens, 0, random.Random(0))
         assert [unknown for _, unknown in system.columns] == [1, 2]
         assert len(system.columns.echelon.pivots) == 2
+
+    @pytest.mark.parametrize(
+        "generators, owners, targets",
+        [
+            # p1 covers every monomial 2*p1 would: 2*p1 owns none.
+            (["p1", "2*p1", "q1*p2 - q2"], {0},
+             ["q1*p1 + 3*q2^2*p1", "p1*q1*p2 - 2*q2*p1 + q1*p2 - q2", "q2", "q1*p2"]),
+            # A constant owns every monomial of degree 2 or less, p1 the
+            # multiples of p1 of degree 3.
+            (["3", "p1", "q1*p1 - 1"], {0, 1},
+             ["q1*p2 + 5", "2/3*q2^2*p1 - q1", "q1^3*p2 + q1*p1", "q2^4"]),
+            # A zero generator ends the unit run: q1 after it keeps its columns.
+            (["p1", "0", "q1", "q2*p2 + p1"], {0},
+             ["q1*p1 - q2*q1", "q2^2*p2 + q2*p1 + 7*q1", "q2*p2", "p2"]),
+        ],
+        ids=["shared monomial", "constant", "zero ends the run"],
+    )
+    def test_certificates_are_the_eager_ones(self, generators, owners, targets):
+        gens = tuple(poly(g, SPACE) for g in generators)
+        system, _ = projected_system(gens, 2)
+        per_generator = len(system.monomials)
+        assert {unknown // per_generator for unknown in system.covered.values()} == owners
+        results = [
+            assert_eager_certificate(poly(t, SPACE), gens, bound)
+            for t in targets for bound in range(4)
+        ]
+        assert True in results and False in results
 
 
 # ----------------------------------------------------------------------
@@ -1121,37 +1193,34 @@ class TestUnitPivots:
 def cold_system(generators, degree) -> membership._System:
     """The system of `degree` over the generators' identifiers, its echelon
     not yet built."""
-    allowed = tuple(sorted(set().union(*(g.used_indices() for g in generators))))
+    allowed = used_identifiers(*generators)
     return membership._build_system(tuple(generators), allowed, degree)[0]
 
 
 def eager_columns(system) -> linsolve.Columns:
-    """The system's columns built as dicts, with its implicit pivots: the
-    echelon that inserts every column as it comes."""
-    return linsolve.Columns(
-        ((column.row(), unknown) for column, unknown in system.columns),
-        system.columns.implicit,
-    )
+    """The system's stored columns built as dicts: the echelon that inserts
+    every one as it comes."""
+    return linsolve.Columns((column.row(), unknown) for column, unknown in system.columns)
 
 
 def stored_kinds(echelon) -> tuple[int, int]:
     """(pivots built, pivots deferred) of the echelon."""
-    built = sum(type(pivot) is tuple for pivot in echelon.pivots.values())
+    built = sum(type(row) is dict for row, _ in echelon.pivots.values())
     return built, len(echelon.pivots) - built
 
 
 def assert_deferred_rows_are_eager(generators, degree, rng) -> tuple[int, int]:
-    """On a cold system, seeded targets solve as on the eager echelon, and
-    every stored row and tags, deferred ones built on demand, are the eager
-    echelon's.  Returns the echelon's ``stored_kinds`` before any solve."""
+    """On a cold system, seeded targets solve as the whole system does, and
+    every stored row and tags, deferred ones built on demand, are those of
+    the eager echelon of its stored columns.  Returns the echelon's
+    ``stored_kinds`` before any solve."""
     system = cold_system(generators, degree)
-    eager = eager_columns(system)
     kinds = stored_kinds(system.columns.echelon)
     reachable = reachable_monomials(generators, system, degree)
-    every = list(all_columns(generators, system))
+    every = eager_reference(generators, system)
     for target in seeded_targets(rng, reachable, every):
-        assert linsolve.solve_sparse(system.columns, target) == linsolve.solve_sparse(eager, target)
-    assert built_pivots(system.columns.echelon) == eager.echelon.pivots
+        assert membership._solve(system, target) == linsolve.solve_sparse(every, target)
+    assert built_pivots(system.columns.echelon) == eager_columns(system).echelon.pivots
     return kinds
 
 
@@ -1193,21 +1262,21 @@ class TestDeferredColumns:
         assert stored_kinds(system.columns.echelon) == (5, 753)
 
     def test_threads_build_the_single_threaded_rows(self):
-        # Four threads reduce seeded targets against one cold system, each in
+        # Four threads solve seeded targets against one cold system, each in
         # its own order, so they read and build its deferred rows together.
         _, gens = on_shell_ideal(2)
         rng = random.Random(4)
         system = cold_system(gens, 3)
         reachable = reachable_monomials(gens, system, 3)
-        every = list(all_columns(gens, system))
+        every = eager_reference(gens, system)
         targets = [t for _ in range(3) for t in seeded_targets(rng, reachable, every)]
-        expected = [linsolve.solve_sparse(cold_system(gens, 3).columns, t) for t in targets]
+        expected = [linsolve.solve_sparse(every, t) for t in targets]
         results = {}
 
         def run(worker):
             order = list(range(len(targets)))
             random.Random(worker).shuffle(order)
-            results[worker] = {i: linsolve.solve_sparse(system.columns, targets[i]) for i in order}
+            results[worker] = {i: membership._solve(system, targets[i]) for i in order}
 
         threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
         interval = sys.getswitchinterval()

@@ -3,6 +3,7 @@ import configparser
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -212,9 +213,39 @@ class TestSizeCap:
         with pytest.raises(ModelFileError) as info:
             parse_model_text(VALID)
         assert str(info.value) == (
-            "[generators.good] D1: the model's sums up to here store 35 exponent "
-            "entries, over the limit of 34 for one model"
+            "[generators.good] D1: sum of more than 0 terms over 7 identifiers would "
+            "take the model's sums, 28 exponent entries before it, over the limit "
+            "of 34 for one model"
         )
+        # A lone identifier is charged too.
+        monkeypatch.setattr(phase, "MAX_TERM_ENTRIES", 27)
+        with pytest.raises(ModelFileError, match=r"^\[secondaries\] S1: sum of more than 0 "):
+            parse_model_text(VALID)
+
+    def test_the_sum_that_passes_the_budget_is_refused_as_it_is_read(self):
+        # A Hamiltonian of 97 terms and a primary over 20001 identifiers leave
+        # room for one more term; the 99-term sum after them is refused at
+        # its second term, not built whole on top of them.
+        sums = [" + ".join(f"q1^{i}" for i in range(1, k)) for k in (98, 100)]
+        head = f"[system]\nn_dof = 10000\nhamiltonian = {sums[0]}\n[primaries]\nP1 = p2\n"
+        peaks = []
+        for text in (head, head + f"[generators.g]\nG1 = {sums[1]}\n"):
+            tracemalloc.start()
+            try:
+                parse_model_text(text)
+            except ModelFileError as exc:
+                error = str(exc)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert error == (
+            "[generators.g] G1: sum of more than 1 terms over 20001 identifiers would "
+            "take the model's sums, 1960098 exponent entries before it, over the limit "
+            "of 2000000 for one model"
+        )
+        # One term stores a tuple of 20001 exponents, about 160 KB; the whole
+        # 99-term sum would be about 16 MB.
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
 
     def test_shipped_models_are_far_within_the_entries_budget(self, monkeypatch):
         # The largest total of the shipped models, em_modes_5's, and of the

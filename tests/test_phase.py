@@ -70,7 +70,7 @@ class TestImmutability:
     """Phase spaces and polynomials refuse setting and deleting every slot,
     so the values the membership caches key on cannot change."""
 
-    SPACE_SLOTS = ("n_dof", "parameters", "identifiers", "_index")
+    SPACE_SLOTS = ("n_dof", "parameters", "identifiers", "n_identifiers", "_index")
     POLY_SLOTS = ("space", "terms", "_hash", "_degree", "_used", "_pairs")
 
     @pytest.mark.parametrize("name", SPACE_SLOTS)
