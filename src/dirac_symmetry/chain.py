@@ -29,16 +29,20 @@ from .phase import PhasePolynomial, PhaseSpace, _adopt, _Frozen, _grlex_key, poi
 LEVELS = ("primary", "secondary", "tertiary")
 
 
-def _consistent_residual(space: PhaseSpace, residual, source: str) -> PhasePolynomial:
-    """The residual of {source, H_d} as a polynomial, adopting `residual`, a
-    fresh dict of nonzero ``Fraction``s; a nonzero residual with no
-    phase-variable support means the system has no solutions."""
+def _consistent_residual(
+    space: PhaseSpace, residual, source: str, what: str = ""
+) -> PhasePolynomial:
+    """The residual that `what`, by default the bracket of `source` with H_d,
+    leaves over the span of the constraints before it, as a polynomial,
+    adopting `residual`, a fresh dict of nonzero ``Fraction``s; a nonzero
+    residual with no phase-variable support means the system has no
+    solutions."""
     candidate = _adopt(space, residual)
     n_vars = 2 * space.n_dof
     if all(idx >= n_vars for idx in candidate.used_indices()):
         raise InconsistentSystemError(
-            f"bracket of {source} with H_d leaves the nonzero constant "
-            f"residual {candidate}: the system has no solutions",
+            f"{what or f'bracket of {source} with H_d'} leaves the nonzero "
+            f"constant residual {candidate}: the system has no solutions",
             residual=candidate,
             source=source,
         )
@@ -168,8 +172,10 @@ def _build_chain(
     over one ``RationalSpan`` tagged (level, index).  A nonzero primary or
     secondary residual, normalized, is a constraint of the next level; the
     coordinates left are the table rows, unique as the constraints are
-    independent.  ``given`` (a recombined chain's secondaries and tertiaries)
-    fixes the levels up front, and tertiary residuals go unchecked.
+    independent.  Each primary's residual over the primaries before it is
+    checked as a bracket residual is.  ``given`` (a recombined chain's
+    secondaries and tertiaries) fixes the levels up front, and tertiary
+    residuals go unchecked.
     """
     space, h_d = system.space, system.h_d
     levels = (list(system.primaries), *(list(polys) for polys in given or ((), ())))
@@ -177,7 +183,14 @@ def _build_chain(
     span = RationalSpan()
     for depth, level in enumerate(levels):
         for index, poly in enumerate(level):
-            span.add(poly.terms, (depth, index))
+            residual = span.add(poly.terms, (depth, index))
+            if not depth:
+                # A constant in the primaries' span is some primary's residual:
+                # the constant monomial comes last in graded-lex order.
+                name = names[0][index]
+                _consistent_residual(
+                    space, residual, name, f"primary {name} over the primaries before it"
+                )
     brackets = ([], [], [])
     coordinates = []
     for depth, level in enumerate(levels):

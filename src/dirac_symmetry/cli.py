@@ -45,8 +45,7 @@ from .errors import (
     UsageError,
 )
 from .linsolve import RationalSpan, rational_rank
-from .membership import CoefficientMode
-from .modelfile import ModelFile, load_model_file
+from .modelfile import SETTINGS, ModelFile, load_model_file
 from .symmetry import classify, closure_and_structure_constants
 
 EXIT_OK = 0
@@ -58,15 +57,13 @@ EXIT_INCONSISTENT = 6
 
 
 # The flags every command takes: (flag, dest, int or its choices or None,
-# help).  The table builds the argparse parser and drives ``_plain_parse``.
+# help), the run settings' from ``modelfile.SETTINGS``.  The table builds the
+# argparse parser and drives ``_plain_parse``.
 _FLAGS = (
     ("--set", "set_name", None, "generator set name"),
-    ("--degree-bound", "degree_bound", int,
-     "cap on coefficient-polynomial degree in membership searches"),
-    ("--on-shell-energy", "on_shell_energy", ("true", "false"),
-     "include the on-shell generator H_d - E in the ideal"),
-    ("--coefficients", "coefficients", ("constant", "polynomial"),
-     "coefficient class for level-preservation decompositions"),
+    *((setting.flag, setting.key,
+       int if setting.values is None else tuple(setting.values), setting.help)
+      for setting in SETTINGS),
     ("--format", "format", ("text", "structured"),
      "output format (structured = JSON with exact rationals)"),
 )
@@ -143,25 +140,22 @@ def _build_arg_parser():
     return parser
 
 
-def _resolve_options(args, model: ModelFile):
-    degree_bound = args.degree_bound
-    if degree_bound is None:
-        degree_bound = model.options.degree_bound
-    if degree_bound is not None and degree_bound < 0:
-        raise ModelFileError("--degree-bound must be >= 0")
-    if args.on_shell_energy is not None:
-        include_energy = args.on_shell_energy == "true"
-    elif model.options.on_shell_energy is not None:
-        include_energy = model.options.on_shell_energy
-    else:
-        include_energy = True
-    if args.coefficients is not None:
-        mode = CoefficientMode(args.coefficients)
-    elif model.options.coefficient_mode is not None:
-        mode = model.options.coefficient_mode
-    else:
-        mode = CoefficientMode.POLYNOMIAL
-    return degree_bound, include_energy, mode
+def _resolve_options(args, model: ModelFile) -> list:
+    """Each run setting's value: its flag's, else the model's ``[options]``,
+    else its built-in default."""
+    resolved = []
+    for setting in SETTINGS:
+        value = getattr(args, setting.key)
+        if value is None:
+            value = getattr(model.options, setting.key)
+            if value is None:
+                value = setting.default
+        elif setting.values is not None:
+            value = setting.values[value]
+        elif value < 0:
+            raise ModelFileError(f"{setting.flag} must be >= 0")
+        resolved.append(value)
+    return resolved
 
 
 def _compare_declared_levels(chain: ConstraintChain, model: ModelFile) -> dict | None:

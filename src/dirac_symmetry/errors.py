@@ -26,7 +26,8 @@ class DependentPrimariesError(DiracSymmetryError):
 
 
 class InconsistentSystemError(DiracSymmetryError):
-    """Chain generation produced a nonzero constant residual: the constraint
+    """Chain generation produced a nonzero constant residual, from a primary
+    over the primaries before it or from a bracket with H_d: the constraint
     surface is empty, so the system has no solutions."""
 
     def __init__(self, message: str, residual=None, source: str = ""):

@@ -229,8 +229,13 @@ class RationalSpan:
     def reduce(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
         return self.split(terms)[0]
 
-    def add(self, terms: Mapping[Exponents, Fraction], key: Hashable = None) -> None:
-        """Insert, tagged `key`; a polynomial already in the span adds no pivot."""
+    def add(
+        self, terms: Mapping[Exponents, Fraction], key: Hashable = None
+    ) -> dict[Exponents, Fraction]:
+        """Insert, tagged `key`, and return its residual over the span before
+        it; a polynomial already in the span (residual empty) adds no pivot."""
         key, self._added = self._added if key is None else key, self._added + 1
         scale, row = integer_scaled(terms)
-        self._echelon.add(row, {key: scale}, full=True)
+        # The reduced row is tags[key] * terms less its combination of the span.
+        row, tags, _ = self._echelon.add(row, {key: scale}, full=True)
+        return {m: Fraction(v, tags[key]) for m, v in row.items()}

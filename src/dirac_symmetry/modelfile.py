@@ -69,7 +69,6 @@ from .phase import PhasePolynomial, PhaseSpace
 from .symmetry import GeneratorSet
 
 _SYSTEM_KEYS = {"n_dof", "parameters", "hamiltonian"}
-_OPTION_KEYS = {"degree_bound", "on_shell_energy", "coefficient_mode"}
 
 # Largest model file accepted: 1 MiB.  A file just under it, a Hamiltonian
 # of 75689 terms, loads in about 0.5 s of CPU (Python 3.11 on a 2-vCPU Xeon
@@ -83,6 +82,48 @@ class ModelOptions(NamedTuple):
     degree_bound: int | None = None
     on_shell_energy: bool | None = None
     coefficient_mode: CoefficientMode | None = None
+
+
+class Setting(NamedTuple):
+    """A run setting: its ``[options]`` key (a ``ModelOptions`` field, and
+    the flag's argparse dest), its flag, the value of each text it accepts
+    in their documented order (None: an integer >= 0), its built-in default
+    and its flag's help."""
+
+    key: str
+    flag: str
+    values: dict[str, object] | None
+    default: object
+    help: str
+
+    def read(self, raw: str):
+        """The value of the ``[options]`` entry `raw`."""
+        if self.values is None:
+            try:
+                value = int(raw)
+            except ValueError as exc:
+                raise ModelFileError(f"[options] {self.key} must be an integer: {exc}") from exc
+            if value < 0:
+                raise ModelFileError(f"[options] {self.key} must be >= 0")
+            return value
+        if raw in self.values:
+            return self.values[raw]
+        choices = " or ".join(self.values)
+        raise ModelFileError(f"[options] {self.key} must be {choices}, got {raw!r}")
+
+
+# The run settings, in the order the commands take their values.  A run takes
+# each from its flag, else from the model's ``[options]``, else its default; a
+# None degree bound lets every search take ``membership.default_degree_bound``.
+SETTINGS = (
+    Setting("degree_bound", "--degree-bound", None, None,
+            "cap on coefficient-polynomial degree in membership searches"),
+    Setting("on_shell_energy", "--on-shell-energy", {"true": True, "false": False}, True,
+            "include the on-shell generator H_d - E in the ideal"),
+    Setting("coefficient_mode", "--coefficients",
+            {mode.value: mode for mode in CoefficientMode}, CoefficientMode.POLYNOMIAL,
+            "coefficient class for level-preservation decompositions"),
+)
 
 
 class ModelFile(NamedTuple):
@@ -231,38 +272,14 @@ def parse_model_text(text: str) -> ModelFile:
     options = ModelOptions()
     if "options" in sections:
         settings = sections["options"]
-        unknown = settings.keys() - _OPTION_KEYS
+        unknown = settings.keys() - {setting.key for setting in SETTINGS}
         if unknown:
             raise ModelFileError(f"unknown [options] keys: {sorted(unknown)}")
-        degree_bound = None
-        if "degree_bound" in settings:
-            try:
-                degree_bound = int(settings["degree_bound"])
-            except ValueError as exc:
-                raise ModelFileError(
-                    f"[options] degree_bound must be an integer: {exc}"
-                ) from exc
-            if degree_bound < 0:
-                raise ModelFileError("[options] degree_bound must be >= 0")
-        on_shell_energy = None
-        if "on_shell_energy" in settings:
-            raw = settings["on_shell_energy"]
-            if raw not in ("true", "false"):
-                raise ModelFileError(
-                    f"[options] on_shell_energy must be true or false, got {raw!r}"
-                )
-            on_shell_energy = raw == "true"
-        coefficient_mode = None
-        if "coefficient_mode" in settings:
-            raw = settings["coefficient_mode"]
-            try:
-                coefficient_mode = CoefficientMode(raw)
-            except ValueError as exc:
-                raise ModelFileError(
-                    f"[options] coefficient_mode must be constant or polynomial, "
-                    f"got {raw!r}"
-                ) from exc
-        options = ModelOptions(degree_bound, on_shell_energy, coefficient_mode)
+        options = ModelOptions(**{
+            setting.key: setting.read(settings[setting.key])
+            for setting in SETTINGS
+            if setting.key in settings
+        })
 
     return ModelFile(
         system=system,

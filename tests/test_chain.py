@@ -536,3 +536,19 @@ class TestFirstClass:
         report = first_class_check(chain)
         assert report.all_first_class
         assert report.pairs == ()
+
+
+class TestPrimariesSpanningAConstant:
+    @pytest.mark.parametrize(
+        "primaries, source, residual",
+        [(("q1 + 1", "q1"), "P2", "-1"), (("1",), "P1", "1"), (("q1", "2*E"), "P2", "2*E")],
+    )
+    def test_refused_naming_the_primary(self, primaries, source, residual):
+        space = PhaseSpace(1)
+        system = ConstrainedSystem(
+            space, poly("p1", space), tuple(poly(text, space) for text in primaries)
+        )
+        with pytest.raises(InconsistentSystemError) as err:
+            generate_chain(system)
+        assert err.value.source == source
+        assert err.value.residual == poly(residual, space)

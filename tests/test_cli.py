@@ -830,3 +830,48 @@ class TestKnownWrongAnswers:
         path.write_text(SECOND_CLASS_PRIMARIES, encoding="utf-8")
         code, out, _ = run(capsys, "chain", str(path))
         assert code != 0 or "N_s=0" in out
+
+
+class TestPrimariesSpanningAConstant:
+    """Primaries whose span holds a nonzero constant describe an empty
+    constraint surface: every command that builds the chain exits 6 and
+    names the primary that leaves the constant."""
+
+    SYSTEM = "[system]\nn_dof = 1\nhamiltonian = p1\n"
+    GENERATORS = "[generators.g]\nG = q1\n"
+    MODELS = [
+        ("P1 = q1 + 1\nP2 = q1\n", "primary P2 over the primaries before it", "-1"),
+        ("P1 = 1\n", "primary P1 over the primaries before it", "1"),
+        ("P1 = 2\n", "primary P1 over the primaries before it", "2"),
+    ]
+
+    @pytest.mark.parametrize("primaries, what, residual", MODELS)
+    @pytest.mark.parametrize(
+        "command", ["chain", "total-hamiltonian", "first-class", "check-symmetry"]
+    )
+    def test_chain_commands_exit_inconsistent(
+        self, capsys, tmp_path, command, primaries, what, residual
+    ):
+        path = tmp_path / "constant.model"
+        path.write_text(self.SYSTEM + "[primaries]\n" + primaries + self.GENERATORS)
+        code, out, err = run(capsys, command, str(path), "--set", "g")
+        assert (code, out) == (6, "")
+        assert err == (
+            f"finding: inconsistent system: {what} leaves the nonzero constant "
+            f"residual {residual}: the system has no solutions\n"
+        )
+
+    @pytest.mark.parametrize("primaries", [primaries for primaries, _, _ in MODELS])
+    def test_structure_constants_builds_no_chain(self, capsys, tmp_path, primaries):
+        path = tmp_path / "constant.model"
+        path.write_text(self.SYSTEM + "[primaries]\n" + primaries + self.GENERATORS)
+        code, out, err = run(capsys, "structure-constants", str(path), "--set", "g")
+        assert (code, err) == (0, "")
+        assert "closed: yes; antisymmetry ok, Jacobi ok; abelian\n" in out
+
+    def test_without_the_primaries_the_generator_is_no_symmetry(self, capsys, tmp_path):
+        path = tmp_path / "free.model"
+        path.write_text(self.SYSTEM + self.GENERATORS)
+        code, out, _ = run(capsys, "check-symmetry", str(path), "--set", "g")
+        assert code == 2
+        assert "overall: NotSymmetry" in out

@@ -322,3 +322,12 @@ class TestRationalSpan:
                         total[m] = total.get(m, 0) + c * v
                 # Over independent inputs these are the unique coordinates.
                 assert {m: v for m, v in total.items() if v} == query
+
+
+def test_span_add_returns_the_residual_over_the_span_before_it():
+    rng = random.Random(47)
+    for _ in range(40):
+        span = RationalSpan()
+        for row in random_rows(rng, rng.randint(1, 6), 6, keys=MONOMIALS):
+            before = span.reduce(row)
+            assert span.add(row) == before
