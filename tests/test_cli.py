@@ -840,25 +840,26 @@ class TestPrimariesSpanningAConstant:
     SYSTEM = "[system]\nn_dof = 1\nhamiltonian = p1\n"
     GENERATORS = "[generators.g]\nG = q1\n"
     MODELS = [
-        ("P1 = q1 + 1\nP2 = q1\n", "primary P2 over the primaries before it", "-1"),
-        ("P1 = 1\n", "primary P1 over the primaries before it", "1"),
-        ("P1 = 2\n", "primary P1 over the primaries before it", "2"),
+        ("P1 = q1 + 1\nP2 = q1\n", "P2", "-1"),
+        ("P1 = 1\n", "P1", "1"),
+        ("P1 = 2\n", "P1", "2"),
     ]
 
-    @pytest.mark.parametrize("primaries, what, residual", MODELS)
+    @pytest.mark.parametrize("primaries, source, residual", MODELS)
     @pytest.mark.parametrize(
         "command", ["chain", "total-hamiltonian", "first-class", "check-symmetry"]
     )
     def test_chain_commands_exit_inconsistent(
-        self, capsys, tmp_path, command, primaries, what, residual
+        self, capsys, tmp_path, command, primaries, source, residual
     ):
         path = tmp_path / "constant.model"
         path.write_text(self.SYSTEM + "[primaries]\n" + primaries + self.GENERATORS)
         code, out, err = run(capsys, command, str(path), "--set", "g")
         assert (code, out) == (6, "")
         assert err == (
-            f"finding: inconsistent system: {what} leaves the nonzero constant "
-            f"residual {residual}: the system has no solutions\n"
+            f"finding: inconsistent system: primary {source} over the primaries before "
+            f"it leaves the nonzero constant residual {residual}: the system has no "
+            "solutions\n"
         )
 
     @pytest.mark.parametrize("primaries", [primaries for primaries, _, _ in MODELS])
